@@ -75,13 +75,14 @@ def window_length(slope: Slope, ups: int) -> int:
 
 
 def _window_ups(slope: Slope, length: int) -> int | None:
-    """The up count of a complete window of this length, if one exists."""
-    c = 1
-    while window_length(slope, c) <= length:
-        if window_length(slope, c) == length:
-            return c
-        c += 1
-    return None
+    """The up count of a complete window of this length, if one exists.
+
+    c + floor(b*c/a) = length puts c in [a*length/(a+b), a*(length+1)/(a+b)),
+    an interval shorter than one, so the only candidate is the ceiling.
+    """
+    a, b = slope.a, slope.b
+    c = -(-a * length // (a + b))
+    return c if c >= 1 and window_length(slope, c) == length else None
 
 
 def admissible(slope: Slope, candidate, built=()) -> bool:
@@ -128,17 +129,15 @@ def admissible(slope: Slope, candidate, built=()) -> bool:
     a, b = slope.a, slope.b
     window_memo: dict[tuple[int, int], bool] = {}
 
-    def window_ok(i: int, j: int) -> bool:
-        """[i, j] is one complete window rooted at i."""
+    def window_ok(i: int, j: int, c: int) -> bool:
+        """[i, j], of complete-window length for c up steps, is one window
+        rooted at i."""
         key = (i, j)
         if key not in window_memo:
-            window_memo[key] = _window_ok(i, j)
+            window_memo[key] = _window_ok(i, j, c)
         return window_memo[key]
 
-    def _window_ok(i: int, j: int) -> bool:
-        c = _window_ups(slope, j - i + 1)
-        if c is None:
-            return False
+    def _window_ok(i: int, j: int, c: int) -> bool:
         kind, idx = tags[i]
         if kind == "U":
             if inside[idx][-1] > j:
@@ -168,17 +167,18 @@ def admissible(slope: Slope, candidate, built=()) -> bool:
                     if rec(pos + 1, ups, False):
                         return True
             if kind in ("U", "F") and not after_open_return:
-                q = pos
+                c_sub = 1
+                q = pos + window_length(slope, 1) - 1
                 while q <= j:
-                    c_sub = _window_ups(slope, q - pos + 1)
-                    if c_sub is not None and window_ok(pos, q):
+                    if window_ok(pos, q, c_sub):
                         ups2 = ups + c_sub
-                        rights2 = (q + 1 - i - 1) - ups2
+                        rights2 = (q - i) - ups2
                         if q == j or b * (1 + ups2) > a * rights2:
                             inexact = (b * c_sub) % a != 0
                             if rec(q + 1, ups2, inexact):
                                 return True
-                    q += 1
+                    c_sub += 1
+                    q = pos + window_length(slope, c_sub) - 1
             return False
 
         return rec(i + 1, 0, False)
@@ -243,13 +243,6 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     if pool:
         raise ArithmeticError(f"matching map left positions unused on {p}")
     return pm_inverse(canonical_matching(total, built), s)
-
-
-def mat_power(p: RationalDyckPath, power: int) -> RationalDyckPath:
-    step = mat if power >= 0 else mat_inverse
-    for _ in range(abs(power)):
-        p = step(p)
-    return p
 
 
 def _height(slope: Slope, pos: int) -> int:

@@ -3,15 +3,14 @@
 The matching of a path is produced block by block, from the top up step
 down: the block of the m-th up step consists of the up-step position
 together with the still-unused right-step positions up to the first return
-of the line of slope a/b drawn from the base of that up step.  Intersections
-with the path are computed with exact rational arithmetic.
+of the line of slope a/b drawn from the base of that up step.  The first
+return is found on the integer levels b*y - a*x of the path's vertices, so
+no rational intersection point is ever formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .paths import RationalDyckPath, Slope, star_path
 
@@ -33,12 +32,6 @@ class PerfectMatching:
             raise ValueError("blocks must be ordered by minimum")
         if not _is_noncrossing(self.blocks, self.ground_size):
             raise ValueError(f"blocks are crossing: {self.blocks}")
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise KeyError(x)
 
     def __str__(self) -> str:
         return ",".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
@@ -85,44 +78,41 @@ def parse_matching(text: str, ground: int) -> PerfectMatching:
 
 
 def pm(p: RationalDyckPath) -> PerfectMatching:
-    """The slope-line matching of a path."""
+    """The slope-line matching of a path.
+
+    Walking on from the m-th up step, the level b*(y - y0) - a*(x - x0)
+    relative to its base (x0, y0) starts at b, rises by b per up step and
+    falls by a per right step.  The line first returns on the first right
+    step that starts at a level d <= a; it meets that step at x0 + d/a, so the
+    step itself belongs to the block exactly when d == a.
+    """
     s = p.slope
     a, b = s.a, s.b
     total = s.total_steps
-    verts = p.vertices()
-    up = set(p.steps)
-    unused = [i for i in range(1, total + 1) if i not in up]
-    unused_set = set(unused)
+    is_up = [False] * (total + 1)
+    for u in p.steps:
+        is_up[u] = True
+    taken = is_up[:]  # up positions and right positions already in a block
 
     blocks = []
-    for m in range(s.up_count, 0, -1):
-        u_m = p.steps[m - 1]
-        x_m = u_m - m
-        bound = _first_return_position(verts, up, u_m, x_m, m - 1, a, b)
-        lo = x_m + m + 1
-        members = [j for j in sorted(unused_set) if lo <= j and Fraction(j) <= bound]
-        block = tuple(sorted([u_m] + members))
-        unused_set.difference_update(members)
-        blocks.append(block)
+    for u in reversed(p.steps):
+        block = [u]
+        level = b
+        k = u + 1
+        while is_up[k] or level > a:
+            if is_up[k]:
+                level += b
+            else:
+                if not taken[k]:
+                    block.append(k)
+                level -= a
+            k += 1
+        if level == a and not taken[k]:
+            block.append(k)
+        for j in block[1:]:
+            taken[j] = True
+        blocks.append(tuple(block))
     return canonical_matching(total, blocks)
-
-
-def _first_return_position(verts, up, start_step, x0, y0, a, b) -> Fraction:
-    """Step-position bound floor(s)+t of the first path point on the line
-    of slope a/b through (x0, y0), scanning after step ``start_step``."""
-    total = len(verts) - 1
-    for k in range(start_step + 1, total + 1):
-        (x1, y1), (x2, y2) = verts[k - 1], verts[k]
-        if y1 == y2:
-            # horizontal step; line reaches height y1 at x*
-            xs = Fraction(x0 * a + (y1 - y0) * b, a)
-            if x1 <= xs <= x2:
-                return Fraction(math.floor(xs) + y1)
-        else:
-            ys = Fraction(y0 * b + (x1 - x0) * a, b)
-            if y1 <= ys <= y2:
-                return Fraction(x1) + ys
-    raise AssertionError("slope line never returned to the path")
 
 
 def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:

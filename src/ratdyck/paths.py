@@ -72,13 +72,11 @@ class RationalDyckPath:
             raise ValueError(f"step sequence must be strictly increasing: {self.steps}")
         if self.steps and (self.steps[0] < 1 or self.steps[-1] > s.total_steps):
             raise ValueError(f"step positions must lie in [1,{s.total_steps}]: {self.steps}")
+        # The step bound alone decides validity: the step-bound-geometry
+        # identity checks it against the line y = ax/b (word_above_line).
         for j, u in enumerate(self.steps, start=1):
             if u > s.step_bound(j):
                 raise ValueError(f"step {j} at position {u} exceeds bound {s.step_bound(j)}")
-        # The bound above is equivalent to the geometric condition, but the
-        # validator checks the line directly as well.
-        if not _weakly_above_line(s, self.steps):
-            raise ValueError(f"path dips below y = {s.a}x/{s.b}: {self.steps}")
 
     @property
     def word(self) -> str:

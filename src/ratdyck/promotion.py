@@ -8,22 +8,34 @@ first; this convention is pinned by the worked promotion of the (2,3)-path
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .matchings import dpm, pm
 from .paths import RationalDyckPath, star_path
 
 
 def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
-    total = p.slope.total_steps
-    if not 1 <= i <= total - 1:
-        raise ValueError(f"toggle index {i} outside [1,{total - 1}]")
-    here = set(p.steps)
-    if (i in here) == (i + 1 in here):
+    """Swap the letters at positions i and i+1 if the result is a path.
+
+    Moving an up step earlier always keeps a path; moving one later keeps a
+    path iff it stays within its step bound.  Returns ``p`` itself when
+    nothing swaps.
+    """
+    s = p.slope
+    if not 1 <= i <= s.total_steps - 1:
+        raise ValueError(f"toggle index {i} outside [1,{s.total_steps - 1}]")
+    steps = p.steps
+    j = bisect_left(steps, i)  # up steps before position i
+    up_here = j < len(steps) and steps[j] == i
+    k = j + up_here  # index of the first up step after position i
+    up_next = k < len(steps) and steps[k] == i + 1
+    if up_here == up_next:
         return p
-    swapped = here.symmetric_difference({i, i + 1})
-    try:
-        return RationalDyckPath(p.slope, tuple(sorted(swapped)))
-    except ValueError:
-        return p
+    if up_here:
+        if i + 1 > s.step_bound(j + 1):
+            return p
+        return RationalDyckPath(s, steps[:j] + (i + 1,) + steps[j + 1 :])
+    return RationalDyckPath(s, steps[:j] + (i,) + steps[j + 1 :])
 
 
 def promotion(p: RationalDyckPath) -> RationalDyckPath:

@@ -10,6 +10,7 @@ matches both the classical staircase ranks and the k-Dyck rank tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .paths import (
     RationalDyckPath,
@@ -22,36 +23,36 @@ from .paths import (
 
 @dataclass(frozen=True)
 class BoxRegion:
+    """The region's geometry, computed on first use and then kept."""
+
     slope: Slope
 
-    @property
+    @cached_property
     def row_lengths(self) -> tuple[int, ...]:
         return region_rows(self.slope)
 
-    @property
+    @cached_property
     def max_rank(self) -> int:
         s = self.slope
         return (s.up_count - 1) * s.b // s.a - 1
 
-    @property
+    @cached_property
     def min_rank(self) -> int:
         # for a > b some cells sit below rank 0 (the region is not graded
         # with all minima at rank zero); sweeps must still cover them
-        rows = self.row_lengths
-        depths = [i + rows[i - 1] - 2 for i in range(1, len(rows) + 1) if rows[i - 1]]
-        return self.max_rank - max(depths) if depths else self.max_rank
+        return min(self.cells_by_rank, default=self.max_rank)
 
     def rank(self, i: int, j: int) -> int:
         return self.max_rank - (i - 1) - (j - 1)
 
-    def cells_at_rank(self, r: int) -> list[tuple[int, int]]:
-        rows = self.row_lengths
-        cells = []
-        for i in range(1, len(rows) + 1):
-            j = self.max_rank - r - (i - 1) + 1
-            if 1 <= j <= rows[i - 1]:
-                cells.append((i, j))
-        return cells
+    @cached_property
+    def cells_by_rank(self) -> dict[int, list[tuple[int, int]]]:
+        """The cells of each rank, top row first."""
+        by_rank: dict[int, list[tuple[int, int]]] = {}
+        for i, length in enumerate(self.row_lengths, start=1):
+            for j in range(1, length + 1):
+                by_rank.setdefault(self.rank(i, j), []).append((i, j))
+        return by_rank
 
 
 @dataclass(frozen=True)
@@ -79,46 +80,43 @@ def path_of_filter(f: OrderFilter) -> RationalDyckPath:
     return path_from_young_rows(f.region.slope, f.rows)
 
 
-def _toggle_rank(region: BoxRegion, rows: list[int], r: int) -> None:
-    # Cell toggles of equal rank commute; apply them in column order.
-    an = len(rows)
-    for i, j in region.cells_at_rank(r):
-        caps = region.row_lengths
-        if j == rows[i - 1] + 1:
-            # addable iff the cells above and to the left are present
-            if (i == 1 or rows[i - 2] >= j) and j <= caps[i - 1]:
-                rows[i - 1] = j
-        elif j == rows[i - 1]:
-            # removable iff the cells below and to the right are absent
-            if i == an or rows[i] <= j - 1:
-                rows[i - 1] = j - 1
+def _sweep(p: RationalDyckPath, region: BoxRegion, ranks) -> RationalDyckPath:
+    """Toggle the ranks in order; toggles of equal rank commute and are
+    applied row by row from the top."""
+    rows = list(young_rows(p))
+    last = len(rows) - 1
+    cells = region.cells_by_rank
+    for r in ranks:
+        for i, j in cells.get(r, ()):
+            k = i - 1
+            if j == rows[k] + 1:
+                # addable iff the cell above is present (the one to the
+                # left is, as rows are left-justified)
+                if k == 0 or rows[k - 1] >= j:
+                    rows[k] = j
+            elif j == rows[k]:
+                # removable iff the cell below is absent
+                if k == last or rows[k + 1] <= j - 1:
+                    rows[k] = j - 1
+    return path_from_young_rows(p.slope, rows)
 
 
 def rank_toggle(r: int, p: RationalDyckPath) -> RationalDyckPath:
     region = BoxRegion(p.slope)
     if region.max_rank >= 0 and not region.min_rank <= r <= region.max_rank:
         raise ValueError(f"rank {r} outside [{region.min_rank},{region.max_rank}]")
-    rows = list(young_rows(p))
-    if region.max_rank >= 0:
-        _toggle_rank(region, rows, r)
-    return path_from_young_rows(p.slope, rows)
+    return _sweep(p, region, (r,))
 
 
 def rowmotion(p: RationalDyckPath) -> RationalDyckPath:
-    """Rank toggles from the top rank down to rank 0."""
+    """Rank toggles from the top rank down to the lowest."""
     region = BoxRegion(p.slope)
-    rows = list(young_rows(p))
-    for r in range(region.max_rank, region.min_rank - 1, -1):
-        _toggle_rank(region, rows, r)
-    return path_from_young_rows(p.slope, rows)
+    return _sweep(p, region, range(region.max_rank, region.min_rank - 1, -1))
 
 
 def rowmotion_inverse(p: RationalDyckPath) -> RationalDyckPath:
     region = BoxRegion(p.slope)
-    rows = list(young_rows(p))
-    for r in range(region.min_rank, region.max_rank + 1):
-        _toggle_rank(region, rows, r)
-    return path_from_young_rows(p.slope, rows)
+    return _sweep(p, region, range(region.min_rank, region.max_rank + 1))
 
 
 def rowmotion_power(p: RationalDyckPath, power: int) -> RationalDyckPath:
@@ -152,27 +150,18 @@ def rowmotion_structural(p: RationalDyckPath) -> RationalDyckPath:
 def rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Triangular sweeps: full sweep first, then sweeps stopping ever higher."""
     region = BoxRegion(p.slope)
-    rows = list(young_rows(p))
-    for m in range(region.min_rank, region.max_rank + 1):
-        for r in range(region.max_rank, m - 1, -1):
-            _toggle_rank(region, rows, r)
-    return path_from_young_rows(p.slope, rows)
+    lo, hi = region.min_rank, region.max_rank
+    return _sweep(p, region, (r for m in range(lo, hi + 1) for r in range(hi, m - 1, -1)))
 
 
 def dual_rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     region = BoxRegion(p.slope)
-    rows = list(young_rows(p))
-    for top in range(region.max_rank, region.min_rank - 1, -1):
-        for r in range(region.min_rank, top + 1):
-            _toggle_rank(region, rows, r)
-    return path_from_young_rows(p.slope, rows)
+    lo, hi = region.min_rank, region.max_rank
+    return _sweep(p, region, (r for top in range(hi, lo - 1, -1) for r in range(lo, top + 1)))
 
 
 def partial_rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Rowvacuation without its initial full sweep (so rvac = this o rowmotion)."""
     region = BoxRegion(p.slope)
-    rows = list(young_rows(p))
-    for m in range(region.min_rank + 1, region.max_rank + 1):
-        for r in range(region.max_rank, m - 1, -1):
-            _toggle_rank(region, rows, r)
-    return path_from_young_rows(p.slope, rows)
+    lo, hi = region.min_rank, region.max_rank
+    return _sweep(p, region, (r for m in range(lo + 1, hi + 1) for r in range(hi, m - 1, -1)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matchings import pm
-from .matching_map import mat, mat_power
+from .matching_map import mat
 from .paths import RationalDyckPath, path_from_young_rows, young_rows
 from .perms import Permutation321
 from .promotion import promotion_power
@@ -231,11 +231,6 @@ def rsk_hat_path(p: RationalDyckPath) -> RationalDyckPath:
     """The RSK-type correspondence as a path map, via the matching map."""
     _require_unit_a(p)
     return promotion_power(mat(p), -(p.slope.n - 1))
-
-
-def rsk_hat_path_inverse(p: RationalDyckPath) -> RationalDyckPath:
-    _require_unit_a(p)
-    return mat_power(promotion_power(p, p.slope.n - 1), -1)
 
 
 # ---------------------------------------------------------------------------
