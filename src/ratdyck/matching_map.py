@@ -17,6 +17,7 @@ and a mid-step return never followed directly by another up step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .matchings import canonical_matching, pm, pm_inverse
@@ -186,30 +187,26 @@ def admissible(slope: Slope, candidate, built=()) -> bool:
     return parse(lo, hi, c_top, ("C", -1))
 
 
-def _grow_sequence(start: int, pool: set[int], total: int, increasing: bool) -> list[int]:
-    """Cyclically consecutive elements of the pool from ``start``."""
-    seq = [start]
-    remaining = sorted(pool - {start})
-    cur = start
-    while remaining:
-        if increasing:
-            nxt = next((x for x in remaining if x > cur), remaining[0])
-        else:
-            nxt = next((x for x in reversed(remaining) if x < cur), remaining[-1])
-        seq.append(nxt)
-        remaining.remove(nxt)
-        cur = nxt
-    return seq
+def _grow_sequence(start: int, pool: set[int], increasing: bool) -> list[int]:
+    """The pool in cyclic order from ``start`` (a member of it), ascending or
+    descending."""
+    ordered = sorted(pool)
+    i = bisect_left(ordered, start)
+    if increasing:
+        return ordered[i:] + ordered[:i]
+    return ordered[i::-1] + ordered[:i:-1]
 
 
-def _represents(slope: Slope, start: int, candidate) -> bool:
-    """The entry must stay the height-maximal element of its block (bars
-    winning ties), or the inverse map could not select it back."""
+def _representing_length(slope: Slope, seq: list[int]) -> int:
+    """Length of the longest prefix of ``seq`` whose first element stays the
+    height-maximal element of it (bars winning ties), or the inverse map
+    could not select it back."""
     bn = slope.right_count
-    start_key = (_height(slope, start), start > bn)
-    return all(
-        (_height(slope, x), x > bn) < start_key for x in candidate if x != start
-    )
+    start_key = (_height(slope, seq[0]), seq[0] > bn)
+    for size, x in enumerate(seq[1:], start=1):
+        if (_height(slope, x), x > bn) >= start_key:
+            return size
+    return len(seq)
 
 
 def mat(p: RationalDyckPath) -> RationalDyckPath:
@@ -226,12 +223,15 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
                 f"matching map start {start} already consumed on {p} "
                 "(admissibility interpretation bug)"
             )
-        seq = _grow_sequence(start, pool, total, increasing=entry.barred)
-        best = None
+        seq = _grow_sequence(start, pool, increasing=entry.barred)
+        # Every prefix past the representing length fails, so the largest
+        # admissible size is the first one found scanning down from it.
         first = min(ktilde + 1, len(seq))
-        for size in range(first, len(seq) + 1):
-            if _represents(s, start, seq[:size]) and admissible(s, seq[:size], built):
-                best = size
+        best = next(
+            (size for size in range(_representing_length(s, seq), first - 1, -1)
+             if admissible(s, seq[:size], built)),
+            None,
+        )
         if best is None:
             raise ArithmeticError(
                 f"no admissible block for entry {entry} of {p} "

@@ -123,6 +123,8 @@ def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
 @lru_cache(maxsize=None)
 def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
     parts = enumerate_ncps(n)
+    if k == 1:
+        return tuple(NonCrossingChain(1, (p,)) for p in parts)
     finer = {p: [q for q in parts if q.refines(p)] for p in parts}
     out: list[NonCrossingChain] = []
 

@@ -8,14 +8,13 @@ U/R word, the two-row tableau, the Young rows of the region below the top
 path) is a derived view.
 
 All comparisons against the boundary line use exact integer
-cross-multiplication; counting uses exact rationals.
+cross-multiplication, and counting is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
@@ -66,17 +65,19 @@ class RationalDyckPath:
 
     def __post_init__(self) -> None:
         s = self.slope
-        if len(self.steps) != s.up_count:
-            raise ValueError(f"expected {s.up_count} up steps, got {len(self.steps)}")
-        if any(y <= x for x, y in zip(self.steps, self.steps[1:])):
-            raise ValueError(f"step sequence must be strictly increasing: {self.steps}")
-        if self.steps and (self.steps[0] < 1 or self.steps[-1] > s.total_steps):
-            raise ValueError(f"step positions must lie in [1,{s.total_steps}]: {self.steps}")
+        steps = self.steps
+        if len(steps) != s.up_count:
+            raise ValueError(f"expected {s.up_count} up steps, got {len(steps)}")
         # The step bound alone decides validity: the step-bound-geometry
         # identity checks it against the line y = ax/b (word_above_line).
-        for j, u in enumerate(self.steps, start=1):
-            if u > s.step_bound(j):
-                raise ValueError(f"step {j} at position {u} exceeds bound {s.step_bound(j)}")
+        # One pass with the bound inlined; _step_error names the first rule
+        # broken, in a fixed order, only when this pass fails.
+        a, b = s.a, s.b
+        prev = 0
+        for j, u in enumerate(steps, start=1):
+            if not prev < u <= (j - 1) * b // a + j:
+                raise ValueError(_step_error(s, steps))
+            prev = u
 
     @property
     def word(self) -> str:
@@ -109,6 +110,16 @@ class RationalDyckPath:
 
     def __str__(self) -> str:
         return self.steps_str()
+
+
+def _step_error(s: Slope, steps: tuple[int, ...]) -> str:
+    """The message for a step sequence of the right length that is invalid."""
+    if any(y <= x for x, y in zip(steps, steps[1:])):
+        return f"step sequence must be strictly increasing: {steps}"
+    if steps[0] < 1 or steps[-1] > s.total_steps:
+        return f"step positions must lie in [1,{s.total_steps}]: {steps}"
+    j, u = next((j, u) for j, u in enumerate(steps, start=1) if u > s.step_bound(j))
+    return f"step {j} at position {u} exceeds bound {s.step_bound(j)}"
 
 
 def _weakly_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
@@ -195,40 +206,23 @@ def _step_sequences(slope: Slope) -> tuple[tuple[int, ...], ...]:
 
 
 def count_paths(slope: Slope) -> int:
-    """Number of paths, by the partition-sum formula, in exact arithmetic."""
+    """Number of paths, by Bizley's formula (Bizley 1954), in exact integers.
+
+    The counts have generating function exp(sum_j C((a+b)j, aj) x^j / (j(a+b))),
+    and the power-series exponential gives the recurrence
+    m(a+b) F_m = sum_{j=1..m} C((a+b)j, aj) F_{m-j} with F_0 = 1.  Every F_m
+    is a path count, so each division is exact.
+    """
     a, b, n = slope.a, slope.b, slope.n
-    coeff = [Fraction(0)] + [
-        Fraction(math.comb((a + b) * j, a * j), j * (a + b)) for j in range(1, n + 1)
-    ]
-
-    total = Fraction(0)
-    for counts in _partition_multiplicities(n):
-        term = Fraction(1)
-        for j, kj in counts.items():
-            term *= coeff[j] ** kj / math.factorial(kj)
-        total += term
-    if total.denominator != 1:
-        raise ArithmeticError(f"path count for {slope} is not integral: {total}")
-    return int(total)
-
-
-def _partition_multiplicities(n: int) -> list[dict[int, int]]:
-    """All ways to write n = sum j*k_j, as {j: k_j} with k_j >= 1."""
-    out: list[dict[int, int]] = []
-
-    def rec(remaining: int, max_part: int, acc: dict[int, int]) -> None:
-        if remaining == 0:
-            out.append(dict(acc))
-            return
-        for j in range(min(max_part, remaining), 0, -1):
-            acc[j] = acc.get(j, 0) + 1
-            rec(remaining - j, j, acc)
-            acc[j] -= 1
-            if acc[j] == 0:
-                del acc[j]
-
-    rec(n, n, {})
-    return out
+    binoms = [math.comb((a + b) * j, a * j) for j in range(n + 1)]
+    counts = [1]
+    for m in range(1, n + 1):
+        total = sum(binoms[j] * counts[m - j] for j in range(1, m + 1))
+        value, rest = divmod(total, m * (a + b))
+        if rest:
+            raise ArithmeticError(f"path count for {slope} is not integral at size {m}")
+        counts.append(value)
+    return counts[n]
 
 
 def count_paths_dp(slope: Slope) -> int:

@@ -207,7 +207,7 @@ def _perm_check(slope: Slope, relation) -> tuple[int, list[str]]:
 # -- counting and encodings -------------------------------------------------
 
 
-@_ident("count-enumeration", "partition-sum count equals the lattice DP count "
+@_ident("count-enumeration", "Bizley-recurrence count equals the lattice DP count "
         "and the materialized enumeration on moderate domains")
 def _c_count(s: Slope):
     formula = pa.count_paths(s)

@@ -4,7 +4,7 @@ import pytest
 
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
-from ratdyck.paths import Slope, path_from_steps
+from ratdyck.paths import Slope, count_paths_dp, path_from_steps
 from ratdyck.registry import IDENTITIES, apply_map, orbit_table, verify
 
 
@@ -71,6 +71,11 @@ def test_cli_count_and_enum(capsys):
     code, out, _ = run(capsys, "count", "--a", "1", "--b", "1", "--n", "5",
                        "--format", "json")
     assert code == 0 and json.loads(out)["count"] == 42
+
+
+def test_cli_count_beyond_partition_scale(capsys):
+    code, out, _ = run(capsys, "count", "--a", "2", "--b", "3", "--n", "60")
+    assert code == 0 and out == str(count_paths_dp(Slope(2, 3, 60)))
 
 
 def test_cli_apply(capsys):
