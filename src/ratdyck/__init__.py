@@ -27,6 +27,7 @@ from .noncrossing import (
 )
 from .paths import (
     ABTableau,
+    InvariantError,
     RationalDyckPath,
     Slope,
     count_paths,

@@ -14,6 +14,7 @@ from .golden import golden_suite
 from .matching_map import k_sequence
 from .matchings import dpm, pm, pm_inverse, parse_matching
 from .paths import (
+    InvariantError,
     RationalDyckPath,
     Slope,
     count_paths,
@@ -248,6 +249,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,11 @@ and a mid-step return never followed directly by another up step.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .matchings import canonical_matching, pm, pm_inverse
-from .paths import RationalDyckPath, Slope
+from .paths import InvariantError, RationalDyckPath, Slope
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _window_ups(slope: Slope, length: int) -> int | None:
     return c if c >= 1 and window_length(slope, c) == length else None
 
 
-def admissible(slope: Slope, candidate, built=()) -> bool:
+def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     """Whether ``candidate`` closes as a maximal matching block given the
     already-built blocks.
 
@@ -96,6 +96,14 @@ def admissible(slope: Slope, candidate, built=()) -> bool:
     position (a later block, possibly wrapping around built material), every
     interior prefix stays strictly above the slope line, and the number of
     later up steps consumed inside matches the closure count.
+
+    ``memo`` shares sub-window verdicts between calls, keyed by span.  A
+    sub-window holding a candidate position fails at once, since the parse
+    can neither own nor open on one; that check comes before any lookup, so
+    every stored verdict depends on ``built`` alone.  A memo is therefore
+    valid only while ``built`` stays the same: ``mat`` starts a fresh one for
+    each valley entry and shares it across the sizes it tries.  Without one,
+    the call keeps a private memo.
     """
     cand = sorted(set(candidate))
     if not cand:
@@ -128,15 +136,19 @@ def admissible(slope: Slope, candidate, built=()) -> bool:
         return False
 
     a, b = slope.a, slope.b
-    window_memo: dict[tuple[int, int], bool] = {}
+    if memo is None:
+        memo = {}
 
     def window_ok(i: int, j: int, c: int) -> bool:
         """[i, j], of complete-window length for c up steps, is one window
         rooted at i."""
+        k = bisect_right(cand, i)
+        if k < len(cand) and cand[k] <= j:
+            return False
         key = (i, j)
-        if key not in window_memo:
-            window_memo[key] = _window_ok(i, j, c)
-        return window_memo[key]
+        if key not in memo:
+            memo[key] = _window_ok(i, j, c)
+        return memo[key]
 
     def _window_ok(i: int, j: int, c: int) -> bool:
         kind, idx = tags[i]
@@ -219,7 +231,7 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     for entry in k_sequence(p).entries:
         start = entry.numeric(s)
         if start not in pool:
-            raise ArithmeticError(
+            raise InvariantError(
                 f"matching map start {start} already consumed on {p} "
                 "(admissibility interpretation bug)"
             )
@@ -227,13 +239,14 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         # Every prefix past the representing length fails, so the largest
         # admissible size is the first one found scanning down from it.
         first = min(ktilde + 1, len(seq))
+        verdicts: dict[tuple[int, int], bool] = {}  # valid while built is fixed
         best = next(
             (size for size in range(_representing_length(s, seq), first - 1, -1)
-             if admissible(s, seq[:size], built)),
+             if admissible(s, seq[:size], built, verdicts)),
             None,
         )
         if best is None:
-            raise ArithmeticError(
+            raise InvariantError(
                 f"no admissible block for entry {entry} of {p} "
                 "(admissibility interpretation bug)"
             )
@@ -241,7 +254,7 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         built.append(block)
         pool.difference_update(block)
     if pool:
-        raise ArithmeticError(f"matching map left positions unused on {p}")
+        raise InvariantError(f"matching map left positions unused on {p}")
     return pm_inverse(canonical_matching(total, built), s)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .paths import RationalDyckPath, Slope
+from .paths import InvariantError, RationalDyckPath, Slope
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,20 @@ def parse_chain(text: str, n: int | None = None) -> NonCrossingChain:
 
 @lru_cache(maxsize=None)
 def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
+    """The non-crossing partitions of [1, n], in the order of the set
+    partition walk that puts x into each open block, then into a new one."""
     out: list[NonCrossingPartition] = []
 
     def rec(partial: list[list[int]], x: int) -> None:
         if x > n:
-            try:
-                out.append(ncp(n, [tuple(b) for b in partial]))
-            except ValueError:
-                pass
+            out.append(ncp(n, [tuple(b) for b in partial]))
             return
         for b in partial:
+            # x joins b without a crossing iff no other block has elements
+            # on both sides of b's last one; a crossing partial has only
+            # crossing leaves, so pruning it here drops no output
+            if any(c[0] < b[-1] < c[-1] for c in partial):
+                continue
             b.append(x)
             rec(partial, x + 1)
             b.pop()
@@ -150,7 +154,7 @@ def _increment(u: tuple[int, ...]) -> tuple[int, ...]:
     if len(u) == 1:
         return u
     if u[0] != 1 or u[1] <= 2:
-        raise AssertionError(f"cannot shift up steps of {u}")
+        raise InvariantError(f"cannot shift up steps of {u}")
     return (1,) + tuple(x - 1 for x in u[1:])
 
 
@@ -206,7 +210,7 @@ def _chain_table(n: int, k: int) -> dict[RationalDyckPath, NonCrossingChain]:
     for chain in enumerate_chains(n, k):
         path = ncp_to_dyck(chain)
         if path in table:
-            raise AssertionError(f"chain map is not injective at {path}")
+            raise InvariantError(f"chain map is not injective at {path}")
         table[path] = chain
     return table
 
@@ -218,7 +222,7 @@ def dyck_to_ncp(p: RationalDyckPath) -> NonCrossingChain:
     try:
         return table[p]
     except KeyError:
-        raise AssertionError(f"chain map is not surjective at {p}") from None
+        raise InvariantError(f"chain map is not surjective at {p}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -399,4 +403,4 @@ def lift(chain: NonCrossingChain) -> NonCrossingChain:
     try:
         return _chain_from_weights(n, k, weights)
     except ValueError as exc:
-        raise ArithmeticError(f"lift cleanup failed for {chain}: {exc}") from exc
+        raise InvariantError(f"lift cleanup failed for {chain}: {exc}") from exc

@@ -20,6 +20,10 @@ from itertools import combinations
 from typing import Iterator
 
 
+class InvariantError(AssertionError):
+    """An internal invariant broke: a defect in the library, not bad input."""
+
+
 @dataclass(frozen=True)
 class Slope:
     """Coprime slope parameters and path size."""
@@ -220,7 +224,7 @@ def count_paths(slope: Slope) -> int:
         total = sum(binoms[j] * counts[m - j] for j in range(1, m + 1))
         value, rest = divmod(total, m * (a + b))
         if rest:
-            raise ArithmeticError(f"path count for {slope} is not integral at size {m}")
+            raise InvariantError(f"path count for {slope} is not integral at size {m}")
         counts.append(value)
     return counts[n]
 

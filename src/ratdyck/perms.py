@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matchings import PerfectMatching, canonical_matching
-from .paths import RationalDyckPath, Slope, path_from_word
+from .paths import InvariantError, RationalDyckPath, Slope, path_from_word
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def e_w(w: Permutation321) -> RationalDyckPath:
     for x, y in valleys:
         if first:
             if y != 0:
-                raise AssertionError(f"first grid valley off the floor: {valleys}")
+                raise InvariantError(f"first grid valley off the floor: {valleys}")
             word.append("R" * x)
             first = False
         else:

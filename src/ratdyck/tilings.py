@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .matchings import pm
 from .matching_map import mat
-from .paths import RationalDyckPath, path_from_young_rows, young_rows
+from .paths import InvariantError, RationalDyckPath, path_from_young_rows, young_rows
 from .perms import Permutation321
 from .promotion import promotion_power
 
@@ -134,7 +134,7 @@ def _removal_order(p: RationalDyckPath, tiles: list[DyckTile]) -> list[DyckTile]
     while remaining:
         candidates = [t for t in remaining if _removable(rows, t)]
         if not candidates:
-            raise AssertionError(f"tiling of {p} is stuck: {remaining}")
+            raise InvariantError(f"tiling of {p} is stuck: {remaining}")
         candidates.sort(key=lambda t: (-t.cells[0][0], t.cells[0][1]))
         tile = candidates[0]
         for i, j in tile.cells:

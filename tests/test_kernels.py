@@ -4,7 +4,9 @@ Each reference is the direct form of the kernel's definition: build the
 swapped path and see whether it is valid, search window lengths one by one,
 intersect the slope line with the path in rationals, sum Bizley's formula
 over partitions, grow and scan the matching map's candidates one element
-at a time, and build chains from the all-pairs refinement table.
+at a time with a fresh admissibility parse per size, walk every set
+partition and keep the non-crossing ones, and build chains from the
+all-pairs refinement table.
 """
 
 import math
@@ -24,7 +26,7 @@ from ratdyck.matching_map import (
     window_length,
 )
 from ratdyck.matchings import canonical_matching, pm, pm_inverse
-from ratdyck.noncrossing import NonCrossingChain, enumerate_chains, enumerate_ncps
+from ratdyck.noncrossing import NonCrossingChain, enumerate_chains, enumerate_ncps, ncp
 from ratdyck.paths import (
     RationalDyckPath,
     Slope,
@@ -218,12 +220,13 @@ def represents_reference(slope, start, candidate):
     return all((_height(slope, x), x > bn) < start_key for x in candidate if x != start)
 
 
-def mat_reference(p):
-    """Grow each candidate sequence element by element and keep the largest
-    representing, admissible size, scanning every size bottom-up."""
+def reference_entries(p):
+    """For each valley entry: its candidate sequence, grown element by
+    element, the blocks built before it, and the largest representing,
+    admissible prefix, found by scanning every size bottom-up with a fresh
+    ``admissible`` call each."""
     s = p.slope
-    total = s.total_steps
-    pool = set(range(1, total + 1))
+    pool = set(range(1, s.total_steps + 1))
     built = []
     for entry in k_sequence(p).entries:
         start = entry.numeric(s)
@@ -233,15 +236,57 @@ def mat_reference(p):
             if represents_reference(s, start, seq[:size]) and admissible(s, seq[:size], built):
                 best = size
         block = tuple(sorted(seq[:best]))
+        yield seq, tuple(built), block
         built.append(block)
         pool.difference_update(block)
-    return pm_inverse(canonical_matching(total, built), s)
+
+
+def mat_reference(p):
+    built = [block for _, _, block in reference_entries(p)]
+    return pm_inverse(canonical_matching(p.slope.total_steps, built), p.slope)
+
+
+def random_path(slope, rng):
+    """Each up step u_j uniform in [u_{j-1} + 1, step_bound(j)]."""
+    steps = [0]
+    for j in range(1, slope.up_count + 1):
+        steps.append(rng.randint(steps[-1] + 1, slope.step_bound(j)))
+    return RationalDyckPath(slope, tuple(steps[1:]))
+
+
+# about 40 steps, where the admissibility parse nests deepest
+MEMO_SLOPES = [(2, 3, 8), (3, 5, 5), (3, 2, 8)]
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 1, 7), (1, 2, 5), (2, 3, 3), (3, 2, 3), (3, 5, 2)])
 def test_mat_matches_bottom_up_scan(a, b, n):
     for p in enumerate_paths(Slope(a, b, n)):
         assert mat(p) == mat_reference(p)
+
+
+@pytest.mark.parametrize("a,b,n", MEMO_SLOPES)
+def test_mat_matches_bottom_up_scan_on_random_paths(a, b, n):
+    rng = random.Random(a * 100 + b * 10 + n)
+    for _ in range(2):
+        p = random_path(Slope(a, b, n), rng)
+        assert mat(p) == mat_reference(p)
+
+
+@pytest.mark.parametrize("a,b,n", MEMO_SLOPES)
+def test_shared_memo_gives_fresh_verdicts(a, b, n):
+    # one memo per entry, shared over every prefix of its sequence in a
+    # shuffled order, so verdicts stored for one candidate are read back
+    # for others, larger and smaller
+    slope = Slope(a, b, n)
+    rng = random.Random(a * 1000 + b * 100 + n)
+    p = random_path(slope, rng)
+    for seq, built, _ in reference_entries(p):
+        sizes = list(range(1, len(seq) + 1))
+        rng.shuffle(sizes)
+        memo = {}
+        for size in sizes:
+            shared = admissible(slope, seq[:size], built, memo)
+            assert shared == admissible(slope, seq[:size], built), (p, seq[:size], built)
 
 
 def test_grow_sequence_matches_linear_loop():
@@ -270,7 +315,36 @@ def test_representing_length_matches_prefix_scan():
             assert _representing_length(slope, seq) == longest
 
 
-# -- chains -----------------------------------------------------------------
+# -- partitions and chains --------------------------------------------------
+
+
+def enumerate_ncps_reference(n):
+    """Every set partition of [1, n], as the walk that puts x into each open
+    block and then into a new one, keeping the non-crossing ones."""
+    out = []
+
+    def rec(partial, x):
+        if x > n:
+            try:
+                out.append(ncp(n, [tuple(b) for b in partial]))
+            except ValueError:
+                pass
+            return
+        for b in partial:
+            b.append(x)
+            rec(partial, x + 1)
+            b.pop()
+        partial.append([x])
+        rec(partial, x + 1)
+        partial.pop()
+
+    rec([], 1)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_enumerate_ncps_matches_set_partition_walk(n):
+    assert enumerate_ncps(n) == enumerate_ncps_reference(n)
 
 
 def enumerate_chains_reference(n, k):

@@ -3,7 +3,7 @@ reaches.
 
 A random path draws each up step u_j uniformly from [u_{j-1} + 1,
 step_bound(j)]; every draw is a valid path, though not a uniform one.  The
-matching map runs at about 40 steps on the slopes with a >= 2, where its
+matching map runs at about 60 steps on the slopes with a >= 2, where its
 admissibility search is steepest; every other property runs at size 20-40.
 """
 
@@ -18,7 +18,7 @@ from ratdyck.promotion import evacuation, evacuation_fast
 from ratdyck.rowmotion import dual_rowvacuation, rowmotion, rowmotion_structural, rowvacuation
 
 MAP_SLOPES = [(1, 1, 40), (1, 2, 20), (2, 3, 20), (3, 5, 20), (3, 2, 20)]
-MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 8), (3, 5, 5), (3, 2, 8)]
+MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 12), (3, 5, 8), (3, 2, 12)]
 
 
 def random_paths(a, b, n, count, seed):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ratdyck import matching_map
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
 from ratdyck.paths import Slope, count_paths_dp, path_from_steps
@@ -100,6 +101,19 @@ def test_cli_bad_input_exit_code(capsys):
     code, _, err = run(capsys, "orbit", "--map", "rsk", "--a", "2", "--b", "3",
                        "--n", "1")
     assert code == 2
+
+
+def test_cli_invariant_error_exit_code(capsys, monkeypatch):
+    # a broken invariant is told apart from bad input: exit 3, one line
+    monkeypatch.setattr(matching_map, "admissible", lambda *args: False)
+    code, out, err = run(capsys, "apply", "--map", "mat", "--a", "1", "--b", "2",
+                         "--n", "3", "--path", "1,4,7")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: no admissible block for entry")
+    assert len(err.splitlines()) == 1
+    code, _, err = run(capsys, "apply", "--map", "mat", "--a", "1", "--b", "2",
+                       "--n", "3", "--path", "1,5,7")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_cli_orbit_and_verify(capsys):
