@@ -98,6 +98,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     if args.identity:
         slope = _slope(args)
         reports = [verify(args.identity, slope)]

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .matchings import canonical_matching, pm, pm_inverse
-from .paths import InvariantError, RationalDyckPath, Slope
+from .paths import InvariantError, RationalDyckPath, Slope, memo_image
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,7 @@ def _representing_length(slope: Slope, seq: list[int]) -> int:
     return len(seq)
 
 
+@memo_image
 def mat(p: RationalDyckPath) -> RationalDyckPath:
     """The matching map."""
     s = p.slope
@@ -266,6 +267,7 @@ def _height(slope: Slope, pos: int) -> int:
     return -(-slope.b * i // slope.a)  # ceil(b*i/a)
 
 
+@memo_image
 def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
     """Pick the height-maximal representative of every matching block (bars
     win ties), then rebuild the unique path with that valley set."""

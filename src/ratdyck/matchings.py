@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import RationalDyckPath, Slope, star_path
+from .paths import RationalDyckPath, Slope, memo_image, star_path
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ def parse_matching(text: str, ground: int) -> PerfectMatching:
     return canonical_matching(ground, blocks)
 
 
+@memo_image
 def pm(p: RationalDyckPath) -> PerfectMatching:
     """The slope-line matching of a path.
 
@@ -136,6 +137,7 @@ def rotate(m: PerfectMatching) -> PerfectMatching:
     return canonical_matching(g, [[(x - 2) % g + 1 for x in block] for block in m.blocks])
 
 
+@memo_image
 def dpm(p: RationalDyckPath) -> PerfectMatching:
     """The dual matching: bar of the matching of the transposed path."""
     return bar(pm(star_path(p)))

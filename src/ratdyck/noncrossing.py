@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .paths import InvariantError, RationalDyckPath, Slope
+from .paths import InvariantError, RationalDyckPath, Slope, memo_image
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,7 @@ def _build_block(block: tuple[int, ...], chain: NonCrossingChain, t: int):
     return elems, _increment(u)
 
 
+@memo_image
 def ncp_to_dyck(chain: NonCrossingChain) -> RationalDyckPath:
     k, n = chain.k, chain.n
     parts = [
@@ -215,6 +216,7 @@ def _chain_table(n: int, k: int) -> dict[RationalDyckPath, NonCrossingChain]:
     return table
 
 
+@memo_image
 def dyck_to_ncp(p: RationalDyckPath) -> NonCrossingChain:
     if p.slope.a != 1:
         raise ValueError(f"chains correspond to (1,k) paths, got {p.slope}")

@@ -9,15 +9,24 @@ path) is a derived view.
 
 All comparisons against the boundary line use exact integer
 cross-multiplication, and counting is exact integer arithmetic.
+
+``image_scope`` shares map images across a run: while one is open, every
+map decorated with ``memo_image`` computes its image of each argument once
+and hands back the stored result afterwards, ``enumerate_paths`` returns the
+scope's canonical path objects, and path images are interned to them.  Only
+pure one-argument maps with frozen results may carry the decorator.  Outside
+a scope nothing is cached: a decorated map calls straight through.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class InvariantError(AssertionError):
@@ -126,6 +135,66 @@ def _step_error(s: Slope, steps: tuple[int, ...]) -> str:
     return f"step {j} at position {u} exceeds bound {s.step_bound(j)}"
 
 
+# ---------------------------------------------------------------------------
+# Image scope
+
+
+class _Images:
+    """The images stored while a scope is open: one table per map, the
+    canonical path objects, and the enumerated slopes."""
+
+    def __init__(self) -> None:
+        self.tables: defaultdict[Callable, dict] = defaultdict(dict)
+        self.paths: dict[RationalDyckPath, RationalDyckPath] = {}
+        self.enumerated: dict[Slope, tuple[RationalDyckPath, ...]] = {}
+
+    def intern(self, x):
+        """The canonical object equal to ``x``, if ``x`` is a path."""
+        if type(x) is RationalDyckPath:
+            return self.paths.setdefault(x, x)
+        return x
+
+
+_images: _Images | None = None
+
+
+@contextmanager
+def image_scope() -> Iterator[None]:
+    """Share map images until the scope closes.  Inside an open scope this
+    opens nothing, so the outermost scope decides how long images live."""
+    global _images
+    if _images is not None:
+        yield
+        return
+    _images = _Images()
+    try:
+        yield
+    finally:
+        _images = None
+
+
+def memo_image(fn: Callable) -> Callable:
+    """Inside an image scope, compute ``fn``'s image of each argument once;
+    outside one, call ``fn`` directly.  ``fn`` must be a pure map of one
+    argument whose results are frozen."""
+
+    @wraps(fn)
+    def memoized(x):
+        scope = _images
+        if scope is None:
+            return fn(x)
+        table = scope.tables[fn]
+        try:
+            return table[x]
+        except KeyError:
+            pass
+        image = scope.intern(fn(x))
+        table[scope.intern(x)] = image
+        return image
+
+    return memoized
+
+
 def _weakly_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
     x = y = 0
     up = set(steps)
@@ -183,8 +252,17 @@ def lowest_path(slope: Slope) -> RationalDyckPath:
 
 
 def enumerate_paths(slope: Slope) -> list[RationalDyckPath]:
-    """All paths of the slope in lexicographic order on step sequences."""
-    return [RationalDyckPath(slope, s) for s in _step_sequences(slope)]
+    """All paths of the slope in lexicographic order on step sequences.
+
+    Inside an image scope, a new list of the scope's canonical paths."""
+    scope = _images
+    if scope is None:
+        return [RationalDyckPath(slope, s) for s in _step_sequences(slope)]
+    paths = scope.enumerated.get(slope)
+    if paths is None:
+        paths = tuple(scope.intern(RationalDyckPath(slope, s)) for s in _step_sequences(slope))
+        scope.enumerated[slope] = paths
+    return list(paths)
 
 
 def iter_step_sequences(slope: Slope) -> Iterator[tuple[int, ...]]:

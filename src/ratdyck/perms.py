@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matchings import PerfectMatching, canonical_matching
-from .paths import InvariantError, RationalDyckPath, Slope, path_from_word
+from .paths import InvariantError, RationalDyckPath, Slope, memo_image, path_from_word
 
 
 @dataclass(frozen=True)
@@ -211,14 +211,17 @@ def _reflect_word(n: int, word: str) -> RationalDyckPath:
     return path_from_word(classical_slope(n), swapped)
 
 
+@memo_image
 def dyck1(p: RationalDyckPath) -> RationalDyckPath:
     return e_v(e_p_inverse(p))
 
 
+@memo_image
 def dyck2(p: RationalDyckPath) -> RationalDyckPath:
     return e_q(e_p_inverse(p))
 
 
+@memo_image
 def dyck3(p: RationalDyckPath) -> RationalDyckPath:
     return e_w(e_p_inverse(p))
 
@@ -307,6 +310,7 @@ def pm_cross_path(w: Permutation321) -> RationalDyckPath:
     return RationalDyckPath(classical_slope(w.n), steps)
 
 
+@memo_image
 def rsk_path(p: RationalDyckPath) -> RationalDyckPath:
     """The RSK correspondence transported to a map on classical paths."""
     return rsk_hat(e_p_inverse(p))

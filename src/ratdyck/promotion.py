@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .matchings import dpm, pm
-from .paths import RationalDyckPath, star_path
+from .paths import RationalDyckPath, memo_image, star_path
 
 
 def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
@@ -38,12 +38,14 @@ def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
     return RationalDyckPath(s, steps[:j] + (i,) + steps[j + 1 :])
 
 
+@memo_image
 def promotion(p: RationalDyckPath) -> RationalDyckPath:
     for i in range(1, p.slope.total_steps):
         p = toggle(i, p)
     return p
 
 
+@memo_image
 def dual_promotion(p: RationalDyckPath) -> RationalDyckPath:
     for i in range(p.slope.total_steps - 1, 0, -1):
         p = toggle(i, p)
@@ -57,6 +59,7 @@ def promotion_power(p: RationalDyckPath, power: int) -> RationalDyckPath:
     return p
 
 
+@memo_image
 def evacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Evacuation as the triangular toggle product (truncated promotions)."""
     for top in range(p.slope.total_steps - 1, 0, -1):
@@ -65,6 +68,7 @@ def evacuation(p: RationalDyckPath) -> RationalDyckPath:
     return p
 
 
+@memo_image
 def dual_evacuation(p: RationalDyckPath) -> RationalDyckPath:
     for low in range(1, p.slope.total_steps):
         for i in range(p.slope.total_steps - 1, low - 1, -1):
@@ -72,6 +76,7 @@ def dual_evacuation(p: RationalDyckPath) -> RationalDyckPath:
     return p
 
 
+@memo_image
 def evacuation_fast(p: RationalDyckPath) -> RationalDyckPath:
     """Evacuation read off the matching: steps are N+1-max(block)."""
     total = p.slope.total_steps
@@ -79,6 +84,7 @@ def evacuation_fast(p: RationalDyckPath) -> RationalDyckPath:
     return RationalDyckPath(p.slope, tuple(steps))
 
 
+@memo_image
 def dual_evacuation_fast(p: RationalDyckPath) -> RationalDyckPath:
     """Dual evacuation via the dual matching: remove the barred block minima."""
     total = p.slope.total_steps
@@ -87,6 +93,7 @@ def dual_evacuation_fast(p: RationalDyckPath) -> RationalDyckPath:
     return RationalDyckPath(p.slope, steps)
 
 
+@memo_image
 def dual_evacuation_by_star(p: RationalDyckPath) -> RationalDyckPath:
     """ev* as star-conjugated ev; used as a cross-check."""
     return star_path(evacuation(star_path(p)))

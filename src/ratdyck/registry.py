@@ -416,7 +416,7 @@ def _c_ev_star(s: Slope):
 
 @_ident("rank-toggle-involution", "every rank toggle is an involution", max_n=lambda s: 4)
 def _c_rtog(s: Slope):
-    region = rw.BoxRegion(s)
+    region = rw.box_region(s)
 
     def rel(p):
         if region.max_rank < region.min_rank:
@@ -470,7 +470,7 @@ def _c_drvac_conj(s: Slope):
 @_ident("rowmotion-order-rowvacuation",
         "rowmotion to the rank span plus two equals both rowvacuations composed")
 def _c_row_ord(s: Slope):
-    region = rw.BoxRegion(s)
+    region = rw.box_region(s)
     power = (region.max_rank - region.min_rank) + 2 if region.max_rank >= region.min_rank else 0
     return _path_check(
         s,
@@ -934,7 +934,8 @@ def verify(name: str, slope: Slope) -> VerificationReport:
     if not ident.applies(slope):
         raise ValueError(f"identity {name!r} does not apply to slope ({slope.a},{slope.b})")
     start = time.perf_counter()
-    size, bad = ident.check(slope)
+    with pa.image_scope():
+        size, bad = ident.check(slope)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         identity=name,
@@ -950,18 +951,21 @@ def verify(name: str, slope: Slope) -> VerificationReport:
 
 
 def default_suite(max_n: int | None = None) -> list[VerificationReport]:
+    """Every identity over the default domains, in one image scope: each map
+    image is computed by the first identity that needs it."""
     reports = []
-    for name, ident in sorted(IDENTITIES.items()):
-        for a, b, nmax in DEFAULT_DOMAINS:
-            for n in range(1, nmax + 1):
-                slope = Slope(a, b, n)
-                if not ident.applies(slope):
-                    continue
-                if n > ident.max_n(slope):
-                    continue
-                if max_n is not None and n > max_n:
-                    continue
-                reports.append(verify(name, slope))
+    with pa.image_scope():
+        for name, ident in sorted(IDENTITIES.items()):
+            for a, b, nmax in DEFAULT_DOMAINS:
+                for n in range(1, nmax + 1):
+                    slope = Slope(a, b, n)
+                    if not ident.applies(slope):
+                        continue
+                    if n > ident.max_n(slope):
+                        continue
+                    if max_n is not None and n > max_n:
+                        continue
+                    reports.append(verify(name, slope))
     return reports
 
 

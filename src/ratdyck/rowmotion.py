@@ -10,11 +10,12 @@ matches both the classical staircase ranks and the k-Dyck rank tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .paths import (
     RationalDyckPath,
     Slope,
+    memo_image,
     path_from_young_rows,
     region_rows,
     young_rows,
@@ -46,13 +47,19 @@ class BoxRegion:
         return self.max_rank - (i - 1) - (j - 1)
 
     @cached_property
-    def cells_by_rank(self) -> dict[int, list[tuple[int, int]]]:
+    def cells_by_rank(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """The cells of each rank, top row first."""
         by_rank: dict[int, list[tuple[int, int]]] = {}
         for i, length in enumerate(self.row_lengths, start=1):
             for j in range(1, length + 1):
                 by_rank.setdefault(self.rank(i, j), []).append((i, j))
-        return by_rank
+        return {r: tuple(cells) for r, cells in by_rank.items()}
+
+
+@lru_cache(maxsize=128)
+def box_region(slope: Slope) -> BoxRegion:
+    """The slope's region, built once and shared by every map on it."""
+    return BoxRegion(slope)
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class OrderFilter:
 
 
 def filter_of_path(p: RationalDyckPath) -> OrderFilter:
-    return OrderFilter(BoxRegion(p.slope), young_rows(p))
+    return OrderFilter(box_region(p.slope), young_rows(p))
 
 
 def path_of_filter(f: OrderFilter) -> RationalDyckPath:
@@ -102,20 +109,22 @@ def _sweep(p: RationalDyckPath, region: BoxRegion, ranks) -> RationalDyckPath:
 
 
 def rank_toggle(r: int, p: RationalDyckPath) -> RationalDyckPath:
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     if region.max_rank >= 0 and not region.min_rank <= r <= region.max_rank:
         raise ValueError(f"rank {r} outside [{region.min_rank},{region.max_rank}]")
     return _sweep(p, region, (r,))
 
 
+@memo_image
 def rowmotion(p: RationalDyckPath) -> RationalDyckPath:
     """Rank toggles from the top rank down to the lowest."""
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     return _sweep(p, region, range(region.max_rank, region.min_rank - 1, -1))
 
 
+@memo_image
 def rowmotion_inverse(p: RationalDyckPath) -> RationalDyckPath:
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     return _sweep(p, region, range(region.min_rank, region.max_rank + 1))
 
 
@@ -126,9 +135,10 @@ def rowmotion_power(p: RationalDyckPath, power: int) -> RationalDyckPath:
     return p
 
 
+@memo_image
 def rowmotion_structural(p: RationalDyckPath) -> RationalDyckPath:
     """Independent oracle: complement of the down-set of the filter minima."""
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     caps = region.row_lengths
     rows = young_rows(p)
     an = len(rows)
@@ -147,21 +157,24 @@ def rowmotion_structural(p: RationalDyckPath) -> RationalDyckPath:
     return path_from_young_rows(p.slope, tuple(new_rows))
 
 
+@memo_image
 def rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Triangular sweeps: full sweep first, then sweeps stopping ever higher."""
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     lo, hi = region.min_rank, region.max_rank
     return _sweep(p, region, (r for m in range(lo, hi + 1) for r in range(hi, m - 1, -1)))
 
 
+@memo_image
 def dual_rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     lo, hi = region.min_rank, region.max_rank
     return _sweep(p, region, (r for top in range(hi, lo - 1, -1) for r in range(lo, top + 1)))
 
 
+@memo_image
 def partial_rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Rowvacuation without its initial full sweep (so rvac = this o rowmotion)."""
-    region = BoxRegion(p.slope)
+    region = box_region(p.slope)
     lo, hi = region.min_rank, region.max_rank
     return _sweep(p, region, (r for m in range(lo + 1, hi + 1) for r in range(hi, m - 1, -1)))

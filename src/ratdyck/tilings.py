@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .matchings import pm
 from .matching_map import mat
-from .paths import InvariantError, RationalDyckPath, path_from_young_rows, young_rows
+from .paths import InvariantError, RationalDyckPath, memo_image, path_from_young_rows, young_rows
 from .perms import Permutation321
 from .promotion import promotion_power
 
@@ -119,6 +119,7 @@ def _cut_thread(cells: list[tuple[int, int]], k: int) -> list[DyckTile]:
     return tiles
 
 
+@memo_image
 def max_tiling(p: RationalDyckPath) -> Tiling:
     """The maximal cover-inclusive tiling, tiles listed in removal order."""
     k = _require_unit_a(p)
@@ -177,6 +178,7 @@ def _apply_transpositions(p: RationalDyckPath) -> list[tuple[int, ...]]:
     return [tuple(sorted(b)) for b in blocks]
 
 
+@memo_image
 def dt_map(p: RationalDyckPath) -> Permutation321:
     """Transposition action on the chord pairs, read back as a permutation."""
     if (p.slope.a, p.slope.b) != (1, 1):
@@ -190,6 +192,7 @@ def dt_map(p: RationalDyckPath) -> Permutation321:
     return Permutation321(values)
 
 
+@memo_image
 def kappa(p: RationalDyckPath) -> tuple[int, ...]:
     """Tile counts of the history lines, top line first."""
     k = _require_unit_a(p)
@@ -213,6 +216,7 @@ def kappa_by_transpositions(p: RationalDyckPath) -> tuple[int, ...]:
     return tuple(out)
 
 
+@memo_image
 def rsk_hat_inverse(p: RationalDyckPath) -> RationalDyckPath:
     """Row profile (n-i)k - kappa_i, clipped to its maximal Young diagram."""
     k = _require_unit_a(p)
@@ -227,6 +231,7 @@ def rsk_hat_inverse(p: RationalDyckPath) -> RationalDyckPath:
     return path_from_young_rows(p.slope, tuple(rows))
 
 
+@memo_image
 def rsk_hat_path(p: RationalDyckPath) -> RationalDyckPath:
     """The RSK-type correspondence as a path map, via the matching map."""
     _require_unit_a(p)

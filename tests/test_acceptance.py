@@ -101,6 +101,7 @@ def test_acceptance_3_worked_examples():
 def test_acceptance_4_identity_suite():
     start = time.perf_counter()
     reports = default_suite()
+    assert len(reports) == 1067
     unexpected = [r for r in reports if not r.ok]
     assert not unexpected, [
         (r.identity, (r.a, r.b, r.n), r.counterexamples[:2]) for r in unexpected

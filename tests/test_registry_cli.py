@@ -128,6 +128,14 @@ def test_cli_orbit_and_verify(capsys):
     assert code == 0 and "expected failure" in out
 
 
+def test_cli_verify_rejects_max_n_below_one(capsys):
+    # a bound below 1 would run no report and pass vacuously
+    for bad in ("0", "-2"):
+        code, out, err = run(capsys, "verify", "--max-n", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: --max-n must be at least 1, got {bad}"
+
+
 def test_cli_golden(capsys):
     code, out, _ = run(capsys, "golden")
     assert code == 0 and out.count("PASS") == 12
