@@ -8,8 +8,8 @@ refinement chains, and the valley-sequence matching map, together with an
 exhaustive identity-verification harness and a batch CLI.
 """
 
-# The registry must bind the submodules before the re-exports below shadow
-# the module names `promotion` and `rowmotion` with the functions.
+# `ratdyck.promotion` and `ratdyck.rowmotion` name the submodules; the maps
+# themselves are `ratdyck.promotion.promotion` and `ratdyck.rowmotion.rowmotion`.
 from .registry import IDENTITIES, apply_map, default_suite, orbit_table, verify
 from .matching_map import BarInt, BarSequence, admissible, k_sequence, mat, mat_inverse
 from .matchings import PerfectMatching, bar, dpm, pm, pm_inverse, rotate
@@ -63,7 +63,6 @@ from .promotion import (
     evacuation,
     evacuation_fast,
     dual_evacuation_fast,
-    promotion,
     toggle,
 )
 from .rowmotion import (
@@ -73,7 +72,6 @@ from .rowmotion import (
     filter_of_path,
     path_of_filter,
     rank_toggle,
-    rowmotion,
     rowmotion_structural,
     rowvacuation,
 )

@@ -13,6 +13,16 @@ alternate with complete nested windows, each rooted at a built block's up
 step or at a free position holding a later block (possibly wrapping around
 built material), with every interior prefix strictly above the slope line
 and a mid-step return never followed directly by another up step.
+
+``mat`` lays the built blocks out once (``BuiltBlocks``) and keeps one memo
+of sub-window verdicts for its whole call.  A verdict depends only on the
+built blocks with a position in its span, so each new block drops exactly
+the spans that hold one of its positions (``drop_spans``).  Sub-windows
+that hold only part of a block fail, and sub-windows rooted at a free
+position with no built position inside always parse (``admissible`` gives
+the construction), so neither is searched.  ``mat_inverse`` rebuilds the
+path greedily from the bottom row up: the valley values can only go in
+descending order, so there is nothing to search.
 """
 
 from __future__ import annotations
@@ -86,9 +96,63 @@ def _window_ups(slope: Slope, length: int) -> int | None:
     return c if c >= 1 and window_length(slope, c) == length else None
 
 
+# Position tags.  A built block's other positions carry the position of its
+# up step, so a window rooted there owns the positions tagged with its root.
+FREE, UP, CAND = -1, -2, -3
+
+
+class BuiltBlocks:
+    """The blocks built so far, laid out as every admissibility parse reads
+    them, so that the set-up is paid once per block and not once per call.
+
+    ``tag`` marks each position ``FREE``, ``UP`` (a block's smallest
+    position, its up step) or with its block's up step.  ``lowest`` and
+    ``highest`` hold the extremes of the block at each built position, and
+    values no span check trips on at free ones.  ``after`` gives the first
+    built position past each position, and ``rights`` the other positions
+    of each block, keyed by its up step.
+    """
+
+    __slots__ = ("tag", "lowest", "highest", "after", "rights")
+
+    def __init__(self, size: int, blocks=()) -> None:
+        self.tag = [FREE] * (size + 2)
+        self.lowest = [size + 2] * (size + 2)
+        self.highest = [0] * (size + 2)
+        self.after = [size + 2] * (size + 2)
+        self.rights: dict[int, list[int]] = {}
+        for block in blocks:
+            self.add(block)
+
+    def add(self, block) -> None:
+        block = sorted(block)
+        for x in block:
+            self.tag[x] = self.lowest[x] = block[0]
+            self.highest[x] = block[-1]
+            y = x - 1
+            while y >= 0 and self.after[y] > x:
+                self.after[y] = x
+                y -= 1
+        self.tag[block[0]] = UP
+        self.rights[block[0]] = block[1:]
+
+
+def drop_spans(memo: dict, block) -> None:
+    """Forget every memoized span [i, j] holding a position of ``block``:
+    the verdicts ``admissible`` may keep once ``block`` is built."""
+    block = sorted(block)
+    stale = []
+    for key in memo:
+        k = bisect_left(block, key[0])
+        if k < len(block) and block[k] <= key[1]:
+            stale.append(key)
+    for key in stale:
+        del memo[key]
+
+
 def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     """Whether ``candidate`` closes as a maximal matching block given the
-    already-built blocks.
+    already-built blocks, a sequence of blocks or a ``BuiltBlocks``.
 
     The span [min, max] of the candidate must parse as one complete window:
     the candidate's rights alternate with complete sub-windows, each rooted
@@ -97,73 +161,99 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     interior prefix stays strictly above the slope line, and the number of
     later up steps consumed inside matches the closure count.
 
-    ``memo`` shares sub-window verdicts between calls, keyed by span.  A
-    sub-window holding a candidate position fails at once, since the parse
-    can neither own nor open on one; that check comes before any lookup, so
-    every stored verdict depends on ``built`` alone.  A memo is therefore
-    valid only while ``built`` stays the same: ``mat`` starts a fresh one for
-    each valley entry and shares it across the sizes it tries.  Without one,
-    the call keeps a private memo.
+    Two facts settle most sub-windows without a search.  A built position
+    can only be parsed inside the window rooted at its block's up step, so
+    a sub-window holding part of a block but not all of it fails.  And a
+    sub-window rooted at a free position with no built position inside it
+    always parses: its complete length holds c up steps and floor(b*c/a)
+    rights, and U^c R^floor(b*c/a) fills it, since the c - 1 up steps after
+    the root form one such window (by induction; none for c = 1) and every
+    interior prefix after them has r < b*c/a rights, strictly above the
+    line.
+
+    Where the own rights of a window are forced, as the candidate's are at
+    the top and a block's are in the window rooted at its up step, the
+    parse also drops states by their slack b*(1+u) - a*r, for u up steps
+    past the root and r rights so far.  Each own right lowers the slack by
+    a.  A sub-window of c' up steps raises it by (b*c') mod a < a, which is
+    nonzero only when it returns mid-step, and such a window is followed
+    by an own right or ends the window.  A complete window of c up steps
+    ends with slack (b*c) mod a.  So with slack S and n own rights ahead,
+    the final slack lies in [S - a*n, S - a*n + (a-1)*(n+e)], where e is 1
+    if a sub-window may end the window and 0 if it ends on an own right,
+    and a state whose range misses (b*c) mod a cannot close.  At the root
+    of a candidate of s positions, S = b, n = s - 1 and e = 0, so a
+    candidate of more than b + 1 positions never closes.
+
+    ``memo`` shares sub-window verdicts between calls, keyed by span.  The
+    parse never asks about a sub-window holding a candidate position, since
+    it could neither own nor open on one, so a verdict for [i, j] depends
+    only on the built blocks with a position in [i, j].  A memo stays valid
+    while blocks are built as long as ``drop_spans`` removes, for each new
+    block, the spans holding one of its positions: ``mat`` keeps one memo
+    for its whole call.  Without one, the call keeps a private memo.
     """
     cand = sorted(set(candidate))
     if not cand:
         return False
     lo, hi = cand[0], cand[-1]
-    inside: list[tuple[int, ...]] = []
-    for block in built:
-        block = tuple(sorted(block))
-        if lo <= block[0] and block[-1] <= hi:
-            inside.append(block)
-        elif any(lo <= x <= hi for x in block):
-            return False  # window nesting would be violated
+    if not isinstance(built, BuiltBlocks):
+        blocks = [tuple(block) for block in built]
+        size = max([slope.total_steps, hi, *(max(block) for block in blocks)])
+        built = BuiltBlocks(size, blocks)
+    lowest, highest, after = built.lowest, built.highest, built.after
 
-    tags: dict[int, tuple[str, int]] = {pos: ("F", -1) for pos in range(lo, hi + 1)}
-    for idx, block in enumerate(inside):
-        tags[block[0]] = ("U", idx)
-        for x in block[1:]:
-            tags[x] = ("R", idx)
+    if min(lowest[lo : hi + 1]) < lo or max(highest[lo : hi + 1]) > hi:
+        return False  # window nesting would be violated
+    tag = built.tag.copy()
+    inside = tag[lo : hi + 1].count(UP)
     for x in cand[1:]:
-        if tags[x] != ("F", -1):
+        if tag[x] != FREE:
             raise ValueError("candidate overlaps a built block")
-        tags[x] = ("C", -1)
-    tags[lo] = ("root", -1)
+        tag[x] = CAND
 
     c_top = _window_ups(slope, hi - lo + 1)
     if c_top is None:
         return False
-    future_needed = c_top - 1 - len(inside)
-    if future_needed < 0 or future_needed > slope.up_count - len(built) - 1:
+    future_needed = c_top - 1 - inside
+    if future_needed < 0 or future_needed > slope.up_count - len(built.rights) - 1:
         return False
 
     a, b = slope.a, slope.b
+    length = [c + b * c // a for c in range(c_top)]  # complete-window lengths
     if memo is None:
         memo = {}
 
     def window_ok(i: int, j: int, c: int) -> bool:
-        """[i, j], of complete-window length for c up steps, is one window
-        rooted at i."""
-        k = bisect_right(cand, i)
-        if k < len(cand) and cand[k] <= j:
+        """[i, j], of complete-window length for c up steps and free of
+        candidate positions, is one window rooted at i, a free position or
+        a built up step."""
+        if tag[i] == FREE:
+            if after[i] > j:
+                return True  # no built position inside
+            own = FREE
+        elif highest[i] > j:
             return False
-        key = (i, j)
-        if key not in memo:
-            memo[key] = _window_ok(i, j, c)
-        return memo[key]
-
-    def _window_ok(i: int, j: int, c: int) -> bool:
-        kind, idx = tags[i]
-        if kind == "U":
-            if inside[idx][-1] > j:
-                return False
-            own = ("R", idx)
-        elif kind == "F":
-            own = ("F", -1)
         else:
-            return False
-        return parse(i, j, c, own)
+            own = i
+        verdict = memo.get((i, j))
+        if verdict is None:  # whole blocks only, see the docstring
+            verdict = memo[i, j] = (
+                min(lowest[i + 1 : j + 1], default=i) >= i
+                and max(highest[i + 1 : j + 1], default=j) <= j
+                and parse(i, j, c, own, built.rights[i] if own == i else None)
+            )
+        return verdict
 
-    def parse(i: int, j: int, c_total: int, own: tuple[str, int]) -> bool:
+    def parse(i: int, j: int, c_total: int, own: int, forced: list[int] | None) -> bool:
+        """Whether [i, j] is one window of ``c_total`` up steps rooted at i
+        whose own rights are the positions tagged ``own``.  ``forced``
+        lists those positions when every one of them must be an own right;
+        it is None under a free root, whose own positions may also open
+        sub-windows."""
         seen: set[tuple[int, int, bool]] = set()
+        s_final = b * c_total % a
+        ends_open = tag[j] != own
 
         def rec(pos: int, ups: int, after_open_return: bool) -> bool:
             # after_open_return: the previous item was a window whose first
@@ -173,30 +263,40 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
             if (pos, ups, after_open_return) in seen:
                 return False
             seen.add((pos, ups, after_open_return))
-            kind, idx = tags[pos]
-            if (kind, idx) == own:
+            if forced is not None:  # the slack bound, see the docstring
+                ahead = len(forced) - bisect_left(forced, pos)
+                low = b * (1 + ups) - a * (pos - 1 - i - ups) - a * ahead
+                if not low <= s_final <= low + (a - 1) * (ahead + ends_open):
+                    return False
+            t = tag[pos]
+            if t == own:
                 rights = (pos - i) - ups
-                if pos == j or b * (1 + ups) > a * rights:
-                    if rec(pos + 1, ups, False):
+                if (pos == j or b * (1 + ups) > a * rights) and rec(pos + 1, ups, False):
+                    return True
+            if (t == FREE or t == UP) and not after_open_return:
+                # a sub-window ends before the next candidate position and
+                # holds at most the up steps this window still lacks
+                end = j
+                if own == CAND:
+                    k = bisect_right(cand, pos)
+                    if k < len(cand) and cand[k] <= j:
+                        end = cand[k] - 1
+                for c_sub in range(1, c_total - ups):
+                    q = pos + length[c_sub] - 1
+                    if q > end:
+                        break
+                    ups2 = ups + c_sub
+                    if (
+                        (q == j or b * (1 + ups2) > a * (q - i - ups2))
+                        and window_ok(pos, q, c_sub)
+                        and rec(q + 1, ups2, b * c_sub % a != 0)
+                    ):
                         return True
-            if kind in ("U", "F") and not after_open_return:
-                c_sub = 1
-                q = pos + window_length(slope, 1) - 1
-                while q <= j:
-                    if window_ok(pos, q, c_sub):
-                        ups2 = ups + c_sub
-                        rights2 = (q - i) - ups2
-                        if q == j or b * (1 + ups2) > a * rights2:
-                            inexact = (b * c_sub) % a != 0
-                            if rec(q + 1, ups2, inexact):
-                                return True
-                    c_sub += 1
-                    q = pos + window_length(slope, c_sub) - 1
             return False
 
         return rec(i + 1, 0, False)
 
-    return parse(lo, hi, c_top, ("C", -1))
+    return parse(lo, hi, c_top, CAND, cand[1:])
 
 
 def _grow_sequence(start: int, pool: set[int], increasing: bool) -> list[int]:
@@ -229,6 +329,8 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     ktilde = s.b // s.a
     pool = set(range(1, total + 1))
     built: list[tuple[int, ...]] = []
+    layout = BuiltBlocks(total)
+    verdicts: dict[tuple[int, int], bool] = {}  # kept valid by drop_spans
     for entry in k_sequence(p).entries:
         start = entry.numeric(s)
         if start not in pool:
@@ -237,13 +339,14 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
                 "(admissibility interpretation bug)"
             )
         seq = _grow_sequence(start, pool, increasing=entry.barred)
-        # Every prefix past the representing length fails, so the largest
-        # admissible size is the first one found scanning down from it.
+        # Every prefix past the representing length or past b + 1 positions
+        # (see admissible) fails, so the largest admissible size is the
+        # first one found scanning down from there.
         first = min(ktilde + 1, len(seq))
-        verdicts: dict[tuple[int, int], bool] = {}  # valid while built is fixed
+        last = min(_representing_length(s, seq), s.b + 1)
         best = next(
-            (size for size in range(_representing_length(s, seq), first - 1, -1)
-             if admissible(s, seq[:size], built, verdicts)),
+            (size for size in range(last, first - 1, -1)
+             if admissible(s, seq[:size], layout, verdicts)),
             None,
         )
         if best is None:
@@ -253,6 +356,8 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
             )
         block = tuple(sorted(seq[:best]))
         built.append(block)
+        layout.add(block)
+        drop_spans(verdicts, block)
         pool.difference_update(block)
     if pool:
         raise InvariantError(f"matching map left positions unused on {p}")
@@ -270,7 +375,8 @@ def _height(slope: Slope, pos: int) -> int:
 @memo_image
 def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
     """Pick the height-maximal representative of every matching block (bars
-    win ties), then rebuild the unique path with that valley set."""
+    win ties), then rebuild the unique path with that valley set.  Raises
+    ``ValueError`` when the selections fit no path."""
     s = q.slope
     total, bn, an = s.total_steps, s.right_count, s.up_count
     selections: list[BarInt] = []
@@ -284,36 +390,23 @@ def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
     barred_rows = {e.value for e in selections if e.barred}
     if len(barred_rows) != sum(1 for e in selections if e.barred):
         raise ValueError(f"selected bars collide for {q}")
+    # Valley rows from the bottom up need strictly increasing u - m, that is
+    # strictly decreasing values, so the values can only go in descending
+    # order: the greedy rebuild is the one candidate.
     values = sorted((e.value for e in selections if not e.barred), reverse=True)
-
-    solutions: list[tuple[int, ...]] = []
-
-    def rec(m: int, prev: int, remaining: list[int], acc: list[int]) -> None:
-        if m > an:
-            if not remaining:
-                solutions.append(tuple(acc))
-            return
-        row = an + 1 - m
-        if row in barred_rows:
-            u = 1 if m == 1 else prev + 1
-            if u <= s.step_bound(m):
-                acc.append(u)
-                rec(m + 1, u, remaining, acc)
-                acc.pop()
+    steps: list[int] = []
+    prev, used = 0, 0
+    for m in range(1, an + 1):
+        if an + 1 - m in barred_rows:
+            u = prev + 1
+        elif m == 1 or used == len(values) or bn - values[used] + 1 + m <= prev + 1:
+            # the bottom row never holds a valley, and a valley needs a value
+            raise ValueError(f"selections of {q} do not form a valid valley sequence")
         else:
-            if m == 1:
-                return  # the bottom row can never hold a valley
-            for idx, v in enumerate(remaining):
-                u = bn - v + 1 + m
-                if u > prev + 1 and u <= s.step_bound(m):
-                    acc.append(u)
-                    rec(m + 1, u, remaining[:idx] + remaining[idx + 1 :], acc)
-                    acc.pop()
-
-    rec(1, 0, values, [])
-    if len(solutions) != 1:
-        raise ValueError(
-            f"selections of {q} do not form a valid valley sequence "
-            f"({len(solutions)} reconstructions)"
-        )
-    return RationalDyckPath(s, solutions[0])
+            u = bn - values[used] + 1 + m
+            used += 1
+        steps.append(u)
+        prev = u
+    if used != len(values):
+        raise ValueError(f"selections of {q} leave valley values unused")
+    return RationalDyckPath(s, tuple(steps))

@@ -4,9 +4,10 @@ Each reference is the direct form of the kernel's definition: build the
 swapped path and see whether it is valid, search window lengths one by one,
 intersect the slope line with the path in rationals, sum Bizley's formula
 over partitions, grow and scan the matching map's candidates one element
-at a time with a fresh admissibility parse per size, walk every set
-partition and keep the non-crossing ones, and build chains from the
-all-pairs refinement table.
+at a time with a fresh admissibility parse per size that searches every
+sub-window in full, search every assignment of valley values for the
+inverse, walk every set partition and keep the non-crossing ones, and
+build chains from the all-pairs refinement table.
 """
 
 import math
@@ -21,8 +22,10 @@ from ratdyck.matching_map import (
     _representing_length,
     _window_ups,
     admissible,
+    drop_spans,
     k_sequence,
     mat,
+    mat_inverse,
     window_length,
 )
 from ratdyck.matchings import canonical_matching, pm, pm_inverse
@@ -220,11 +223,89 @@ def represents_reference(slope, start, candidate):
     return all((_height(slope, x), x > bn) < start_key for x in candidate if x != start)
 
 
+def window_reference(slope, tags, i, j, c_total, own, verdicts):
+    """Whether [i, j] parses as one complete window of ``c_total`` up steps
+    rooted at i, owning the positions tagged ``own``: the recursive parse in
+    full, with no window accepted unparsed.  ``verdicts`` caches sub-windows
+    for one fixed ``tags``."""
+    a, b = slope.a, slope.b
+    seen = set()
+
+    def sub_window(pos, q, c_sub):
+        if (pos, q) not in verdicts:
+            kind, idx = tags[pos]
+            span = range(pos + 1, q + 1)
+            if any(tags[x] == ("C", -1) for x in span):
+                verdicts[pos, q] = False
+            elif kind == "U":
+                rights = [x for x, tag in tags.items() if tag == ("R", idx)]
+                verdicts[pos, q] = all(x <= q for x in rights) and window_reference(
+                    slope, tags, pos, q, c_sub, ("R", idx), verdicts
+                )
+            else:
+                verdicts[pos, q] = window_reference(slope, tags, pos, q, c_sub, ("F", -1), verdicts)
+        return verdicts[pos, q]
+
+    def rec(pos, ups, after_open_return):
+        if pos > j:
+            return ups == c_total - 1
+        if (pos, ups, after_open_return) in seen:
+            return False
+        seen.add((pos, ups, after_open_return))
+        kind, idx = tags[pos]
+        if (kind, idx) == own:
+            if (pos == j or b * (1 + ups) > a * (pos - i - ups)) and rec(pos + 1, ups, False):
+                return True
+        if kind in ("U", "F") and not after_open_return:
+            c_sub = 1
+            while (q := pos + window_length(slope, c_sub) - 1) <= j:
+                ups2 = ups + c_sub
+                if (
+                    sub_window(pos, q, c_sub)
+                    and (q == j or b * (1 + ups2) > a * (q - i - ups2))
+                    and rec(q + 1, ups2, (b * c_sub) % a != 0)
+                ):
+                    return True
+                c_sub += 1
+        return False
+
+    return rec(i + 1, 0, False)
+
+
+def admissible_reference(slope, candidate, built=()):
+    """The candidate's span tagged afresh (root, candidate rights, built up
+    steps and rights, free), then parsed in full by ``window_reference``."""
+    cand = sorted(set(candidate))
+    lo, hi = cand[0], cand[-1]
+    inside = []
+    for block in built:
+        block = tuple(sorted(block))
+        if lo <= block[0] and block[-1] <= hi:
+            inside.append(block)
+        elif any(lo <= x <= hi for x in block):
+            return False
+    tags = {pos: ("F", -1) for pos in range(lo, hi + 1)}
+    for idx, block in enumerate(inside):
+        tags[block[0]] = ("U", idx)
+        for x in block[1:]:
+            tags[x] = ("R", idx)
+    for x in cand[1:]:
+        tags[x] = ("C", -1)
+    tags[lo] = ("root", -1)
+    c_top = window_ups_reference(slope, hi - lo + 1)
+    if c_top is None:
+        return False
+    future_needed = c_top - 1 - len(inside)
+    if future_needed < 0 or future_needed > slope.up_count - len(built) - 1:
+        return False
+    return window_reference(slope, tags, lo, hi, c_top, ("C", -1), {})
+
+
 def reference_entries(p):
     """For each valley entry: its candidate sequence, grown element by
     element, the blocks built before it, and the largest representing,
     admissible prefix, found by scanning every size bottom-up with a fresh
-    ``admissible`` call each."""
+    ``admissible_reference`` call each."""
     s = p.slope
     pool = set(range(1, s.total_steps + 1))
     built = []
@@ -233,7 +314,9 @@ def reference_entries(p):
         seq = grow_sequence_reference(start, pool, entry.barred)
         best = None
         for size in range(min(s.b // s.a + 1, len(seq)), len(seq) + 1):
-            if represents_reference(s, start, seq[:size]) and admissible(s, seq[:size], built):
+            if represents_reference(s, start, seq[:size]) and admissible_reference(
+                s, seq[:size], built
+            ):
                 best = size
         block = tuple(sorted(seq[:best]))
         yield seq, tuple(built), block
@@ -246,6 +329,44 @@ def mat_reference(p):
     return pm_inverse(canonical_matching(p.slope.total_steps, built), p.slope)
 
 
+def mat_inverse_reference(q):
+    """Every assignment of the selected valley values to the rows, searched
+    exhaustively; the path if exactly one assignment gives one."""
+    s = q.slope
+    bn, an = s.right_count, s.up_count
+    selections = []
+    for block in pm(q).blocks:
+        best = max(block, key=lambda pos: (_height(s, pos), pos > bn))
+        selections.append((s.total_steps + 1 - best, True) if best > bn else (best, False))
+    barred_rows = {v for v, barred in selections if barred}
+    values = [v for v, barred in selections if not barred]
+    solutions = []
+
+    def rec(m, prev, remaining, acc):
+        if m > an:
+            if not remaining:
+                solutions.append(tuple(acc))
+            return
+        if an + 1 - m in barred_rows:
+            candidates = [(prev + 1, remaining)]
+        elif m == 1:
+            candidates = []
+        else:
+            candidates = [
+                (bn - v + 1 + m, remaining[:idx] + remaining[idx + 1 :])
+                for idx, v in enumerate(remaining)
+                if bn - v + 1 + m > prev + 1
+            ]
+        for u, rest in candidates:
+            if u <= s.step_bound(m):
+                rec(m + 1, u, rest, acc + [u])
+
+    rec(1, 0, values, [])
+    if len(solutions) != 1:
+        raise ValueError(f"{len(solutions)} reconstructions")
+    return RationalDyckPath(s, solutions[0])
+
+
 def random_path(slope, rng):
     """Each up step u_j uniform in [u_{j-1} + 1, step_bound(j)]."""
     steps = [0]
@@ -254,11 +375,12 @@ def random_path(slope, rng):
     return RationalDyckPath(slope, tuple(steps[1:]))
 
 
+MAT_DESK_SLOPES = [(1, 1, 7), (1, 2, 5), (2, 3, 3), (3, 2, 3), (3, 5, 2)]
 # about 40 steps, where the admissibility parse nests deepest
 MEMO_SLOPES = [(2, 3, 8), (3, 5, 5), (3, 2, 8)]
 
 
-@pytest.mark.parametrize("a,b,n", [(1, 1, 7), (1, 2, 5), (2, 3, 3), (3, 2, 3), (3, 5, 2)])
+@pytest.mark.parametrize("a,b,n", MAT_DESK_SLOPES)
 def test_mat_matches_bottom_up_scan(a, b, n):
     for p in enumerate_paths(Slope(a, b, n)):
         assert mat(p) == mat_reference(p)
@@ -272,21 +394,67 @@ def test_mat_matches_bottom_up_scan_on_random_paths(a, b, n):
         assert mat(p) == mat_reference(p)
 
 
+@pytest.mark.parametrize("a,b,n", MAT_DESK_SLOPES)
+def test_mat_inverse_matches_exhaustive_search(a, b, n):
+    for p in enumerate_paths(Slope(a, b, n)):
+        assert mat_inverse(p) == mat_inverse_reference(p)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 5), (5, 3)])
+def test_all_free_windows_parse(a, b):
+    # the lemma behind accepting an all-free sub-window unparsed
+    slope = Slope(a, b, 40)
+    for length in range(1, 41):
+        c = window_ups_reference(slope, length)
+        if c is not None:
+            tags = {pos: ("F", -1) for pos in range(length)}
+            assert window_reference(slope, tags, 0, length - 1, c, ("F", -1), {}), length
+
+
 @pytest.mark.parametrize("a,b,n", MEMO_SLOPES)
 def test_shared_memo_gives_fresh_verdicts(a, b, n):
-    # one memo per entry, shared over every prefix of its sequence in a
-    # shuffled order, so verdicts stored for one candidate are read back
-    # for others, larger and smaller
+    # one memo for the whole path, as in mat: every prefix of each entry's
+    # sequence is asked in a shuffled order, so verdicts stored for one
+    # candidate are read back for others, larger and smaller, and for the
+    # entries after it once drop_spans has pruned the built block's spans
     slope = Slope(a, b, n)
     rng = random.Random(a * 1000 + b * 100 + n)
     p = random_path(slope, rng)
-    for seq, built, _ in reference_entries(p):
+    memo = {}
+    for seq, built, block in reference_entries(p):
         sizes = list(range(1, len(seq) + 1))
         rng.shuffle(sizes)
-        memo = {}
         for size in sizes:
             shared = admissible(slope, seq[:size], built, memo)
             assert shared == admissible(slope, seq[:size], built), (p, seq[:size], built)
+        drop_spans(memo, block)
+
+
+@pytest.mark.parametrize("a,b,n", [(3, 2, 3), (2, 3, 3), (3, 5, 2), (5, 3, 2)])
+def test_memo_replay_across_entries(a, b, n):
+    # one memo carried over every entry of a path, asked about the prefixes
+    # of the cyclic sequence from every free start in both directions and
+    # checked against the full parse: more candidates than mat asks, enough
+    # to read back spans that a later block lands in, so a memo that
+    # drop_spans did not prune gives stale verdicts
+    slope = Slope(a, b, n)
+    rng = random.Random(a * 1000 + b * 100 + n)
+    for _ in range(4):
+        p = random_path(slope, rng)
+        memo = {}
+        for seq, built, block in reference_entries(p):
+            pool = set(seq)
+            candidates = [
+                grown[:size]
+                for start in pool
+                for grown in (_grow_sequence(start, pool, True), _grow_sequence(start, pool, False))
+                for size in range(1, len(grown) + 1)
+            ]
+            rng.shuffle(candidates)
+            for cand in candidates:
+                shared = admissible(slope, cand, built, memo)
+                assert shared == admissible_reference(slope, cand, built), (p, cand, built)
+            drop_spans(memo, block)
 
 
 def test_grow_sequence_matches_linear_loop():

@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import ratdyck
 from ratdyck.paths import Slope, enumerate_paths, path_from_steps, star_path, top_path
 from ratdyck.promotion import (
     dual_evacuation,
@@ -84,3 +87,9 @@ def test_classical_evacuation_is_star():
         for p in enumerate_paths(Slope(1, 1, n)):
             assert evacuation_fast(p) == star_path(p)
             assert dual_evacuation_fast(p) == star_path(p)
+
+
+def test_package_names_the_submodules():
+    assert isinstance(ratdyck.promotion, types.ModuleType)
+    assert isinstance(ratdyck.rowmotion, types.ModuleType)
+    assert ratdyck.promotion.promotion is promotion

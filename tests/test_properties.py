@@ -3,8 +3,8 @@ reaches.
 
 A random path draws each up step u_j uniformly from [u_{j-1} + 1,
 step_bound(j)]; every draw is a valid path, though not a uniform one.  The
-matching map runs at about 60 steps on the slopes with a >= 2, where its
-admissibility search is steepest; every other property runs at size 20-40.
+matching map runs at about 40-60 steps on five slopes and at 160 steps on
+(1,1) and (2,3); every other property runs at size 20-40.
 """
 
 import random
@@ -18,7 +18,7 @@ from ratdyck.promotion import evacuation, evacuation_fast
 from ratdyck.rowmotion import dual_rowvacuation, rowmotion, rowmotion_structural, rowvacuation
 
 MAP_SLOPES = [(1, 1, 40), (1, 2, 20), (2, 3, 20), (3, 5, 20), (3, 2, 20)]
-MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 12), (3, 5, 8), (3, 2, 12)]
+MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 12), (3, 5, 8), (3, 2, 12), (1, 1, 80), (2, 3, 32)]
 
 
 def random_paths(a, b, n, count, seed):
