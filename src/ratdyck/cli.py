@@ -1,6 +1,7 @@
 """Command-line interface: count, enum, apply, orbit, verify, golden, convert.
 
-Exit codes: 0 all good, 1 verification failure, 2 bad input.
+Exit codes: 0 all good, 1 verification failure, 2 bad input, 3 a broken
+internal invariant (a library defect).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .noncrossing import is_noncrossing
 from .paths import RationalDyckPath, Slope, memo_image, star_path
 
 
@@ -30,7 +31,7 @@ class PerfectMatching:
             raise ValueError("block elements must be sorted ascending")
         if any(x[0] >= y[0] for x, y in zip(self.blocks, self.blocks[1:])):
             raise ValueError("blocks must be ordered by minimum")
-        if not _is_noncrossing(self.blocks, self.ground_size):
+        if not is_noncrossing(self.blocks, self.ground_size):
             raise ValueError(f"blocks are crossing: {self.blocks}")
 
     def __str__(self) -> str:
@@ -38,27 +39,6 @@ class PerfectMatching:
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
-
-
-def _is_noncrossing(blocks: tuple[tuple[int, ...], ...], ground: int) -> bool:
-    # Scan with a stack of open blocks; each element must continue the block
-    # on top of the stack or open a new one.
-    owner = {}
-    for idx, block in enumerate(blocks):
-        for x in block:
-            owner[x] = idx
-    stack: list[int] = []
-    seen: dict[int, int] = {}
-    for x in range(1, ground + 1):
-        idx = owner[x]
-        if idx not in seen:
-            stack.append(idx)
-        elif not stack or stack[-1] != idx:
-            return False
-        seen[idx] = seen.get(idx, 0) + 1
-        if seen[idx] == len(blocks[idx]):
-            stack.pop()
-    return not stack
 
 
 def canonical_matching(ground: int, blocks) -> PerfectMatching:

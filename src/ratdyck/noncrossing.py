@@ -6,13 +6,18 @@ recursively: the path of a block glues the paths of its next-layer
 sub-blocks (splicing each at the slot boundary given by the number of
 smaller elements already present) and then shifts every up step after the
 first one position earlier, which raises all its weights by one.
+
+Every partition is checked for crossings by one linear scan when built
+(``is_noncrossing``, shared with perfect matchings).  The chain maps act
+layer by layer and share images inside an image scope; ``kre_inverse`` is
+``kre`` after ``rot_inverse``, since kre² = rot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .paths import InvariantError, RationalDyckPath, Slope, memo_image
 
@@ -30,7 +35,7 @@ class NonCrossingPartition:
             raise ValueError("block elements must be sorted")
         if any(x[0] >= y[0] for x, y in zip(self.blocks, self.blocks[1:])):
             raise ValueError("blocks must be ordered by minimum")
-        if not _noncrossing(self.blocks):
+        if not is_noncrossing(self.blocks, self.n):
             raise ValueError(f"partition crosses: {self.blocks}")
 
     def block_index(self) -> dict[int, int]:
@@ -44,11 +49,20 @@ class NonCrossingPartition:
         return "/".join(".".join(str(x) for x in b) for b in self.blocks)
 
 
-def _noncrossing(blocks) -> bool:
-    for (b1, b2) in combinations(blocks, 2):
-        for i, k in combinations(b1, 2):
-            if any(i < j < k for j in b2) and any(l < i or l > k for l in b2):
-                return False
+def is_noncrossing(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether a partition of [1, n] into sorted blocks is non-crossing, by one
+    scan with a stack of open blocks: each element must open a block or
+    continue the block on top of the stack."""
+    owner = {x: b for b in blocks for x in b}
+    stack: list[tuple[int, ...]] = []
+    for x in range(1, n + 1):
+        b = owner[x]
+        if x == b[0]:
+            stack.append(b)
+        elif stack[-1] is not b:
+            return False
+        if x == b[-1]:
+            stack.pop()
     return True
 
 
@@ -126,24 +140,28 @@ def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
+    """The k-chains of [1, n], each layer's refinements in ``enumerate_ncps``
+    order.  A refinement splits every block by a relabelled non-crossing
+    partition of its size."""
     parts = enumerate_ncps(n)
-    if k == 1:
-        return tuple(NonCrossingChain(1, (p,)) for p in parts)
-    finer = {p: [q for q in parts if q.refines(p)] for p in parts}
-    out: list[NonCrossingChain] = []
+    index = {p.blocks: (i, p) for i, p in enumerate(parts)}
+    finer: dict[NonCrossingPartition, list[NonCrossingPartition]] = {}
 
-    def rec(acc: list[NonCrossingPartition]) -> None:
-        if len(acc) == k:
-            out.append(NonCrossingChain(k, tuple(acc)))
-            return
-        for q in finer[acc[-1]]:
-            acc.append(q)
-            rec(acc)
-            acc.pop()
+    def refinements(p: NonCrossingPartition) -> list[NonCrossingPartition]:
+        if p not in finer:
+            splits = [
+                [[tuple(b[x - 1] for x in c) for c in q.blocks] for q in enumerate_ncps(len(b))]
+                for b in p.blocks
+            ]
+            found = [index[tuple(sorted(c for split in combo for c in split))]
+                     for combo in product(*splits)]
+            finer[p] = [q for _, q in sorted(found)]
+        return finer[p]
 
-    for p in parts:
-        rec([p])
-    return tuple(out)
+    chains = [(p,) for p in parts]
+    for _ in range(k - 1):
+        chains = [c + (q,) for c in chains for q in refinements(c[-1])]
+    return tuple(NonCrossingChain(k, c) for c in chains)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +246,20 @@ def dyck_to_ncp(p: RationalDyckPath) -> NonCrossingChain:
 
 
 # ---------------------------------------------------------------------------
-# The five maps
+# The chain maps
 
 
+@memo_image
 def rot_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     return ncp(p.n, [[(x - 2) % p.n + 1 for x in b] for b in p.blocks])
 
 
+@memo_image
 def ref_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     return ncp(p.n, [[p.n + 1 - x for x in b] for b in p.blocks])
 
 
+@memo_image
 def kre_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     """Complement by cycle composition: blocks of sigma^-1 followed by the
     long cycle, each block read as an increasing cycle."""
@@ -265,10 +286,12 @@ def kre_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     return ncp(n, blocks)
 
 
+@memo_image
 def su_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     return ref_partition(kre_partition(p))
 
 
+@memo_image
 def lk_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     """Conjugate of the two-row involution through the chain and RSK maps."""
     from .perms import dyck2, e_p, e_p_inverse, rsk_hat
@@ -293,31 +316,42 @@ def _layerwise(chain: NonCrossingChain, f, reverse: bool) -> NonCrossingChain:
     return NonCrossingChain(chain.k, layers)
 
 
+@memo_image
 def rot(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, rot_partition, reverse=False)
 
 
+@memo_image
+def rot_inverse(chain: NonCrossingChain) -> NonCrossingChain:
+    n = chain.n
+    shift = lambda p: ncp(n, [[x % n + 1 for x in b] for b in p.blocks])
+    return _layerwise(chain, shift, reverse=False)
+
+
+@memo_image
 def ref(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, ref_partition, reverse=False)
 
 
+@memo_image
 def kre(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, kre_partition, reverse=True)
 
 
+@memo_image
+def kre_inverse(chain: NonCrossingChain) -> NonCrossingChain:
+    """kre∘rot⁻¹, since kre² = rot."""
+    return kre(rot_inverse(chain))
+
+
+@memo_image
 def su(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, su_partition, reverse=True)
 
 
+@memo_image
 def lk(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, lk_partition, reverse=True)
-
-
-def kre_inverse(chain: NonCrossingChain) -> NonCrossingChain:
-    out = chain
-    for _ in range(chain.n * 2 - 1):
-        out = kre(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _classical(s: Slope) -> bool:
 
 PATH_MAPS: dict[str, PathMap] = {}
 CHAIN_MAPS: dict[str, tuple[Callable, Callable | None]] = {
-    "rot": (nc.rot, lambda c: _iterate(nc.rot, c, c.n - 1)),
+    "rot": (nc.rot, nc.rot_inverse),
     "ref": (nc.ref, nc.ref),
     "kre": (nc.kre, nc.kre_inverse),
     "su": (nc.su, nc.su),
@@ -823,7 +823,8 @@ def _c_lksu(s: Slope):
     return _chain_check(s, lambda c: nc.lk(nc.su(c)) == nc.rot(c))
 
 
-@_ident("kre-ref-su", "the complement is reflection after the boundary involution",
+@_ident("kre-ref-su", "the complement is reflection after the boundary involution "
+        "(definitional: su_partition is ref_partition after kre_partition)",
         applies=_unit_a)
 def _c_krerefsu(s: Slope):
     return _chain_check(s, lambda c: nc.kre(c) == nc.ref(nc.su(c)))

@@ -13,7 +13,22 @@ import pytest
 from ratdyck import matching_map, paths
 from ratdyck.matching_map import mat, mat_inverse
 from ratdyck.matchings import dpm, pm
-from ratdyck.noncrossing import dyck_to_ncp, ncp_to_dyck
+from ratdyck.noncrossing import (
+    dyck_to_ncp,
+    kre,
+    kre_inverse,
+    kre_partition,
+    lk,
+    lk_partition,
+    ncp_to_dyck,
+    ref,
+    ref_partition,
+    rot,
+    rot_inverse,
+    rot_partition,
+    su,
+    su_partition,
+)
 from ratdyck.paths import InvariantError, Slope, enumerate_paths, image_scope, path_from_steps
 from ratdyck.perms import dyck1, dyck2, dyck3, rsk_path
 from ratdyck.promotion import (
@@ -36,7 +51,7 @@ from ratdyck.rowmotion import (
 )
 from ratdyck.tilings import dt_map, kappa, max_tiling, rsk_hat_inverse, rsk_hat_path
 
-# every map that carries the memo decorator; ncp_to_dyck takes the chain
+# every map that carries the memo decorator, by the type it takes
 PATH_MAPS = [
     pm, dpm,
     promotion, dual_promotion, evacuation, dual_evacuation, evacuation_fast,
@@ -47,6 +62,8 @@ PATH_MAPS = [
     rsk_path, dyck1, dyck2, dyck3,
     rsk_hat_path, rsk_hat_inverse, max_tiling, dt_map, kappa,
 ]
+CHAIN_MAPS = [ncp_to_dyck, rot, rot_inverse, ref, kre, kre_inverse, su, lk]
+PARTITION_MAPS = [rot_partition, ref_partition, kre_partition, su_partition, lk_partition]
 
 
 def _image(f, x):
@@ -60,7 +77,9 @@ def _image(f, x):
 def _calls(p):
     calls = [(f, p) for f in PATH_MAPS]
     if p.slope.a == 1:
-        calls.append((ncp_to_dyck, dyck_to_ncp(p)))
+        chain = dyck_to_ncp(p)
+        calls += [(f, chain) for f in CHAIN_MAPS]
+        calls += [(f, layer) for f in PARTITION_MAPS for layer in chain.layers]
     return calls
 
 
@@ -76,7 +95,10 @@ def test_scoped_images_equal_unscoped_images(a, b, n):
                 got = _image(f, x)
                 assert got == expected[f, x], (f.__name__, str(x))
                 if not isinstance(got, type):
+                    # kre_inverse and su_partition hand back an inner map's
+                    # stored image, so look in the map's own table too
                     assert f(x) is got, f"{f.__name__} is not memoized"
+                    assert x in paths._images.tables[f.__wrapped__], f.__name__
 
 
 @pytest.mark.parametrize("outcome", ["returns", "raises"])

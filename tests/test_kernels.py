@@ -6,10 +6,13 @@ intersect the slope line with the path in rationals, sum Bizley's formula
 over partitions, grow and scan the matching map's candidates one element
 at a time with a fresh admissibility parse per size that searches every
 sub-window in full, search every assignment of valley values for the
-inverse, walk every set partition and keep the non-crossing ones, and
-build chains from the all-pairs refinement table.
+inverse, test every pair of blocks for a crossing, walk every set
+partition and keep the non-crossing ones, build chains from the all-pairs
+refinement table, and invert the Kreweras complement by applying it 2n - 1
+times.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,7 +32,15 @@ from ratdyck.matching_map import (
     window_length,
 )
 from ratdyck.matchings import canonical_matching, pm, pm_inverse
-from ratdyck.noncrossing import NonCrossingChain, enumerate_chains, enumerate_ncps, ncp
+from ratdyck.noncrossing import (
+    NonCrossingChain,
+    enumerate_chains,
+    enumerate_ncps,
+    is_noncrossing,
+    kre,
+    kre_inverse,
+    ncp,
+)
 from ratdyck.paths import (
     RationalDyckPath,
     Slope,
@@ -37,6 +48,7 @@ from ratdyck.paths import (
     count_paths_dp,
     enumerate_paths,
     enumerate_words,
+    image_scope,
     word_above_line,
 )
 from ratdyck.promotion import toggle
@@ -486,28 +498,43 @@ def test_representing_length_matches_prefix_scan():
 # -- partitions and chains --------------------------------------------------
 
 
-def enumerate_ncps_reference(n):
+def noncrossing_reference(blocks):
+    """No two elements of one block separate two elements of another."""
+    for b1, b2 in itertools.combinations(blocks, 2):
+        for i, k in itertools.combinations(b1, 2):
+            if any(i < j < k for j in b2) and any(l < i or l > k for l in b2):
+                return False
+    return True
+
+
+def set_partitions(n):
     """Every set partition of [1, n], as the walk that puts x into each open
-    block and then into a new one, keeping the non-crossing ones."""
-    out = []
+    block and then into a new one; blocks sorted, ordered by minimum."""
 
     def rec(partial, x):
         if x > n:
-            try:
-                out.append(ncp(n, [tuple(b) for b in partial]))
-            except ValueError:
-                pass
+            yield tuple(tuple(b) for b in partial)
             return
         for b in partial:
             b.append(x)
-            rec(partial, x + 1)
+            yield from rec(partial, x + 1)
             b.pop()
         partial.append([x])
-        rec(partial, x + 1)
+        yield from rec(partial, x + 1)
         partial.pop()
 
-    rec([], 1)
-    return tuple(out)
+    return rec([], 1)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_stack_scan_matches_pairwise_check(n):
+    for blocks in set_partitions(n):
+        assert is_noncrossing(blocks, n) == noncrossing_reference(blocks), blocks
+
+
+def enumerate_ncps_reference(n):
+    """The non-crossing set partitions of [1, n], in the walk's order."""
+    return tuple(ncp(n, b) for b in set_partitions(n) if noncrossing_reference(b))
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -532,6 +559,35 @@ def enumerate_chains_reference(n, k):
     return tuple(out)
 
 
-@pytest.mark.parametrize("n,k", [(n, 1) for n in range(1, 8)] + [(n, 2) for n in range(1, 6)])
+@pytest.mark.parametrize(
+    "n,k",
+    [(n, 1) for n in range(1, 8)] + [(n, 2) for n in range(1, 8)] + [(n, 3) for n in range(1, 7)],
+)
 def test_enumerate_chains_matches_refinement_table(n, k):
     assert enumerate_chains(n, k) == enumerate_chains_reference(n, k)
+
+
+def kre_inverse_reference(chain):
+    """kre has order 2n on chains of [1, n] (kre² = rot), so kre^(2n-1)."""
+    for _ in range(2 * chain.n - 1):
+        chain = kre(chain)
+    return chain
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(1, 8)])
+def test_kre_inverse_matches_iterated_kre(n, k):
+    # the scope shares kre's images along each orbit, so the iterated form
+    # costs about one kre per chain
+    with image_scope():
+        for c in enumerate_chains(n, k):
+            assert kre_inverse(c) == kre_inverse_reference(c), c
+
+
+def test_kre_inverse_along_a_long_orbit():
+    # quadruples 4i+1..4i+4 refined into nested pairs, 40 elements
+    coarse = ncp(40, [range(i, i + 4) for i in range(1, 41, 4)])
+    fine = ncp(40, [pair for i in range(1, 41, 4) for pair in ((i, i + 3), (i + 1, i + 2))])
+    c = NonCrossingChain(2, (coarse, fine))
+    for _ in range(80):
+        assert kre_inverse(c) == kre_inverse_reference(c), c
+        c = kre(c)

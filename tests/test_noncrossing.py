@@ -20,12 +20,14 @@ from ratdyck.noncrossing import (
     ref,
     ref_partition,
     rot,
+    rot_inverse,
     rot_partition,
     su,
     su_partition,
 )
 from ratdyck.paths import Slope, enumerate_paths, path_from_steps
 from ratdyck.promotion import evacuation_fast, promotion, promotion_power
+from ratdyck.registry import CHAIN_MAPS
 
 
 def test_partition_validation():
@@ -97,6 +99,16 @@ def test_group_relations(k, nmax):
             for _ in range(n):
                 r = rot(r)
             assert r == c
+
+
+@pytest.mark.parametrize("k,nmax", [(1, 7), (2, 5), (3, 4)])
+def test_rot_inverse_undoes_rot(k, nmax):
+    for n in range(1, nmax + 1):
+        for c in enumerate_chains(n, k):
+            assert rot(rot_inverse(c)) == c
+            assert rot_inverse(rot(c)) == c
+    # `apply --map rot --power -1` takes the direct inverse
+    assert CHAIN_MAPS["rot"] == (rot, rot_inverse)
 
 
 def test_kre_reverses_refinement():
