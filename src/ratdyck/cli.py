@@ -1,7 +1,12 @@
 """Command-line interface: count, enum, apply, orbit, verify, golden, convert.
 
-Exit codes: 0 all good, 1 verification failure, 2 bad input, 3 a broken
-internal invariant (a library defect).
+``enum``, ``orbit`` and ``convert --to ncp`` materialize a whole slope (the
+paths, or the chain table, which has one chain per path).  They take
+``--max-domain`` (default 250,000, which admits (1,1) n=12) and refuse a
+slope with more paths than that before anything is enumerated.
+
+Exit codes: 0 all good, 1 verification failure, 2 bad input or a refused
+domain, 3 a broken internal invariant (a library defect).
 """
 
 from __future__ import annotations
@@ -43,6 +48,19 @@ def _read_path(args, slope: Slope) -> RationalDyckPath:
     raise ValueError("a path is required (--path or --word)")
 
 
+def _check_domain(args, slope: Slope) -> None:
+    """Refuse a slope with more than ``--max-domain`` paths.  Path counts grow
+    with n (prefixing a path with a up and b right steps is injective), so
+    the sizes are counted from 1 up and the first one past the limit decides:
+    a huge n is refused as fast as a small one."""
+    for m in range(1, slope.n + 1):
+        if count_paths(Slope(slope.a, slope.b, m)) > args.max_domain:
+            raise ValueError(
+                f"({slope.a},{slope.b}) n={slope.n} has more than {args.max_domain} paths; "
+                f"raise --max-domain to enumerate it"
+            )
+
+
 def _emit(args, text_lines, payload) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -60,6 +78,7 @@ def cmd_count(args) -> int:
 
 def cmd_enum(args) -> int:
     slope = _slope(args)
+    _check_domain(args, slope)
     paths = enumerate_paths(slope)
     _emit(args, [str(p) for p in paths], [p.to_json() for p in paths])
     return 0
@@ -92,6 +111,7 @@ def cmd_apply(args) -> int:
 
 def cmd_orbit(args) -> int:
     slope = _slope(args)
+    _check_domain(args, slope)
     cycles = registry_orbits(args.map, slope)
     lines = [" -> ".join(c) for c in cycles]
     _emit(args, lines, {"map": args.map, "cycles": cycles})
@@ -171,6 +191,7 @@ def cmd_convert(args) -> int:
         ks = k_sequence(p)
         out_text, payload = str(ks), {"entries": str(ks)}
     elif target == "ncp":
+        _check_domain(args, slope)
         chain = nc.dyck_to_ncp(p)
         out_text, payload = str(chain), {"chain": str(chain)}
     elif target == "perm":
@@ -195,12 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=required, default=1)
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
+    def max_domain_arg(sp):
+        sp.add_argument("--max-domain", type=int, default=250_000,
+                        help="refuse slopes with more paths than this")
+
     sp = sub.add_parser("count", help="number of paths of a slope")
     slope_args(sp)
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("enum", help="list all paths of a slope")
     slope_args(sp)
+    max_domain_arg(sp)
     sp.set_defaults(fn=cmd_enum)
 
     sp = sub.add_parser("apply", help="apply a named map to a path or chain")
@@ -214,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbit", help="cycle decomposition of a map on a slope")
     slope_args(sp)
+    max_domain_arg(sp)
     sp.add_argument("--map", required=True)
     sp.set_defaults(fn=cmd_orbit)
 
@@ -229,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("convert", help="convert between path encodings")
     slope_args(sp)
+    max_domain_arg(sp)
     sp.add_argument("--path")
     sp.add_argument("--word")
     sp.add_argument("--ncp")

@@ -6,13 +6,16 @@ together with the still-unused right-step positions up to the first return
 of the line of slope a/b drawn from the base of that up step.  The first
 return is found on the integer levels b*y - a*x of the path's vertices, so
 no rational intersection point is ever formed.
+
+Every matching is validated in full when built, by the one linear pass that
+also validates non-crossing partitions (``noncrossing.broken_block_rule``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .noncrossing import is_noncrossing
+from .noncrossing import broken_block_rule
 from .paths import RationalDyckPath, Slope, memo_image, star_path
 
 
@@ -24,15 +27,14 @@ class PerfectMatching:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        elems = sorted(x for block in self.blocks for x in block)
-        if elems != list(range(1, self.ground_size + 1)):
-            raise ValueError("blocks must partition the ground set")
-        if any(tuple(sorted(b)) != b for b in self.blocks):
-            raise ValueError("block elements must be sorted ascending")
-        if any(x[0] >= y[0] for x, y in zip(self.blocks, self.blocks[1:])):
-            raise ValueError("blocks must be ordered by minimum")
-        if not is_noncrossing(self.blocks, self.ground_size):
-            raise ValueError(f"blocks are crossing: {self.blocks}")
+        rule = broken_block_rule(self.blocks, self.ground_size)
+        if rule:
+            raise ValueError((
+                "blocks must partition the ground set",
+                "block elements must be sorted ascending",
+                "blocks must be ordered by minimum",
+                f"blocks are crossing: {self.blocks}",
+            )[rule - 1])
 
     def __str__(self) -> str:
         return ",".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)

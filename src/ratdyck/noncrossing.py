@@ -7,8 +7,10 @@ sub-blocks (splicing each at the slot boundary given by the number of
 smaller elements already present) and then shifts every up step after the
 first one position earlier, which raises all its weights by one.
 
-Every partition is checked for crossings by one linear scan when built
-(``is_noncrossing``, shared with perfect matchings).  The chain maps act
+Every partition is validated in full when built, by one linear pass
+(``broken_block_rule``, shared with perfect matchings): it checks that the
+blocks partition [1, n], are sorted and ordered by minimum, and do not
+cross, and reports the first rule broken.  The chain maps act
 layer by layer and share images inside an image scope; ``kre_inverse`` is
 ``kre`` after ``rot_inverse``, since kre² = rot.
 """
@@ -28,15 +30,14 @@ class NonCrossingPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        elems = sorted(x for b in self.blocks for x in b)
-        if elems != list(range(1, self.n + 1)):
-            raise ValueError(f"blocks must partition [1,{self.n}]")
-        if any(tuple(sorted(b)) != b for b in self.blocks):
-            raise ValueError("block elements must be sorted")
-        if any(x[0] >= y[0] for x, y in zip(self.blocks, self.blocks[1:])):
-            raise ValueError("blocks must be ordered by minimum")
-        if not is_noncrossing(self.blocks, self.n):
-            raise ValueError(f"partition crosses: {self.blocks}")
+        rule = broken_block_rule(self.blocks, self.n)
+        if rule:
+            raise ValueError((
+                f"blocks must partition [1,{self.n}]",
+                "block elements must be sorted",
+                "blocks must be ordered by minimum",
+                f"partition crosses: {self.blocks}",
+            )[rule - 1])
 
     def block_index(self) -> dict[int, int]:
         return {x: i for i, b in enumerate(self.blocks) for x in b}
@@ -49,21 +50,63 @@ class NonCrossingPartition:
         return "/".join(".".join(str(x) for x in b) for b in self.blocks)
 
 
-def is_noncrossing(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Whether a partition of [1, n] into sorted blocks is non-crossing, by one
-    scan with a stack of open blocks: each element must open a block or
-    continue the block on top of the stack."""
-    owner = {x: b for b in blocks for x in b}
-    stack: list[tuple[int, ...]] = []
+def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
+    """The first rule that ``blocks`` breaks, numbered in the order checked;
+    0 if it breaks none.
+
+    1. The blocks partition [1, n]: every element of [1, n] lies in exactly
+       one block, and no other element in any.
+    2. Each block is a tuple sorted ascending.
+    3. Each block has a minimum (is not empty), and the blocks are ordered
+       by it.
+    4. No two blocks cross.
+
+    One pass over the blocks links each element to the one before it in its
+    block, which settles rules 1 to 3; a stack scan of [1, n] over those
+    links then settles rule 4: an element continuing a block must continue
+    the block opened or continued most recently and not yet closed."""
+    link = [-1] * (n + 1)  # the element before x in its block, 0 for its minimum
+    last = [False] * (n + 1)
+    placed = 0
+    unsorted = misordered = False
+    head = 0
+    for b in blocks:
+        prev = 0
+        for x in b:
+            if not 0 < x <= n or link[x] >= 0:
+                return 1
+            link[x] = prev
+            if x < prev:
+                unsorted = True
+            prev = x
+        last[prev] = True
+        placed += len(b)
+        if not isinstance(b, tuple):
+            unsorted = True
+        elif not b or b[0] <= head:
+            misordered = True
+        else:
+            head = b[0]
+    if placed < n:
+        return 1
+    if unsorted:
+        return 2
+    if misordered:
+        return 3
+    stack = [0]
     for x in range(1, n + 1):
-        b = owner[x]
-        if x == b[0]:
-            stack.append(b)
-        elif stack[-1] is not b:
-            return False
-        if x == b[-1]:
-            stack.pop()
-    return True
+        p = link[x]
+        if p and stack.pop() != p:
+            return 4
+        if not last[x]:
+            stack.append(x)
+    return 0
+
+
+def is_noncrossing(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether ``blocks`` is a non-crossing partition of [1, n] into sorted
+    blocks ordered by minimum."""
+    return broken_block_rule(blocks, n) == 0
 
 
 def ncp(n: int, blocks) -> NonCrossingPartition:

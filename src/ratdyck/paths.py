@@ -41,6 +41,20 @@ class Slope:
     b: int
     n: int
 
+    # The dataclass hash, cached on first use: memo tables hash the same
+    # slopes and paths over and over.  The cache stays out of pickles.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.a, self.b, self.n))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {"a": self.a, "b": self.b, "n": self.n}
+
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 1:
             raise ValueError(f"slope parameters must be positive, got ({self.a},{self.b})")
@@ -75,6 +89,18 @@ class RationalDyckPath:
 
     slope: Slope
     steps: tuple[int, ...]
+
+    _hash = None  # as on Slope
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.slope, self.steps))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {"slope": self.slope, "steps": self.steps}
 
     def __post_init__(self) -> None:
         s = self.slope

@@ -971,29 +971,44 @@ def default_suite(max_n: int | None = None) -> list[VerificationReport]:
 
 
 def orbit_table(map_name: str, slope: Slope) -> list[list[str]]:
+    """The cycles of a map on a slope, each named by its paths and starting
+    at its first path in enumeration order, sorted by that path's name.
+
+    The map becomes a permutation of path ranks (positions in
+    ``enumerate_paths`` order), and the cycles are read off that array."""
     m = resolve_path_map(map_name, slope)
     paths = pa.enumerate_paths(slope)
-    images = {str(p): m.fn(p) for p in paths}
-    if len({str(q) for q in images.values()}) != len(paths):
-        seen: dict[str, str] = {}
-        for src, img in images.items():
-            if str(img) in seen:
-                raise ValueError(
-                    f"map {map_name!r} is not bijective on ({slope.a},{slope.b}) n={slope.n}: "
-                    f"{seen[str(img)]} and {src} both map to {img}"
-                )
-            seen[str(img)] = src
-    cycles = []
-    done: set[str] = set()
+    rank = {p: i for i, p in enumerate(paths)}
+    images: list[int] = []
     for p in paths:
-        if str(p) in done:
+        q = m.fn(p)
+        try:
+            images.append(rank[q])
+        except KeyError:
+            raise pa.InvariantError(
+                f"map {map_name!r} sends {p} to {q}, which is not a path of "
+                f"({slope.a},{slope.b}) n={slope.n}"
+            ) from None
+    names = [str(p) for p in paths]
+    source = [-1] * len(paths)
+    for i, j in enumerate(images):
+        if source[j] >= 0:
+            raise ValueError(
+                f"map {map_name!r} is not bijective on ({slope.a},{slope.b}) n={slope.n}: "
+                f"{names[source[j]]} and {names[i]} both map to {names[j]}"
+            )
+        source[j] = i
+    cycles = []
+    done = [False] * len(paths)
+    for i in range(len(paths)):
+        if done[i]:
             continue
-        cyc = [str(p)]
-        q = images[str(p)]
-        while str(q) != str(p):
-            cyc.append(str(q))
-            q = images[str(q)]
-        done.update(cyc)
+        cyc = []
+        j = i
+        while not done[j]:
+            done[j] = True
+            cyc.append(names[j])
+            j = images[j]
         cycles.append(cyc)
     cycles.sort(key=lambda c: c[0])
     return cycles

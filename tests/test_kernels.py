@@ -8,8 +8,9 @@ at a time with a fresh admissibility parse per size that searches every
 sub-window in full, search every assignment of valley values for the
 inverse, test every pair of blocks for a crossing, walk every set
 partition and keep the non-crossing ones, build chains from the all-pairs
-refinement table, and invert the Kreweras complement by applying it 2n - 1
-times.
+refinement table, invert the Kreweras complement by applying it 2n - 1
+times, validate blocks by four separate checks, and tabulate orbits with
+every path keyed by its name.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratdyck import registry
 from ratdyck.matching_map import (
     _grow_sequence,
     _height,
@@ -31,9 +33,11 @@ from ratdyck.matching_map import (
     mat_inverse,
     window_length,
 )
-from ratdyck.matchings import canonical_matching, pm, pm_inverse
+from ratdyck.matchings import PerfectMatching, canonical_matching, pm, pm_inverse
 from ratdyck.noncrossing import (
     NonCrossingChain,
+    NonCrossingPartition,
+    broken_block_rule,
     enumerate_chains,
     enumerate_ncps,
     is_noncrossing,
@@ -591,3 +595,168 @@ def test_kre_inverse_along_a_long_orbit():
     for _ in range(80):
         assert kre_inverse(c) == kre_inverse_reference(c), c
         c = kre(c)
+
+
+# -- block validation -------------------------------------------------------
+
+
+def block_check_reference(blocks, n):
+    """The first rule broken, by four separate checks in the order the
+    constructors report them: partition, sorted, ordered, non-crossing."""
+    elems = sorted(x for b in blocks for x in b)
+    if elems != list(range(1, n + 1)):
+        return 1
+    if any(tuple(sorted(b)) != b for b in blocks):
+        return 2
+    if any(x[0] >= y[0] for x, y in zip(blocks, blocks[1:])):
+        return 3
+    if not noncrossing_reference(blocks):
+        return 4
+    return 0
+
+
+def block_messages(blocks, n):
+    """Each constructor's message for each rule, word for word."""
+    return {
+        PerfectMatching: (
+            "blocks must partition the ground set",
+            "block elements must be sorted ascending",
+            "blocks must be ordered by minimum",
+            f"blocks are crossing: {blocks}",
+        ),
+        NonCrossingPartition: (
+            f"blocks must partition [1,{n}]",
+            "block elements must be sorted",
+            "blocks must be ordered by minimum",
+            f"partition crosses: {blocks}",
+        ),
+    }
+
+
+def assert_block_verdicts(blocks, n):
+    # An empty block has no minimum, so it breaks the ordering rule.  The
+    # separate ordering check crashed reading that minimum, or, given the
+    # single block () of [1, 0], had no pair to compare and passed it.
+    try:
+        want = block_check_reference(blocks, n)
+    except IndexError:
+        want = 3
+    if want == 0 and () in blocks:
+        want = 3
+    assert broken_block_rule(blocks, n) == want, (blocks, n)
+    for cls, messages in block_messages(blocks, n).items():
+        if want == 0:
+            assert cls(n, blocks).blocks == blocks
+        else:
+            with pytest.raises(ValueError) as err:
+                cls(n, blocks)
+            assert str(err.value) == messages[want - 1], (cls, blocks, n)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_block_rule_matches_separate_checks(n):
+    for blocks in set_partitions(n):
+        assert_block_verdicts(blocks, n)
+
+
+def _corruptions(blocks, n):
+    """Each way to break one rule: an unsorted block, a duplicate, an
+    element out of range, a missing element, misordered blocks, an empty
+    block, and a list given as a block."""
+    out = []
+    for i, b in enumerate(blocks):
+        rest = lambda new: blocks[:i] + new + blocks[i + 1:]
+        if len(b) > 1:
+            out.append(rest((b[::-1],)))
+            out.append(rest((b[1:],)))
+        else:
+            out.append(rest(()))
+        for x in (0, -1, n + 1) + b[:1]:
+            out.append(rest((tuple(sorted(b + (x,))),)))
+        out.append(rest((list(b),)))
+        out.append(blocks[:i] + ((),) + blocks[i:])
+        for j in range(i + 1, len(blocks)):
+            swapped = list(blocks)
+            swapped[i], swapped[j] = blocks[j], blocks[i]
+            out.append(tuple(swapped))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_block_rule_on_malformed_blocks(n):
+    # single corruptions, and pairs of them so that the order of the rules
+    # is tested where two are broken at once
+    for blocks in set_partitions(n):
+        for once in _corruptions(blocks, n):
+            assert_block_verdicts(once, n)
+            if n <= 3:
+                for twice in _corruptions(tuple(tuple(b) for b in once), n):
+                    assert_block_verdicts(twice, n)
+    assert_block_verdicts(((),), 0)
+
+
+# -- orbit tables -----------------------------------------------------------
+
+
+def orbit_table_reference(map_name, slope):
+    """Every path keyed by its name."""
+    m = registry.resolve_path_map(map_name, slope)
+    paths = enumerate_paths(slope)
+    images = {str(p): m.fn(p) for p in paths}
+    if len({str(q) for q in images.values()}) != len(paths):
+        seen = {}
+        for src, img in images.items():
+            if str(img) in seen:
+                raise ValueError(
+                    f"map {map_name!r} is not bijective on ({slope.a},{slope.b}) n={slope.n}: "
+                    f"{seen[str(img)]} and {src} both map to {img}"
+                )
+            seen[str(img)] = src
+    cycles = []
+    done = set()
+    for p in paths:
+        if str(p) in done:
+            continue
+        cyc = [str(p)]
+        q = images[str(p)]
+        while str(q) != str(p):
+            cyc.append(str(q))
+            q = images[str(q)]
+        done.update(cyc)
+        cycles.append(cyc)
+    cycles.sort(key=lambda c: c[0])
+    return cycles
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 1, 5), (1, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_orbit_table_matches_name_keyed_walk(a, b, n):
+    slope = Slope(a, b, n)
+    for name, m in registry.PATH_MAPS.items():
+        if m.applies(slope):
+            got = _outcome(registry.orbit_table, name, slope)
+            assert got == _outcome(orbit_table_reference, name, slope), name
+
+
+def test_orbit_table_names_the_first_collision(monkeypatch):
+    slope = Slope(1, 1, 4)
+    paths = enumerate_paths(slope)
+    # the last path and every path from the third on collapse to the third
+    squash = lambda p: p if p in paths[:2] else paths[2]
+    monkeypatch.setitem(registry.PATH_MAPS, "promotion", registry.PathMap("promotion", squash))
+    message = (
+        "map 'promotion' is not bijective on (1,1) n=4: "
+        f"{paths[2]} and {paths[3]} both map to {paths[2]}"
+    )
+    with pytest.raises(ValueError) as err:
+        registry.orbit_table("promotion", slope)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        orbit_table_reference("promotion", slope)
+    assert str(err.value) == message

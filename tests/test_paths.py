@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ratdyck.paths import (
@@ -125,3 +127,14 @@ def test_word_roundtrip():
     p = path_from_word(Slope(2, 3, 2), "UURRURURRR")
     assert p.steps == (1, 2, 5, 7)
     assert p.word == "UURRURURRR"
+
+
+def test_cached_hash_changes_no_value_repr_or_pickle():
+    p = RationalDyckPath(Slope(2, 3, 2), (1, 2, 5, 7))
+    fresh = pickle.dumps(p)
+    assert hash(p) == hash((Slope(2, 3, 2), (1, 2, 5, 7)))
+    assert hash(p.slope) == hash((2, 3, 2))
+    assert pickle.dumps(p) == fresh  # the cached hash stays out of pickles
+    q = pickle.loads(fresh)
+    assert q == p and hash(q) == hash(p)
+    assert repr(q) == "RationalDyckPath(slope=Slope(a=2, b=3, n=2), steps=(1, 2, 5, 7))"

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from ratdyck import matching_map
+from ratdyck import matching_map, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
-from ratdyck.paths import Slope, count_paths_dp, path_from_steps
+from ratdyck.paths import InvariantError, Slope, count_paths_dp, path_from_steps, top_path
 from ratdyck.registry import IDENTITIES, apply_map, orbit_table, verify
 
 
@@ -126,6 +126,45 @@ def test_cli_orbit_and_verify(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "pm-rot", "--a", "2",
                        "--b", "3", "--n", "1")
     assert code == 0 and "expected failure" in out
+
+
+def test_orbit_image_outside_the_slope_is_an_invariant_error(capsys, monkeypatch):
+    # a registered map must stay on its slope; leaving it is a library defect
+    leave = lambda p: top_path(Slope(p.slope.a, p.slope.b, p.slope.n + 1))
+    monkeypatch.setitem(registry.PATH_MAPS, "promotion", registry.PathMap("promotion", leave))
+    with pytest.raises(InvariantError):
+        orbit_table("promotion", Slope(1, 2, 2))
+    code, out, err = run(capsys, "orbit", "--map", "promotion", "--a", "1", "--b", "2",
+                         "--n", "2")
+    assert code == 3 and out == ""
+    assert err == ("internal error: map 'promotion' sends 1,2 to 1,2,3, "
+                   "which is not a path of (1,2) n=2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum",),
+    ("orbit", "--map", "promotion"),
+    ("convert", "--path", "1,2,3,4,5", "--to", "ncp"),
+])
+def test_cli_domain_guard(capsys, argv):
+    # (1,1) n=5 has 42 paths, and its chain table 42 chains
+    slope = ("--a", "1", "--b", "1", "--n", "5")
+    code, out, err = run(capsys, *argv, *slope, "--max-domain", "41")
+    assert code == 2 and out == ""
+    assert err == "error: (1,1) n=5 has more than 41 paths; raise --max-domain to enumerate it"
+    code, out, _ = run(capsys, *argv, *slope, "--max-domain", "42")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("n", ["13", "14", "1000000"])
+def test_cli_domain_guard_default(capsys, n):
+    # the default admits (1,1) n=12 (208,012 paths) and nothing larger; the
+    # sizes are counted from 1 up, so a huge n is refused at once
+    for argv in (("enum",), ("orbit", "--map", "promotion")):
+        code, out, err = run(capsys, *argv, "--a", "1", "--b", "1", "--n", n)
+        assert code == 2 and out == ""
+        assert err == (f"error: (1,1) n={n} has more than 250000 paths; "
+                       "raise --max-domain to enumerate it")
 
 
 def test_cli_verify_rejects_max_n_below_one(capsys):
