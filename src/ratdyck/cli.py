@@ -32,7 +32,7 @@ from .paths import (
     young_rows,
 )
 from .perms import e_p, e_p_inverse, parse_permutation
-from .registry import CHAIN_MAPS, apply_map, default_suite, verify
+from .registry import apply_map, default_suite, verify
 from .registry import orbit_table as registry_orbits
 
 
@@ -86,25 +86,17 @@ def cmd_enum(args) -> int:
 
 def cmd_apply(args) -> int:
     slope = _slope(args)
-    power = args.power
     if args.ncp:
         chain = nc.parse_chain(args.ncp, slope.n)
         if chain.k != slope.b or slope.a != 1:
             raise ValueError(
                 f"chain with {chain.k} layers needs slope (1,{chain.k}), got ({slope.a},{slope.b})"
             )
-        if args.map not in CHAIN_MAPS:
-            raise ValueError(f"map {args.map!r} does not act on chains")
-        fn, inv = CHAIN_MAPS[args.map]
-        step = fn if power >= 0 else inv
-        if step is None:
-            raise ValueError(f"map {args.map!r} has no registered inverse")
-        for _ in range(abs(power)):
-            chain = step(chain)
+        chain = apply_map(args.map, slope, chain, args.power)
         _emit(args, [str(chain)], {"chain": str(chain)})
         return 0
     p = _read_path(args, slope)
-    out = apply_map(args.map, slope, p, power)
+    out = apply_map(args.map, slope, p, args.power)
     _emit(args, [out.steps_str()], out.to_json())
     return 0
 

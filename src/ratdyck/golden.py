@@ -8,6 +8,7 @@ library maps.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from . import noncrossing as nc
 from .matching_map import mat
@@ -108,45 +109,36 @@ def _code(p: RationalDyckPath) -> str:
     return "".join(str(u) for u in p.steps)
 
 
-def _check_orbits(fn, orbits) -> list[str]:
+# (parse, show) between the table entries and the objects they name
+PATH = (_p, _code)
+PARTITION = (lambda text: nc.parse_ncp(text, 3), str)
+
+
+def _check_orbits(fn, orbits, code) -> list[str]:
+    parse, show = code
     bad = []
     for orbit in orbits:
         for src, dst in zip(orbit, orbit[1:] + orbit[:1]):
-            got = _code(fn(_p(src)))
+            got = show(fn(parse(src)))
             if got != dst:
                 bad.append(f"{src}->{got} (expected {dst})")
     return bad
 
 
-def _check_pairs(fn, pairs) -> list[str]:
+def _check_pairs(fn, pairs, code) -> list[str]:
+    parse, show = code
     bad = []
     for src, dst in pairs.items():
-        got = _code(fn(_p(src)))
+        got = show(fn(parse(src)))
         if got != dst:
             bad.append(f"{src}->{got} (expected {dst})")
-        back = _code(fn(_p(dst)))
+        back = show(fn(parse(dst)))
         if back != src:
             bad.append(f"{dst}->{back} (expected {src})")
     return bad
 
 
-def _report(name: str, size: int, bad: list[str], start: float) -> VerificationReport:
-    return VerificationReport(
-        identity=name,
-        a=SLOPE.a,
-        b=SLOPE.b,
-        n=SLOPE.n,
-        domain_size=size,
-        status="pass" if not bad else "fail",
-        counterexamples=bad[:10],
-        seconds=time.perf_counter() - start,
-    )
-
-
-def golden_suite() -> list[VerificationReport]:
-    reports = []
-
-    start = time.perf_counter()
+def _check_chain_table() -> list[str]:
     bad = []
     for code, literal in CHAIN_TABLE.items():
         chain = nc.parse_chain(literal)
@@ -154,68 +146,45 @@ def golden_suite() -> list[VerificationReport]:
             bad.append(f"chain {literal} != path {code}")
         if str(nc.dyck_to_ncp(_p(code))) != literal:
             bad.append(f"path {code} != chain {literal}")
-    reports.append(_report("golden-chain-table", len(CHAIN_TABLE), bad, start))
+    return bad
 
-    def chain_map(f):
-        return lambda p: nc.ncp_to_dyck(f(nc.dyck_to_ncp(p)))
 
-    start = time.perf_counter()
-    bad = _check_orbits(promotion, PROMOTION_ORBITS)
-    reports.append(_report("golden-promotion", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_pairs(evacuation_fast, EVACUATION_PAIRS)
-    reports.append(_report("golden-evacuation", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = []
-    for orbit in KRE_PARTITION_ORBITS:
-        for src, dst in zip(orbit, orbit[1:] + orbit[:1]):
-            got = str(nc.kre_partition(nc.parse_ncp(src, 3)))
-            if got != dst:
-                bad.append(f"{src}->{got} (expected {dst})")
-    reports.append(_report("golden-kre-partitions", 5, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_orbits(chain_map(nc.kre), KRE_PATH_ORBITS)
-    reports.append(_report("golden-kre", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = []
-    for src, dst in SU_PARTITION_PAIRS.items():
-        got = str(nc.su_partition(nc.parse_ncp(src, 3)))
-        if got != dst:
-            bad.append(f"{src}->{got} (expected {dst})")
-    bad += _check_pairs(chain_map(nc.su), SU_PATH_PAIRS)
-    reports.append(_report("golden-su", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = []
-    for src, dst in LK_PARTITION_PAIRS.items():
-        got = str(nc.lk_partition(nc.parse_ncp(src, 3)))
-        if got != dst:
-            bad.append(f"{src}->{got} (expected {dst})")
-    bad += _check_pairs(chain_map(nc.lk), LK_PATH_PAIRS)
-    reports.append(_report("golden-lk", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_orbits(rowmotion, ROWMOTION_ORBITS)
-    reports.append(_report("golden-rowmotion", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_pairs(rowvacuation, ROWVACUATION_PAIRS)
-    reports.append(_report("golden-rowvacuation", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_pairs(dual_rowvacuation, DUAL_ROWVACUATION_PAIRS)
-    reports.append(_report("golden-dual-rowvacuation", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_orbits(mat, MAT_ORBITS)
-    reports.append(_report("golden-mat", 12, bad, start))
-
-    start = time.perf_counter()
-    bad = _check_orbits(rsk_hat_inverse, RSK_INVERSE_ORBITS)
-    reports.append(_report("golden-rsk-inverse", 12, bad, start))
-
+def golden_suite() -> list[VerificationReport]:
+    tables = [
+        ("golden-chain-table", len(CHAIN_TABLE), _check_chain_table),
+        ("golden-promotion", 12, lambda: _check_orbits(promotion, PROMOTION_ORBITS, PATH)),
+        ("golden-evacuation", 12, lambda: _check_pairs(evacuation_fast, EVACUATION_PAIRS, PATH)),
+        ("golden-kre-partitions", 5,
+         lambda: _check_orbits(nc.kre_partition, KRE_PARTITION_ORBITS, PARTITION)),
+        ("golden-kre", 12,
+         lambda: _check_orbits(partial(nc.transport, nc.kre), KRE_PATH_ORBITS, PATH)),
+        ("golden-su", 12,
+         lambda: _check_pairs(nc.su_partition, SU_PARTITION_PAIRS, PARTITION)
+         + _check_pairs(partial(nc.transport, nc.su), SU_PATH_PAIRS, PATH)),
+        ("golden-lk", 12,
+         lambda: _check_pairs(nc.lk_partition, LK_PARTITION_PAIRS, PARTITION)
+         + _check_pairs(partial(nc.transport, nc.lk), LK_PATH_PAIRS, PATH)),
+        ("golden-rowmotion", 12, lambda: _check_orbits(rowmotion, ROWMOTION_ORBITS, PATH)),
+        ("golden-rowvacuation", 12,
+         lambda: _check_pairs(rowvacuation, ROWVACUATION_PAIRS, PATH)),
+        ("golden-dual-rowvacuation", 12,
+         lambda: _check_pairs(dual_rowvacuation, DUAL_ROWVACUATION_PAIRS, PATH)),
+        ("golden-mat", 12, lambda: _check_orbits(mat, MAT_ORBITS, PATH)),
+        ("golden-rsk-inverse", 12,
+         lambda: _check_orbits(rsk_hat_inverse, RSK_INVERSE_ORBITS, PATH)),
+    ]
+    reports = []
+    for name, size, check in tables:
+        start = time.perf_counter()
+        bad = check()
+        reports.append(VerificationReport(
+            identity=name,
+            a=SLOPE.a,
+            b=SLOPE.b,
+            n=SLOPE.n,
+            domain_size=size,
+            status="pass" if not bad else "fail",
+            counterexamples=bad[:10],
+            seconds=time.perf_counter() - start,
+        ))
     return reports

@@ -95,7 +95,8 @@ def pm(p: RationalDyckPath) -> PerfectMatching:
         for j in block[1:]:
             taken[j] = True
         blocks.append(tuple(block))
-    return canonical_matching(total, blocks)
+    # each block ascends, and the block minima descend
+    return PerfectMatching(total, tuple(reversed(blocks)))
 
 
 def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:

@@ -103,12 +103,6 @@ def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
     return 0
 
 
-def is_noncrossing(blocks: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Whether ``blocks`` is a non-crossing partition of [1, n] into sorted
-    blocks ordered by minimum."""
-    return broken_block_rule(blocks, n) == 0
-
-
 def ncp(n: int, blocks) -> NonCrossingPartition:
     canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
     return NonCrossingPartition(n, canon)
@@ -286,6 +280,12 @@ def dyck_to_ncp(p: RationalDyckPath) -> NonCrossingChain:
         return table[p]
     except KeyError:
         raise InvariantError(f"chain map is not surjective at {p}") from None
+
+
+def transport(f, p: RationalDyckPath) -> RationalDyckPath:
+    """The chain map ``f`` carried to paths through the chain bijection:
+    ``ncp_to_dyck(f(dyck_to_ncp(p)))``."""
+    return ncp_to_dyck(f(dyck_to_ncp(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,15 @@ def memo_image(fn: Callable) -> Callable:
     return memoized
 
 
+def iterate(fn: Callable, inverse: Callable | None, x, power: int):
+    """``fn`` applied ``power`` times to ``x``; a negative power applies
+    ``inverse`` instead."""
+    step = fn if power >= 0 else inverse
+    for _ in range(abs(power)):
+        x = step(x)
+    return x
+
+
 def _weakly_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
     x = y = 0
     up = set(steps)

@@ -52,13 +52,6 @@ def dual_promotion(p: RationalDyckPath) -> RationalDyckPath:
     return p
 
 
-def promotion_power(p: RationalDyckPath, power: int) -> RationalDyckPath:
-    step = promotion if power >= 0 else dual_promotion
-    for _ in range(abs(power)):
-        p = step(p)
-    return p
-
-
 @memo_image
 def evacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Evacuation as the triangular toggle product (truncated promotions)."""

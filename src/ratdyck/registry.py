@@ -1,14 +1,25 @@
 """Named map registry, identity registry, and the verification engine.
 
-Identities are registered with the slope families they apply to and a
-default exhaustive domain; ``verify`` evaluates both sides of an identity
-on every enumerated object and reports counterexamples instead of raising.
+Each identity is a row: a domain (the paths of a slope, its chains of
+non-crossing partitions, or its 321-avoiding permutations) and two sides,
+one-argument functions of an object of that domain.  The identity holds
+when both sides are equal on every object; a predicate row has the constant
+``True`` as its right side, and a compound row compares tuples.  Slope
+parameters come from the object (``p.slope.b``, ``c.n``).  ``verify`` runs
+a row over its domain and reports each counterexample with both sides, as
+``object: lhs=… rhs=…``, instead of raising.
+
+A side calls every map through its module at call time (``lambda p:
+mt.pm(p)``, never a captured ``mt.pm``), so that patching a module binding
+reaches the identities too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, pairwise
 from typing import Callable
 
 from . import matching_map as mm
@@ -34,18 +45,6 @@ class PathMap:
     applies: Callable[[Slope], bool] = lambda s: True
 
 
-def _chain_as_path_map(chain_fn, inverse=None):
-    def fn(p: RationalDyckPath) -> RationalDyckPath:
-        return nc.ncp_to_dyck(chain_fn(nc.dyck_to_ncp(p)))
-
-    inv = None
-    if inverse is not None:
-        def inv(p: RationalDyckPath) -> RationalDyckPath:
-            return nc.ncp_to_dyck(inverse(nc.dyck_to_ncp(p)))
-
-    return fn, inv
-
-
 def _unit_a(s: Slope) -> bool:
     return s.a == 1
 
@@ -63,12 +62,6 @@ CHAIN_MAPS: dict[str, tuple[Callable, Callable | None]] = {
     "lk": (nc.lk, nc.lk),
     "lift": (nc.lift, None),
 }
-
-
-def _iterate(f, x, times):
-    for _ in range(times):
-        x = f(x)
-    return x
 
 
 def _register_path_maps() -> None:
@@ -90,8 +83,8 @@ def _register_path_maps() -> None:
     add("dyck2", pe.dyck2, pe.dyck2, _classical)
     add("dyck3", pe.dyck3, pe.dyck3, _classical)
     for cname, (cfn, cinv) in CHAIN_MAPS.items():
-        fn, inv = _chain_as_path_map(cfn, cinv)
-        add(cname, fn, inv, _unit_a)
+        inv = partial(nc.transport, cinv) if cinv else None
+        add(cname, partial(nc.transport, cfn), inv, _unit_a)
 
 
 _register_path_maps()
@@ -161,55 +154,46 @@ class Identity:
 
 IDENTITIES: dict[str, Identity] = {}
 
-
-def _ident(name, summary, applies=lambda s: True, expected_pass=lambda s: True, max_n=lambda s: 99):
-    def wrap(fn):
-        IDENTITIES[name] = Identity(name, summary, fn, applies, expected_pass, max_n)
-        return fn
-
-    return wrap
+# The three domains of the rows.
+_paths = lambda s: pa.enumerate_paths(s)
+_chains = lambda s: nc.enumerate_chains(s.n, s.b)
+_perms = lambda s: pe.enumerate_321_avoiding(s.n)
 
 
-def _path_check(slope: Slope, relation) -> tuple[int, list[str]]:
-    paths = pa.enumerate_paths(slope)
-    bad = []
-    for p in paths:
-        if not relation(p):
-            bad.append(str(p))
-            if len(bad) >= 10:
-                break
-    return len(paths), bad
+def _show(side) -> str:
+    if isinstance(side, tuple):
+        return "(" + ", ".join(str(x) for x in side) + ")"
+    return str(side)
 
 
-def _chain_check(slope: Slope, relation) -> tuple[int, list[str]]:
-    chains = nc.enumerate_chains(slope.n, slope.b)
-    bad = []
-    for c in chains:
-        if not relation(c):
-            bad.append(str(c))
-            if len(bad) >= 10:
-                break
-    return len(chains), bad
+def _sides(domain, lhs, rhs) -> Callable[[Slope], tuple[int, list[str]]]:
+    """The check of a row: both sides on every object of the domain.  Each of
+    the first ten objects where they differ is reported with both sides.  A
+    constant ``rhs`` (``True`` for a predicate) stands for itself."""
+    rhs_of = rhs if callable(rhs) else lambda x: rhs
+
+    def check(slope: Slope) -> tuple[int, list[str]]:
+        objects = domain(slope)
+        bad = []
+        for x in objects:
+            left, right = lhs(x), rhs_of(x)
+            if left != right:
+                bad.append(f"{x}: lhs={_show(left)} rhs={_show(right)}")
+                if len(bad) >= 10:
+                    break
+        return len(objects), bad
+
+    return check
 
 
-def _perm_check(slope: Slope, relation) -> tuple[int, list[str]]:
-    perms = pe.enumerate_321_avoiding(slope.n)
-    bad = []
-    for w in perms:
-        if not relation(w):
-            bad.append(str(w))
-            if len(bad) >= 10:
-                break
-    return len(perms), bad
-
+def _ident(name, summary, domain, lhs, rhs, **options) -> None:
+    IDENTITIES[name] = Identity(name, summary, _sides(domain, lhs, rhs), **options)
 
 
 # -- counting and encodings -------------------------------------------------
 
 
-@_ident("count-enumeration", "Bizley-recurrence count equals the lattice DP count "
-        "and the materialized enumeration on moderate domains")
-def _c_count(s: Slope):
+def _count_check(s: Slope) -> tuple[int, list[str]]:
     formula = pa.count_paths(s)
     dp = pa.count_paths_dp(s)
     bad = []
@@ -220,9 +204,7 @@ def _c_count(s: Slope):
     return dp, bad
 
 
-@_ident("step-bound-geometry", "the step-position bound and the geometric "
-        "above-the-line test agree on every candidate word", max_n=lambda s: 3 if s.a * s.b == 1 else 2)
-def _c_bound(s: Slope):
+def _bound_check(s: Slope) -> tuple[int, list[str]]:
     total = 0
     bad = []
     for word in pa.enumerate_words(s):
@@ -234,683 +216,311 @@ def _c_bound(s: Slope):
     return total, bad
 
 
-@_ident("young-roundtrip", "region rows determine the path and vice versa")
-def _c_young(s: Slope):
-    return _path_check(s, lambda p: pa.path_from_young_rows(s, pa.young_rows(p)) == p)
+IDENTITIES["count-enumeration"] = Identity(
+    "count-enumeration", "Bizley-recurrence count equals the lattice DP count "
+    "and the materialized enumeration on moderate domains", _count_check)
+IDENTITIES["step-bound-geometry"] = Identity(
+    "step-bound-geometry", "the step-position bound and the geometric "
+    "above-the-line test agree on every candidate word", _bound_check,
+    max_n=lambda s: 3 if s.a * s.b == 1 else 2)
 
-
-@_ident("star-involution", "row exchange is an involution onto the transposed slope")
-def _c_star(s: Slope):
-    def rel(p):
-        t = pa.to_tableau(p)
-        back = pa.star(pa.star(t))
-        return back == t and pa.star(t).slope == s.transpose()
-
-    return _path_check(s, rel)
-
-
-@_ident("tableau-roundtrip", "two-row tableau round trip")
-def _c_tab(s: Slope):
-    return _path_check(s, lambda p: pa.from_tableau(pa.to_tableau(p)) == p)
-
-
-@_ident("prime-endpoints", "prime paths touch the boundary line only at the ends")
-def _c_prime(s: Slope):
-    def rel(p):
-        verts = p.vertices()
-        touches = sum(1 for x, y in verts if s.b * y == s.a * x)
-        return pa.is_prime(p) == (touches == 2)
-
-    return _path_check(s, rel)
+_ident("young-roundtrip", "region rows determine the path and vice versa", _paths,
+       lambda p: pa.path_from_young_rows(p.slope, pa.young_rows(p)), lambda p: p)
+_ident("star-involution", "row exchange is an involution onto the transposed slope", _paths,
+       lambda p: (pa.star(pa.star(t := pa.to_tableau(p))), pa.star(t).slope),
+       lambda p: (pa.to_tableau(p), p.slope.transpose()))
+_ident("tableau-roundtrip", "two-row tableau round trip", _paths,
+       lambda p: pa.from_tableau(pa.to_tableau(p)), lambda p: p)
+_ident("prime-endpoints", "prime paths touch the boundary line only at the ends", _paths,
+       lambda p: pa.is_prime(p),
+       lambda p: sum(1 for x, y in p.vertices() if p.slope.b * y == p.slope.a * x) == 2)
 
 
 # -- matchings ----------------------------------------------------------------
 
 
-@_ident("pm-roundtrip", "block minima recover the path")
-def _c_pm_rt(s: Slope):
-    return _path_check(s, lambda p: mt.pm_inverse(mt.pm(p), s) == p)
-
-
-@_ident("pm-noncrossing", "matching blocks never cross")
-def _c_pm_nc(s: Slope):
-    def rel(p):
-        m = mt.pm(p)
-        for bi in range(len(m.blocks)):
-            for bj in range(bi + 1, len(m.blocks)):
-                b1, b2 = m.blocks[bi], m.blocks[bj]
-                for i in b1:
-                    for k in b1:
-                        if i < k and any(i < j < k for j in b2) and any(
-                            l < i or l > k for l in b2
-                        ):
-                            return False
-        return True
-
-    return _path_check(s, rel)
-
-
-@_ident("pm-block-size", "matching blocks of a (1,k)-path all have k+1 elements",
-        applies=_unit_a)
-def _c_pm_size(s: Slope):
-    return _path_check(
-        s, lambda p: all(len(b) == s.b + 1 for b in mt.pm(p).blocks)
+def _noncrossing(blocks) -> bool:
+    """A pairwise check, independent of the constructor's stack scan: no
+    block has elements i < k with another block both inside and outside
+    (i, k)."""
+    return not any(
+        any(i < j < k for j in b2) and any(l < i or l > k for l in b2)
+        for b1, b2 in combinations(blocks, 2)
+        for i, k in combinations(b1, 2)
     )
 
 
-@_ident("pm-singleton-block", "matchings of steep paths contain a singleton block",
-        applies=lambda s: s.a > s.b)
-def _c_pm_single(s: Slope):
-    return _path_check(s, lambda p: any(len(b) == 1 for b in mt.pm(p).blocks))
-
-
-@_ident("bar-involution", "the bar relabeling is an involution")
-def _c_bar(s: Slope):
-    return _path_check(s, lambda p: mt.bar(mt.bar(mt.pm(p))) == mt.pm(p))
-
-
-@_ident("rotate-order", "rotating (a+b)n times is the identity")
-def _c_rot_ord(s: Slope):
-    def rel(p):
-        m = mt.pm(p)
-        return _iterate(mt.rotate, m, s.total_steps) == m
-
-    return _path_check(s, rel)
-
-
-@_ident("pm-rot", "the matching of the promoted path is the rotated matching",
-        expected_pass=_unit_a)
-def _c_pm_rot(s: Slope):
-    return _path_check(
-        s, lambda p: mt.pm(pr.promotion(p)) == mt.rotate(mt.pm(p))
-    )
-
-
-@_ident("pm-ev-bar", "the matching of the evacuated path is the barred matching")
-def _c_pm_ev(s: Slope):
-    return _path_check(s, lambda p: mt.pm(pr.evacuation_fast(p)) == mt.bar(mt.pm(p)))
-
-
-@_ident("dpm-equals-pm", "the dual matching coincides with the matching classically",
-        applies=_classical)
-def _c_dpm(s: Slope):
-    return _path_check(s, lambda p: mt.dpm(p) == mt.pm(p))
+_ident("pm-roundtrip", "block minima recover the path", _paths,
+       lambda p: mt.pm_inverse(mt.pm(p), p.slope), lambda p: p)
+_ident("pm-noncrossing", "matching blocks never cross", _paths,
+       lambda p: _noncrossing(mt.pm(p).blocks), True)
+_ident("pm-block-size", "matching blocks of a (1,k)-path all have k+1 elements", _paths,
+       lambda p: {len(b) for b in mt.pm(p).blocks}, lambda p: {p.slope.b + 1},
+       applies=_unit_a)
+_ident("pm-singleton-block", "matchings of steep paths contain a singleton block", _paths,
+       lambda p: min(len(b) for b in mt.pm(p).blocks), 1, applies=lambda s: s.a > s.b)
+_ident("bar-involution", "the bar relabeling is an involution", _paths,
+       lambda p: mt.bar(mt.bar(mt.pm(p))), lambda p: mt.pm(p))
+_ident("rotate-order", "rotating (a+b)n times is the identity", _paths,
+       lambda p: pa.iterate(mt.rotate, None, mt.pm(p), p.slope.total_steps),
+       lambda p: mt.pm(p))
+_ident("pm-rot", "the matching of the promoted path is the rotated matching", _paths,
+       lambda p: mt.pm(pr.promotion(p)), lambda p: mt.rotate(mt.pm(p)),
+       expected_pass=_unit_a)
+_ident("pm-ev-bar", "the matching of the evacuated path is the barred matching", _paths,
+       lambda p: mt.pm(pr.evacuation_fast(p)), lambda p: mt.bar(mt.pm(p)))
+_ident("dpm-equals-pm", "the dual matching coincides with the matching classically", _paths,
+       lambda p: mt.dpm(p), lambda p: mt.pm(p), applies=_classical)
 
 
 # -- promotion/evacuation -----------------------------------------------------
 
 
-@_ident("toggle-involution", "every toggle is an involution", max_n=lambda s: 4)
-def _c_tog(s: Slope):
-    def rel(p):
-        return all(
-            pr.toggle(i, pr.toggle(i, p)) == p for i in range(1, s.total_steps)
-        )
-
-    return _path_check(s, rel)
-
-
-@_ident("promotion-inverse", "dual promotion inverts promotion")
-def _c_prom_inv(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pr.dual_promotion(pr.promotion(p)) == p
-        and pr.promotion(pr.dual_promotion(p)) == p,
-    )
-
-
-@_ident("evacuation-involution", "evacuation squares to the identity")
-def _c_ev_inv(s: Slope):
-    return _path_check(s, lambda p: pr.evacuation(pr.evacuation(p)) == p)
-
-
-@_ident("dual-evacuation-involution", "dual evacuation squares to the identity")
-def _c_dev_inv(s: Slope):
-    return _path_check(s, lambda p: pr.dual_evacuation(pr.dual_evacuation(p)) == p)
-
-
-@_ident("promotion-order", "promotion to the (a+b)n equals both evacuations composed")
-def _c_prom_ord(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pr.promotion_power(p, s.total_steps)
-        == pr.dual_evacuation_fast(pr.evacuation_fast(p)),
-    )
-
-
-@_ident("evacuation-promotion-conjugate", "evacuation conjugates promotion to its inverse")
-def _c_ev_conj(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pr.evacuation_fast(pr.promotion(p))
-        == pr.dual_promotion(pr.evacuation_fast(p)),
-    )
-
-
-@_ident("dual-evacuation-star", "dual evacuation is star-conjugated evacuation")
-def _c_dev_star(s: Slope):
-    return _path_check(s, lambda p: pr.dual_evacuation_fast(p) == pr.dual_evacuation_by_star(p))
-
-
-@_ident("fast-evacuation", "toggle evacuation equals the matching-maxima formula")
-def _c_fast_ev(s: Slope):
-    return _path_check(s, lambda p: pr.evacuation(p) == pr.evacuation_fast(p))
-
-
-@_ident("fast-dual-evacuation", "toggle dual evacuation equals the dual-matching formula")
-def _c_fast_dev(s: Slope):
-    return _path_check(s, lambda p: pr.dual_evacuation(p) == pr.dual_evacuation_fast(p))
-
-
-@_ident("ev-star", "evacuation is the star map classically", applies=_classical)
-def _c_ev_star(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pr.evacuation_fast(p) == pa.star_path(p)
-        and pr.dual_evacuation_fast(p) == pa.star_path(p),
-    )
+_ident("toggle-involution", "every toggle is an involution", _paths,
+       lambda p: all(pr.toggle(i, pr.toggle(i, p)) == p for i in range(1, p.slope.total_steps)),
+       True, max_n=lambda s: 4)
+_ident("promotion-inverse", "dual promotion inverts promotion", _paths,
+       lambda p: (pr.dual_promotion(pr.promotion(p)), pr.promotion(pr.dual_promotion(p))),
+       lambda p: (p, p))
+_ident("evacuation-involution", "evacuation squares to the identity", _paths,
+       lambda p: pr.evacuation(pr.evacuation(p)), lambda p: p)
+_ident("dual-evacuation-involution", "dual evacuation squares to the identity", _paths,
+       lambda p: pr.dual_evacuation(pr.dual_evacuation(p)), lambda p: p)
+_ident("promotion-order", "promotion to the (a+b)n equals both evacuations composed", _paths,
+       lambda p: pa.iterate(pr.promotion, pr.dual_promotion, p, p.slope.total_steps),
+       lambda p: pr.dual_evacuation_fast(pr.evacuation_fast(p)))
+_ident("evacuation-promotion-conjugate", "evacuation conjugates promotion to its inverse",
+       _paths, lambda p: pr.evacuation_fast(pr.promotion(p)),
+       lambda p: pr.dual_promotion(pr.evacuation_fast(p)))
+_ident("dual-evacuation-star", "dual evacuation is star-conjugated evacuation", _paths,
+       lambda p: pr.dual_evacuation_fast(p), lambda p: pr.dual_evacuation_by_star(p))
+_ident("fast-evacuation", "toggle evacuation equals the matching-maxima formula", _paths,
+       lambda p: pr.evacuation(p), lambda p: pr.evacuation_fast(p))
+_ident("fast-dual-evacuation", "toggle dual evacuation equals the dual-matching formula",
+       _paths, lambda p: pr.dual_evacuation(p), lambda p: pr.dual_evacuation_fast(p))
+_ident("ev-star", "evacuation is the star map classically", _paths,
+       lambda p: (pr.evacuation_fast(p), pr.dual_evacuation_fast(p)),
+       lambda p: (pa.star_path(p), pa.star_path(p)), applies=_classical)
 
 
 # -- rowmotion ----------------------------------------------------------------
 
 
-@_ident("rank-toggle-involution", "every rank toggle is an involution", max_n=lambda s: 4)
-def _c_rtog(s: Slope):
+def _ranks(s: Slope) -> range:
     region = rw.box_region(s)
-
-    def rel(p):
-        if region.max_rank < region.min_rank:
-            return True
-        return all(
-            rw.rank_toggle(r, rw.rank_toggle(r, p)) == p
-            for r in range(region.min_rank, region.max_rank + 1)
-        )
-
-    return _path_check(s, rel)
+    return range(region.min_rank, region.max_rank + 1)
 
 
-@_ident("rowmotion-structural", "toggle rowmotion equals the filter-complement oracle")
-def _c_row_struct(s: Slope):
-    return _path_check(s, lambda p: rw.rowmotion(p) == rw.rowmotion_structural(p))
+def _rowmotion_order(s: Slope) -> int:
+    """The rank span plus two, or 0 on an empty region."""
+    ranks = _ranks(s)
+    return len(ranks) + 1 if ranks else 0
 
 
-@_ident("rowmotion-roundtrip", "rowmotion composed with its inverse sweep is trivial")
-def _c_row_rt(s: Slope):
-    return _path_check(s, lambda p: rw.rowmotion_inverse(rw.rowmotion(p)) == p)
-
-
-@_ident("rowvacuation-involution", "rowvacuation squares to the identity")
-def _c_rvac_inv(s: Slope):
-    return _path_check(s, lambda p: rw.rowvacuation(rw.rowvacuation(p)) == p)
-
-
-@_ident("dual-rowvacuation-involution", "dual rowvacuation squares to the identity")
-def _c_drvac_inv(s: Slope):
-    return _path_check(s, lambda p: rw.dual_rowvacuation(rw.dual_rowvacuation(p)) == p)
-
-
-@_ident("rowvacuation-rowmotion-conjugate", "rowvacuation conjugates rowmotion to its inverse")
-def _c_rvac_conj(s: Slope):
-    return _path_check(
-        s,
-        lambda p: rw.rowvacuation(rw.rowmotion(p)) == rw.rowmotion_inverse(rw.rowvacuation(p)),
-    )
-
-
-@_ident("dual-rowvacuation-rowmotion-conjugate",
-        "dual rowvacuation conjugates rowmotion to its inverse")
-def _c_drvac_conj(s: Slope):
-    return _path_check(
-        s,
-        lambda p: rw.dual_rowvacuation(rw.rowmotion(p))
-        == rw.rowmotion_inverse(rw.dual_rowvacuation(p)),
-    )
-
-
-@_ident("rowmotion-order-rowvacuation",
-        "rowmotion to the rank span plus two equals both rowvacuations composed")
-def _c_row_ord(s: Slope):
-    region = rw.box_region(s)
-    power = (region.max_rank - region.min_rank) + 2 if region.max_rank >= region.min_rank else 0
-    return _path_check(
-        s,
-        lambda p: rw.rowmotion_power(p, power)
-        == rw.dual_rowvacuation(rw.rowvacuation(p)),
-    )
-
-
-@_ident("rowmotion-valley-map", "rowmotion is the valley-peak path map classically",
-        applies=_classical)
-def _c_row_d1(s: Slope):
-    return _path_check(s, lambda p: rw.rowmotion(p) == pe.dyck1(p))
-
-
-@_ident("rowvacuation-lalanne-kreweras",
-        "rowvacuation is the two-row grid involution classically", applies=_classical)
-def _c_rvac_d2(s: Slope):
-    return _path_check(s, lambda p: rw.rowvacuation(p) == pe.dyck2(p))
-
-
-@_ident("dual-rowvacuation-ev-lalanne-kreweras",
-        "dual rowvacuation is evacuation after the grid involution classically",
-        applies=_classical)
-def _c_drvac_d2(s: Slope):
-    return _path_check(
-        s, lambda p: rw.dual_rowvacuation(p) == pr.evacuation_fast(pe.dyck2(p))
-    )
-
-
-@_ident("rowmotion-power-evacuation", "rowmotion to the n equals evacuation classically",
-        applies=_classical)
-def _c_row_ev(s: Slope):
-    return _path_check(
-        s, lambda p: rw.rowmotion_power(p, s.n) == pr.evacuation_fast(p)
-    )
+_ident("rank-toggle-involution", "every rank toggle is an involution", _paths,
+       lambda p: all(rw.rank_toggle(r, rw.rank_toggle(r, p)) == p for r in _ranks(p.slope)),
+       True, max_n=lambda s: 4)
+_ident("rowmotion-structural", "toggle rowmotion equals the filter-complement oracle",
+       _paths, lambda p: rw.rowmotion(p), lambda p: rw.rowmotion_structural(p))
+_ident("rowmotion-roundtrip", "rowmotion composed with its inverse sweep is trivial",
+       _paths, lambda p: rw.rowmotion_inverse(rw.rowmotion(p)), lambda p: p)
+_ident("rowvacuation-involution", "rowvacuation squares to the identity", _paths,
+       lambda p: rw.rowvacuation(rw.rowvacuation(p)), lambda p: p)
+_ident("dual-rowvacuation-involution", "dual rowvacuation squares to the identity", _paths,
+       lambda p: rw.dual_rowvacuation(rw.dual_rowvacuation(p)), lambda p: p)
+_ident("rowvacuation-rowmotion-conjugate", "rowvacuation conjugates rowmotion to its inverse",
+       _paths, lambda p: rw.rowvacuation(rw.rowmotion(p)),
+       lambda p: rw.rowmotion_inverse(rw.rowvacuation(p)))
+_ident("dual-rowvacuation-rowmotion-conjugate",
+       "dual rowvacuation conjugates rowmotion to its inverse", _paths,
+       lambda p: rw.dual_rowvacuation(rw.rowmotion(p)),
+       lambda p: rw.rowmotion_inverse(rw.dual_rowvacuation(p)))
+_ident("rowmotion-order-rowvacuation",
+       "rowmotion to the rank span plus two equals both rowvacuations composed", _paths,
+       lambda p: pa.iterate(rw.rowmotion, rw.rowmotion_inverse, p, _rowmotion_order(p.slope)),
+       lambda p: rw.dual_rowvacuation(rw.rowvacuation(p)))
+_ident("rowmotion-valley-map", "rowmotion is the valley-peak path map classically", _paths,
+       lambda p: rw.rowmotion(p), lambda p: pe.dyck1(p), applies=_classical)
+_ident("rowvacuation-lalanne-kreweras",
+       "rowvacuation is the two-row grid involution classically", _paths,
+       lambda p: rw.rowvacuation(p), lambda p: pe.dyck2(p), applies=_classical)
+_ident("dual-rowvacuation-ev-lalanne-kreweras",
+       "dual rowvacuation is evacuation after the grid involution classically", _paths,
+       lambda p: rw.dual_rowvacuation(p), lambda p: pr.evacuation_fast(pe.dyck2(p)),
+       applies=_classical)
+_ident("rowmotion-power-evacuation", "rowmotion to the n equals evacuation classically",
+       _paths, lambda p: pa.iterate(rw.rowmotion, rw.rowmotion_inverse, p, p.slope.n),
+       lambda p: pr.evacuation_fast(p), applies=_classical)
 
 
 # -- grid permutation maps ----------------------------------------------------
 
 
-@_ident("rothe-roundtrip", "peak extraction and completion invert each other",
-        applies=_classical)
-def _c_rothe(s: Slope):
-    return _perm_check(s, lambda w: pe.e_p_inverse(pe.e_p(w)) == w)
-
-
-@_ident("transpose-path-inverse-permutation",
-        "the below-diagonal peak path equals the peak path of the inverse",
-        applies=_classical)
-def _c_ew(s: Slope):
-    return _perm_check(s, lambda w: pe.e_w(w) == pe.e_p(w.inverse()))
-
-
-@_ident("lalanne-kreweras-involution", "the below-diagonal corner map is an involution",
-        applies=_classical)
-def _c_d2(s: Slope):
-    return _path_check(s, lambda p: pe.dyck2(pe.dyck2(p)) == p)
-
-
-@_ident("transpose-map-involution", "the transpose path map is an involution",
-        applies=_classical)
-def _c_d3(s: Slope):
-    return _path_check(s, lambda p: pe.dyck3(pe.dyck3(p)) == p)
-
-
-@_ident("rsk-crossing-resolution", "two-row insertion and strand smoothing agree",
-        applies=_classical)
-def _c_rsk_pmx(s: Slope):
-    return _perm_check(s, lambda w: mt.pm(pe.rsk_hat(w)) == pe.pm_cross(w))
-
-
-@_ident("rsk-tiling-roundtrip", "the tiling map inverts the insertion path map",
-        applies=_classical)
-def _c_rsk_dt(s: Slope):
-    return _perm_check(s, lambda w: ti.dt_map(pe.rsk_hat(w)) == w)
-
-
-@_ident("rsk-rowmotion", "the insertion path map turns rowmotion into inverse promotion",
-        applies=_classical)
-def _c_cd1(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pe.rsk_path(rw.rowmotion(p)) == pr.dual_promotion(pe.rsk_path(p)),
-    )
-
-
-@_ident("rsk-partial-rowvacuation",
-        "the insertion path map turns the truncated sweep product into evacuation",
-        applies=_classical)
-def _c_cd2(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pe.rsk_path(rw.partial_rowvacuation(p))
-        == pr.evacuation_fast(pe.rsk_path(p)),
-    )
-
-
-@_ident("rsk-transpose-evacuation",
-        "the insertion path map turns the transpose map into evacuation",
-        applies=_classical)
-def _c_cd3(s: Slope):
-    return _path_check(
-        s, lambda p: pe.rsk_path(pe.dyck3(p)) == pr.evacuation_fast(pe.rsk_path(p))
-    )
-
-
-@_ident("rsk-lalanne-kreweras",
-        "the insertion path map turns the grid involution into evacuation after "
-        "inverse promotion", applies=_classical)
-def _c_cd4(s: Slope):
-    return _path_check(
-        s,
-        lambda p: pe.rsk_path(pe.dyck2(p))
-        == pr.evacuation_fast(pr.dual_promotion(pe.rsk_path(p))),
-    )
-
-
-@_ident("mat-lalanne-kreweras",
-        "the matching map turns the grid involution into evacuation after promotion",
-        applies=_classical)
-def _c_cd5(s: Slope):
-    return _path_check(
-        s,
-        lambda p: mm.mat(pe.dyck2(mm.mat_inverse(p)))
-        == pr.evacuation_fast(pr.promotion(p)),
-    )
-
-
-@_ident("rsk-mat-evacuation",
-        "the insertion path map is promotion after the matching map after evacuation",
-        applies=_classical)
-def _c_rskmat(s: Slope):
-    return _path_check(
-        s, lambda p: pe.rsk_path(p) == pr.promotion(mm.mat(pr.evacuation_fast(p)))
-    )
-
-
-@_ident("mat-crossing-evacuation",
-        "the matching map is inverse promotion after strand smoothing after evacuation",
-        applies=_classical)
-def _c_matpmx(s: Slope):
-    return _path_check(
-        s,
-        lambda p: mm.mat(p)
-        == pr.dual_promotion(pe.pm_cross_path(pe.e_p_inverse(pr.evacuation_fast(p)))),
-    )
-
-
-@_ident("valley-map-kreweras",
-        "the valley-peak map is the inverse complement transported through insertion",
-        applies=_classical, max_n=lambda s: 6)
-def _c_d1kre(s: Slope):
-    def rel(p):
-        q = pe.rsk_path(p)
-        q = nc.ncp_to_dyck(nc.kre_inverse(nc.dyck_to_ncp(q)))
-        return pe.dyck1(p) == pe.e_p(ti.dt_map(q))
-
-    return _path_check(s, rel)
-
-
-@_ident("rowmotion-transpose-simion-ullman",
-        "rowmotion after the transpose map matches the boundary involution "
-        "transported through insertion", applies=_classical, max_n=lambda s: 6)
-def _c_rvd3(s: Slope):
-    def rel(p):
-        q = pe.rsk_path(p)
-        q = nc.ncp_to_dyck(nc.su(nc.dyck_to_ncp(q)))
-        return rw.rowmotion(pe.dyck3(p)) == pe.e_p(ti.dt_map(q))
-
-    return _path_check(s, rel)
+_ident("rothe-roundtrip", "peak extraction and completion invert each other", _perms,
+       lambda w: pe.e_p_inverse(pe.e_p(w)), lambda w: w, applies=_classical)
+_ident("transpose-path-inverse-permutation",
+       "the below-diagonal peak path equals the peak path of the inverse", _perms,
+       lambda w: pe.e_w(w), lambda w: pe.e_p(w.inverse()), applies=_classical)
+_ident("lalanne-kreweras-involution", "the below-diagonal corner map is an involution",
+       _paths, lambda p: pe.dyck2(pe.dyck2(p)), lambda p: p, applies=_classical)
+_ident("transpose-map-involution", "the transpose path map is an involution", _paths,
+       lambda p: pe.dyck3(pe.dyck3(p)), lambda p: p, applies=_classical)
+_ident("rsk-crossing-resolution", "two-row insertion and strand smoothing agree", _perms,
+       lambda w: mt.pm(pe.rsk_hat(w)), lambda w: pe.pm_cross(w), applies=_classical)
+_ident("rsk-tiling-roundtrip", "the tiling map inverts the insertion path map", _perms,
+       lambda w: ti.dt_map(pe.rsk_hat(w)), lambda w: w, applies=_classical)
+_ident("rsk-rowmotion", "the insertion path map turns rowmotion into inverse promotion",
+       _paths, lambda p: pe.rsk_path(rw.rowmotion(p)),
+       lambda p: pr.dual_promotion(pe.rsk_path(p)), applies=_classical)
+_ident("rsk-partial-rowvacuation",
+       "the insertion path map turns the truncated sweep product into evacuation", _paths,
+       lambda p: pe.rsk_path(rw.partial_rowvacuation(p)),
+       lambda p: pr.evacuation_fast(pe.rsk_path(p)), applies=_classical)
+_ident("rsk-transpose-evacuation",
+       "the insertion path map turns the transpose map into evacuation", _paths,
+       lambda p: pe.rsk_path(pe.dyck3(p)), lambda p: pr.evacuation_fast(pe.rsk_path(p)),
+       applies=_classical)
+_ident("rsk-lalanne-kreweras",
+       "the insertion path map turns the grid involution into evacuation after "
+       "inverse promotion", _paths, lambda p: pe.rsk_path(pe.dyck2(p)),
+       lambda p: pr.evacuation_fast(pr.dual_promotion(pe.rsk_path(p))), applies=_classical)
+_ident("mat-lalanne-kreweras",
+       "the matching map turns the grid involution into evacuation after promotion", _paths,
+       lambda p: mm.mat(pe.dyck2(mm.mat_inverse(p))),
+       lambda p: pr.evacuation_fast(pr.promotion(p)), applies=_classical)
+_ident("rsk-mat-evacuation",
+       "the insertion path map is promotion after the matching map after evacuation", _paths,
+       lambda p: pe.rsk_path(p), lambda p: pr.promotion(mm.mat(pr.evacuation_fast(p))),
+       applies=_classical)
+_ident("mat-crossing-evacuation",
+       "the matching map is inverse promotion after strand smoothing after evacuation",
+       _paths, lambda p: mm.mat(p),
+       lambda p: pr.dual_promotion(pe.pm_cross_path(pe.e_p_inverse(pr.evacuation_fast(p)))),
+       applies=_classical)
+_ident("valley-map-kreweras",
+       "the valley-peak map is the inverse complement transported through insertion",
+       _paths, lambda p: pe.dyck1(p),
+       lambda p: pe.e_p(ti.dt_map(nc.transport(nc.kre_inverse, pe.rsk_path(p)))),
+       applies=_classical, max_n=lambda s: 6)
+_ident("rowmotion-transpose-simion-ullman",
+       "rowmotion after the transpose map matches the boundary involution "
+       "transported through insertion", _paths, lambda p: rw.rowmotion(pe.dyck3(p)),
+       lambda p: pe.e_p(ti.dt_map(nc.transport(nc.su, pe.rsk_path(p)))),
+       applies=_classical, max_n=lambda s: 6)
 
 
 # -- tilings ------------------------------------------------------------------
 
 
-@_ident("tiling-structure", "every maximal tiling is cover-inclusive and unmergeable",
-        applies=_unit_a, max_n=lambda s: 5)
-def _c_tiling(s: Slope):
-    def rel(p):
-        t = ti.max_tiling(p)
-        return ti.is_cover_inclusive(t) and ti.is_maximal(t)
-
-    return _path_check(s, rel)
-
-
-@_ident("kappa-line-transposition",
-        "history-line tile counts equal the transposition inversion counts",
-        applies=_unit_a, max_n=lambda s: 5)
-def _c_kappa(s: Slope):
-    return _path_check(s, lambda p: ti.kappa(p) == ti.kappa_by_transpositions(p))
-
-
-@_ident("rsk-composition-roundtrip",
-        "the tiling inverse and the promotion-matching composite invert each other",
-        applies=_unit_a, max_n=lambda s: 5)
-def _c_rsk_rt(s: Slope):
-    return _path_check(
-        s,
-        lambda p: ti.rsk_hat_path(ti.rsk_hat_inverse(p)) == p
-        and ti.rsk_hat_inverse(ti.rsk_hat_path(p)) == p,
-    )
-
-
-@_ident("rsk-inverse-rowmotion",
-        "the tiling inverse turns inverse promotion into rowmotion",
-        applies=_unit_a, max_n=lambda s: 5)
-def _c_rskk(s: Slope):
-    return _path_check(
-        s,
-        lambda p: ti.rsk_hat_inverse(pr.dual_promotion(p))
-        == rw.rowmotion(ti.rsk_hat_inverse(p)),
-    )
-
-
-@_ident("rsk-path-classical",
-        "the promotion-matching composite matches the insertion path map classically",
-        applies=_classical)
-def _c_rsk_cl(s: Slope):
-    return _path_check(s, lambda p: ti.rsk_hat_path(p) == pe.rsk_path(p))
+_ident("tiling-structure", "every maximal tiling is cover-inclusive and unmergeable",
+       _paths, lambda p: (ti.is_cover_inclusive(t := ti.max_tiling(p)), ti.is_maximal(t)),
+       (True, True), applies=_unit_a, max_n=lambda s: 5)
+_ident("kappa-line-transposition",
+       "history-line tile counts equal the transposition inversion counts", _paths,
+       lambda p: ti.kappa(p), lambda p: ti.kappa_by_transpositions(p),
+       applies=_unit_a, max_n=lambda s: 5)
+_ident("rsk-composition-roundtrip",
+       "the tiling inverse and the promotion-matching composite invert each other", _paths,
+       lambda p: (ti.rsk_hat_path(ti.rsk_hat_inverse(p)), ti.rsk_hat_inverse(ti.rsk_hat_path(p))),
+       lambda p: (p, p), applies=_unit_a, max_n=lambda s: 5)
+_ident("rsk-inverse-rowmotion", "the tiling inverse turns inverse promotion into rowmotion",
+       _paths, lambda p: ti.rsk_hat_inverse(pr.dual_promotion(p)),
+       lambda p: rw.rowmotion(ti.rsk_hat_inverse(p)), applies=_unit_a, max_n=lambda s: 5)
+_ident("rsk-path-classical",
+       "the promotion-matching composite matches the insertion path map classically",
+       _paths, lambda p: ti.rsk_hat_path(p), lambda p: pe.rsk_path(p), applies=_classical)
 
 
 # -- matching map -------------------------------------------------------------
 
 
-@_ident("mat-roundtrip", "the matching map and its inverse are mutually inverse")
-def _c_mat_rt(s: Slope):
-    return _path_check(
-        s, lambda p: mm.mat_inverse(mm.mat(p)) == p and mm.mat(mm.mat_inverse(p)) == p
-    )
-
-
-@_ident("mat-rowmotion", "the matching map turns rowmotion into inverse promotion")
-def _c_mat_row(s: Slope):
-    return _path_check(
-        s, lambda p: mm.mat(rw.rowmotion(p)) == pr.dual_promotion(mm.mat(p))
-    )
-
-
-@_ident("ev-rowvacuation",
-        "evacuation is the k-fold inverse rowmotion after rowvacuation, transported",
-        applies=_unit_a, max_n=lambda s: 4)
-def _c_evrvac(s: Slope):
-    k = s.b
-    return _path_check(
-        s,
-        lambda p: pr.evacuation_fast(p)
-        == mm.mat(rw.rowmotion_power(rw.rowvacuation(mm.mat_inverse(p)), -k)),
-    )
-
-
-@_ident("promotion-power-rowvacuations",
-        "a fixed promotion power matches both rowvacuations composed, transported",
-        applies=_unit_a, max_n=lambda s: 4)
-def _c_md1(s: Slope):
-    k, n = s.b, s.n
-    return _path_check(
-        s,
-        lambda p: pr.promotion_power(p, -n * k + k - 1)
-        == mm.mat(rw.dual_rowvacuation(rw.rowvacuation(mm.mat_inverse(p)))),
-    )
-
-
-@_ident("su-rowvacuation", "the boundary involution matches rowvacuation, transported",
-        applies=_unit_a, max_n=lambda s: 4)
-def _c_md2(s: Slope):
-    k = s.b
-
-    def rel(p):
-        lhs = nc.ncp_to_dyck(nc.su(nc.dyck_to_ncp(p)))
-        return lhs == mm.mat(rw.rowmotion_power(rw.rowvacuation(mm.mat_inverse(p)), -(k - 1)))
-
-    return _path_check(s, rel)
-
-
-@_ident("lk-rowvacuation", "the grid involution matches rowvacuation, transported",
-        applies=_unit_a, max_n=lambda s: 4)
-def _c_md3(s: Slope):
-    k = s.b
-
-    def rel(p):
-        lhs = nc.ncp_to_dyck(nc.lk(nc.dyck_to_ncp(p)))
-        return lhs == mm.mat(rw.rowmotion_power(rw.rowvacuation(mm.mat_inverse(p)), -2 * k))
-
-    return _path_check(s, rel)
-
-
-@_ident("kre-squared-rowmotion", "the squared complement matches a rowmotion power, "
-        "transported", applies=_unit_a, max_n=lambda s: 4)
-def _c_md4(s: Slope):
-    k = s.b
-
-    def rel(p):
-        lhs = nc.ncp_to_dyck(nc.kre(nc.kre(nc.dyck_to_ncp(p))))
-        return lhs == mm.mat(rw.rowmotion_power(mm.mat_inverse(p), -(k + 1)))
-
-    return _path_check(s, rel)
+_ident("mat-roundtrip", "the matching map and its inverse are mutually inverse", _paths,
+       lambda p: (mm.mat_inverse(mm.mat(p)), mm.mat(mm.mat_inverse(p))), lambda p: (p, p))
+_ident("mat-rowmotion", "the matching map turns rowmotion into inverse promotion", _paths,
+       lambda p: mm.mat(rw.rowmotion(p)), lambda p: pr.dual_promotion(mm.mat(p)))
+_ident("ev-rowvacuation",
+       "evacuation is the k-fold inverse rowmotion after rowvacuation, transported", _paths,
+       lambda p: pr.evacuation_fast(p),
+       lambda p: mm.mat(pa.iterate(rw.rowmotion, rw.rowmotion_inverse,
+                                   rw.rowvacuation(mm.mat_inverse(p)), -p.slope.b)),
+       applies=_unit_a, max_n=lambda s: 4)
+_ident("promotion-power-rowvacuations",
+       "a fixed promotion power matches both rowvacuations composed, transported", _paths,
+       lambda p: pa.iterate(pr.promotion, pr.dual_promotion, p,
+                            -p.slope.n * p.slope.b + p.slope.b - 1),
+       lambda p: mm.mat(rw.dual_rowvacuation(rw.rowvacuation(mm.mat_inverse(p)))),
+       applies=_unit_a, max_n=lambda s: 4)
+_ident("su-rowvacuation", "the boundary involution matches rowvacuation, transported",
+       _paths, lambda p: nc.transport(nc.su, p),
+       lambda p: mm.mat(pa.iterate(rw.rowmotion, rw.rowmotion_inverse,
+                                   rw.rowvacuation(mm.mat_inverse(p)), -(p.slope.b - 1))),
+       applies=_unit_a, max_n=lambda s: 4)
+_ident("lk-rowvacuation", "the grid involution matches rowvacuation, transported", _paths,
+       lambda p: nc.transport(nc.lk, p),
+       lambda p: mm.mat(pa.iterate(rw.rowmotion, rw.rowmotion_inverse,
+                                   rw.rowvacuation(mm.mat_inverse(p)), -2 * p.slope.b)),
+       applies=_unit_a, max_n=lambda s: 4)
+_ident("kre-squared-rowmotion", "the squared complement matches a rowmotion power, "
+       "transported", _paths, lambda p: nc.transport(lambda c: nc.kre(nc.kre(c)), p),
+       lambda p: mm.mat(pa.iterate(rw.rowmotion, rw.rowmotion_inverse,
+                                   mm.mat_inverse(p), -(p.slope.b + 1))),
+       applies=_unit_a, max_n=lambda s: 4)
 
 
 # -- non-crossing chains ------------------------------------------------------
 
 
-@_ident("chain-roundtrip", "the chain-path bijection round-trips", applies=_unit_a)
-def _c_chain_rt(s: Slope):
-    return _chain_check(s, lambda c: nc.dyck_to_ncp(nc.ncp_to_dyck(c)) == c)
-
-
-@_ident("kre-squared-rotation", "the complement squares to rotation", applies=_unit_a)
-def _c_kre2(s: Slope):
-    return _chain_check(s, lambda c: nc.kre(nc.kre(c)) == nc.rot(c))
-
-
-@_ident("rotation-order", "rotating n times is the identity", applies=_unit_a)
-def _c_rotn(s: Slope):
-    return _chain_check(s, lambda c: _iterate(nc.rot, c, s.n) == c)
-
-
-@_ident("reflection-involution", "reflection is an involution", applies=_unit_a)
-def _c_ref2(s: Slope):
-    return _chain_check(s, lambda c: nc.ref(nc.ref(c)) == c)
-
-
-@_ident("su-involution", "the boundary involution squares to the identity",
-        applies=_unit_a)
-def _c_su2(s: Slope):
-    return _chain_check(s, lambda c: nc.su(nc.su(c)) == c)
-
-
-@_ident("lk-involution", "the grid involution squares to the identity on chains",
-        applies=_unit_a)
-def _c_lk2(s: Slope):
-    return _chain_check(s, lambda c: nc.lk(nc.lk(c)) == c)
-
-
-@_ident("su-rot-conjugate", "rotation conjugates through the boundary involution",
-        applies=_unit_a)
-def _c_surot(s: Slope):
-    inv_rot = lambda c: _iterate(nc.rot, c, s.n - 1)
-    return _chain_check(s, lambda c: nc.su(nc.rot(c)) == inv_rot(nc.su(c)))
-
-
-@_ident("lk-rot-conjugate", "rotation conjugates through the grid involution",
-        applies=_unit_a)
-def _c_lkrot(s: Slope):
-    inv_rot = lambda c: _iterate(nc.rot, c, s.n - 1)
-    return _chain_check(s, lambda c: nc.lk(nc.rot(c)) == inv_rot(nc.lk(c)))
-
-
-@_ident("lk-su-rotation", "the two involutions compose to rotation", applies=_unit_a)
-def _c_lksu(s: Slope):
-    return _chain_check(s, lambda c: nc.lk(nc.su(c)) == nc.rot(c))
-
-
-@_ident("kre-ref-su", "the complement is reflection after the boundary involution "
-        "(definitional: su_partition is ref_partition after kre_partition)",
-        applies=_unit_a)
-def _c_krerefsu(s: Slope):
-    return _chain_check(s, lambda c: nc.kre(c) == nc.ref(nc.su(c)))
-
-
-@_ident("kre-su-twist", "the complement twists through the boundary involution",
-        applies=_unit_a)
-def _c_kresu(s: Slope):
-    return _chain_check(s, lambda c: nc.kre(nc.su(c)) == nc.su(nc.kre_inverse(c)))
-
-
-@_ident("kre-lk-twist", "the complement twists through the grid involution",
-        applies=_unit_a)
-def _c_krelk(s: Slope):
-    return _chain_check(s, lambda c: nc.kre(nc.lk(c)) == nc.lk(nc.kre_inverse(c)))
-
-
-@_ident("rank-reversal", "complement-type maps reverse the rank", applies=_unit_a)
-def _c_rankrev(s: Slope):
-    def rel(c):
-        return all(
-            nc.rank(layer) + nc.rank(f(layer)) == s.n - 1
-            for layer in c.layers
-            for f in (nc.kre_partition, nc.su_partition, nc.lk_partition)
-        )
-
-    return _chain_check(s, rel)
-
-
-@_ident("kre-order-reversing", "the complement reverses refinement", applies=_unit_a)
-def _c_kreorder(s: Slope):
-    def rel(c):
-        imgs = [nc.kre_partition(layer) for layer in c.layers]
-        return all(
-            imgs[i].refines(imgs[i + 1]) for i in range(len(imgs) - 1)
-        )
-
-    return _chain_check(s, rel)
-
-
-@_ident("kre-promotion", "the complement matches promotion through the chain bijection",
-        applies=_classical)
-def _c_krepro(s: Slope):
-    return _path_check(
-        s, lambda p: nc.ncp_to_dyck(nc.kre(nc.dyck_to_ncp(p))) == pr.promotion(p)
-    )
-
-
-@_ident("rot-promotion-power", "rotation matches the (k+1)-st promotion power, "
-        "transported", applies=_unit_a)
-def _c_rotpro(s: Slope):
-    k = s.b
-    return _path_check(
-        s,
-        lambda p: nc.ncp_to_dyck(nc.rot(nc.dyck_to_ncp(p)))
-        == pr.promotion_power(p, k + 1),
-    )
-
-
-@_ident("su-ev-promotion", "the boundary involution matches evacuation after promotion, "
-        "transported", applies=_unit_a)
-def _c_supro(s: Slope):
-    return _path_check(
-        s,
-        lambda p: nc.ncp_to_dyck(nc.su(nc.dyck_to_ncp(p)))
-        == pr.evacuation_fast(pr.promotion(p)),
-    )
-
-
-@_ident("lk-ev-promotion", "the grid involution matches evacuation after inverse "
-        "promotion powers, transported", applies=_unit_a)
-def _c_lkpro(s: Slope):
-    k = s.b
-    return _path_check(
-        s,
-        lambda p: nc.ncp_to_dyck(nc.lk(nc.dyck_to_ncp(p)))
-        == pr.evacuation_fast(pr.promotion_power(p, -k)),
-    )
-
-
-@_ident("lift-promotion", "the weight lift matches promotion through the chain "
-        "bijection", applies=_unit_a, max_n=lambda s: 4)
-def _c_liftpro(s: Slope):
-    return _path_check(
-        s, lambda p: nc.ncp_to_dyck(nc.lift(nc.dyck_to_ncp(p))) == pr.promotion(p)
-    )
+_ident("chain-roundtrip", "the chain-path bijection round-trips", _chains,
+       lambda c: nc.dyck_to_ncp(nc.ncp_to_dyck(c)), lambda c: c, applies=_unit_a)
+_ident("kre-squared-rotation", "the complement squares to rotation", _chains,
+       lambda c: nc.kre(nc.kre(c)), lambda c: nc.rot(c), applies=_unit_a)
+_ident("rotation-order", "rotating n times is the identity", _chains,
+       lambda c: pa.iterate(nc.rot, None, c, c.n), lambda c: c, applies=_unit_a)
+_ident("reflection-involution", "reflection is an involution", _chains,
+       lambda c: nc.ref(nc.ref(c)), lambda c: c, applies=_unit_a)
+_ident("su-involution", "the boundary involution squares to the identity", _chains,
+       lambda c: nc.su(nc.su(c)), lambda c: c, applies=_unit_a)
+_ident("lk-involution", "the grid involution squares to the identity on chains", _chains,
+       lambda c: nc.lk(nc.lk(c)), lambda c: c, applies=_unit_a)
+_ident("su-rot-conjugate", "rotation conjugates through the boundary involution", _chains,
+       lambda c: nc.su(nc.rot(c)), lambda c: pa.iterate(nc.rot, None, nc.su(c), c.n - 1),
+       applies=_unit_a)
+_ident("lk-rot-conjugate", "rotation conjugates through the grid involution", _chains,
+       lambda c: nc.lk(nc.rot(c)), lambda c: pa.iterate(nc.rot, None, nc.lk(c), c.n - 1),
+       applies=_unit_a)
+_ident("lk-su-rotation", "the two involutions compose to rotation", _chains,
+       lambda c: nc.lk(nc.su(c)), lambda c: nc.rot(c), applies=_unit_a)
+_ident("kre-ref-su", "the complement is reflection after the boundary involution "
+       "(definitional: su_partition is ref_partition after kre_partition)", _chains,
+       lambda c: nc.kre(c), lambda c: nc.ref(nc.su(c)), applies=_unit_a)
+_ident("kre-su-twist", "the complement twists through the boundary involution", _chains,
+       lambda c: nc.kre(nc.su(c)), lambda c: nc.su(nc.kre_inverse(c)), applies=_unit_a)
+_ident("kre-lk-twist", "the complement twists through the grid involution", _chains,
+       lambda c: nc.kre(nc.lk(c)), lambda c: nc.lk(nc.kre_inverse(c)), applies=_unit_a)
+_ident("rank-reversal", "complement-type maps reverse the rank", _chains,
+       lambda c: {nc.rank(layer) + nc.rank(f(layer)) for layer in c.layers
+                  for f in (nc.kre_partition, nc.su_partition, nc.lk_partition)},
+       lambda c: {c.n - 1}, applies=_unit_a)
+_ident("kre-order-reversing", "the complement reverses refinement", _chains,
+       lambda c: all(x.refines(y) for x, y in pairwise(nc.kre_partition(l) for l in c.layers)),
+       True, applies=_unit_a)
+_ident("kre-promotion", "the complement matches promotion through the chain bijection",
+       _paths, lambda p: nc.transport(nc.kre, p), lambda p: pr.promotion(p),
+       applies=_classical)
+_ident("rot-promotion-power", "rotation matches the (k+1)-st promotion power, "
+       "transported", _paths, lambda p: nc.transport(nc.rot, p),
+       lambda p: pa.iterate(pr.promotion, pr.dual_promotion, p, p.slope.b + 1),
+       applies=_unit_a)
+_ident("su-ev-promotion", "the boundary involution matches evacuation after promotion, "
+       "transported", _paths, lambda p: nc.transport(nc.su, p),
+       lambda p: pr.evacuation_fast(pr.promotion(p)), applies=_unit_a)
+_ident("lk-ev-promotion", "the grid involution matches evacuation after inverse "
+       "promotion powers, transported", _paths, lambda p: nc.transport(nc.lk, p),
+       lambda p: pr.evacuation_fast(pa.iterate(pr.promotion, pr.dual_promotion, p, -p.slope.b)),
+       applies=_unit_a)
+_ident("lift-promotion", "the weight lift matches promotion through the chain "
+       "bijection", _paths, lambda p: nc.transport(nc.lift, p), lambda p: pr.promotion(p),
+       applies=_unit_a, max_n=lambda s: 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,14 +624,18 @@ def orbit_table(map_name: str, slope: Slope) -> list[list[str]]:
     return cycles
 
 
-def apply_map(map_name: str, slope: Slope, p: RationalDyckPath, power: int = 1) -> RationalDyckPath:
-    m = resolve_path_map(map_name, slope)
-    if power >= 0:
-        fn = m.fn
+def apply_map(
+    map_name: str, slope: Slope, x: RationalDyckPath | nc.NonCrossingChain, power: int = 1
+) -> RationalDyckPath | nc.NonCrossingChain:
+    """A registered map to the ``power`` on a path, or on a chain when ``x``
+    is a ``NonCrossingChain``; a negative power iterates the inverse."""
+    if isinstance(x, nc.NonCrossingChain):
+        if map_name not in CHAIN_MAPS:
+            raise ValueError(f"map {map_name!r} does not act on chains")
+        fn, inverse = CHAIN_MAPS[map_name]
     else:
-        if m.inverse is None:
-            raise ValueError(f"map {map_name!r} has no registered inverse")
-        fn = m.inverse
-    for _ in range(abs(power)):
-        p = fn(p)
-    return p
+        m = resolve_path_map(map_name, slope)
+        fn, inverse = m.fn, m.inverse
+    if power < 0 and inverse is None:
+        raise ValueError(f"map {map_name!r} has no registered inverse")
+    return pa.iterate(fn, inverse, x, power)

@@ -128,13 +128,6 @@ def rowmotion_inverse(p: RationalDyckPath) -> RationalDyckPath:
     return _sweep(p, region, range(region.min_rank, region.max_rank + 1))
 
 
-def rowmotion_power(p: RationalDyckPath, power: int) -> RationalDyckPath:
-    step = rowmotion if power >= 0 else rowmotion_inverse
-    for _ in range(abs(power)):
-        p = step(p)
-    return p
-
-
 @memo_image
 def rowmotion_structural(p: RationalDyckPath) -> RationalDyckPath:
     """Independent oracle: complement of the down-set of the filter minima."""

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 from .matchings import pm
 from .matching_map import mat
-from .paths import InvariantError, RationalDyckPath, memo_image, path_from_young_rows, young_rows
+from .paths import (
+    InvariantError,
+    RationalDyckPath,
+    iterate,
+    memo_image,
+    path_from_young_rows,
+    young_rows,
+)
 from .perms import Permutation321
-from .promotion import promotion_power
+from .promotion import dual_promotion, promotion
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,7 @@ def rsk_hat_inverse(p: RationalDyckPath) -> RationalDyckPath:
 def rsk_hat_path(p: RationalDyckPath) -> RationalDyckPath:
     """The RSK-type correspondence as a path map, via the matching map."""
     _require_unit_a(p)
-    return promotion_power(mat(p), -(p.slope.n - 1))
+    return iterate(promotion, dual_promotion, mat(p), -(p.slope.n - 1))
 
 
 # ---------------------------------------------------------------------------

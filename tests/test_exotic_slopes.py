@@ -9,12 +9,12 @@ import pytest
 
 from ratdyck.matchings import bar, pm
 from ratdyck.matching_map import mat, mat_inverse
-from ratdyck.paths import Slope, count_paths, count_paths_dp, enumerate_paths
+from ratdyck.paths import Slope, count_paths, count_paths_dp, enumerate_paths, iterate
 from ratdyck.promotion import (
     dual_evacuation_fast,
     dual_promotion,
     evacuation_fast,
-    promotion_power,
+    promotion,
 )
 from ratdyck.rowmotion import rowmotion, rowmotion_structural
 
@@ -37,6 +37,6 @@ def test_core_maps_on_exotic_slopes(a, b, n):
         assert mat(rowmotion(p)) == dual_promotion(q)
         assert rowmotion(p) == rowmotion_structural(p)
         assert pm(evacuation_fast(p)) == bar(pm(p))
-        assert promotion_power(p, slope.total_steps) == dual_evacuation_fast(
+        assert iterate(promotion, dual_promotion, p, slope.total_steps) == dual_evacuation_fast(
             evacuation_fast(p)
         )

@@ -40,7 +40,6 @@ from ratdyck.noncrossing import (
     broken_block_rule,
     enumerate_chains,
     enumerate_ncps,
-    is_noncrossing,
     kre,
     kre_inverse,
     ncp,
@@ -533,7 +532,7 @@ def set_partitions(n):
 @pytest.mark.parametrize("n", range(0, 9))
 def test_stack_scan_matches_pairwise_check(n):
     for blocks in set_partitions(n):
-        assert is_noncrossing(blocks, n) == noncrossing_reference(blocks), blocks
+        assert (broken_block_rule(blocks, n) == 0) == noncrossing_reference(blocks), blocks
 
 
 def enumerate_ncps_reference(n):

@@ -25,8 +25,8 @@ from ratdyck.noncrossing import (
     su,
     su_partition,
 )
-from ratdyck.paths import Slope, enumerate_paths, path_from_steps
-from ratdyck.promotion import evacuation_fast, promotion, promotion_power
+from ratdyck.paths import Slope, enumerate_paths, iterate, path_from_steps
+from ratdyck.promotion import dual_promotion, evacuation_fast, promotion
 from ratdyck.registry import CHAIN_MAPS
 
 
@@ -140,9 +140,11 @@ def test_conjugation_identities(k, nmax):
     for n in range(1, nmax + 1):
         for p in enumerate_paths(Slope(1, k, n)):
             chain = dyck_to_ncp(p)
-            assert ncp_to_dyck(rot(chain)) == promotion_power(p, k + 1)
+            assert ncp_to_dyck(rot(chain)) == iterate(promotion, dual_promotion, p, k + 1)
             assert ncp_to_dyck(su(chain)) == evacuation_fast(promotion(p))
-            assert ncp_to_dyck(lk(chain)) == evacuation_fast(promotion_power(p, -k))
+            assert ncp_to_dyck(lk(chain)) == evacuation_fast(
+                iterate(promotion, dual_promotion, p, -k)
+            )
             assert ncp_to_dyck(lift(chain)) == promotion(p)
             if k == 1:
                 assert ncp_to_dyck(kre(chain)) == promotion(p)

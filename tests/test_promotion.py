@@ -3,7 +3,7 @@ import types
 import pytest
 
 import ratdyck
-from ratdyck.paths import Slope, enumerate_paths, path_from_steps, star_path, top_path
+from ratdyck.paths import Slope, enumerate_paths, iterate, path_from_steps, star_path, top_path
 from ratdyck.promotion import (
     dual_evacuation,
     dual_evacuation_by_star,
@@ -12,7 +12,6 @@ from ratdyck.promotion import (
     evacuation,
     evacuation_fast,
     promotion,
-    promotion_power,
     toggle,
 )
 
@@ -76,7 +75,7 @@ def test_operator_relations(a, b, n):
         assert dual_promotion(promotion(p)) == p
         assert evacuation(evacuation(p)) == p
         assert dual_evacuation(dual_evacuation(p)) == p
-        assert promotion_power(p, slope.total_steps) == dual_evacuation_fast(
+        assert iterate(promotion, dual_promotion, p, slope.total_steps) == dual_evacuation_fast(
             evacuation_fast(p)
         )
         assert evacuation_fast(promotion(p)) == dual_promotion(evacuation_fast(p))

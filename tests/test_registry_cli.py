@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ratdyck import matching_map, registry
+from ratdyck import matching_map, promotion, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
 from ratdyck.paths import InvariantError, Slope, count_paths_dp, path_from_steps, top_path
@@ -26,6 +26,25 @@ def test_verify_negative_control():
     report = verify("pm-rot", Slope(2, 3, 1))
     assert report.status == "fail" and report.expected == "fail" and report.ok
     assert report.counterexamples
+
+
+def test_counterexample_shows_both_sides():
+    # the path, then the matching of its promotion and its rotated matching
+    report = verify("pm-rot", Slope(2, 3, 1))
+    assert report.counterexamples == ["1,2: lhs={1,2,5},{3,4} rhs={1,2},{3,4,5}"]
+
+
+def test_compound_row_shows_both_tuples(monkeypatch):
+    # with promotion standing in for its inverse, both round trips are
+    # promotion squared, and each side prints as a tuple of paths
+    monkeypatch.setattr(promotion, "dual_promotion", promotion.promotion)
+    report = verify("promotion-inverse", Slope(1, 2, 2))
+    assert report.status == "fail" and report.domain_size == 3
+    assert report.counterexamples == [
+        "1,2: lhs=(1,3, 1,3) rhs=(1,2, 1,2)",
+        "1,3: lhs=(1,4, 1,4) rhs=(1,3, 1,3)",
+        "1,4: lhs=(1,2, 1,2) rhs=(1,4, 1,4)",
+    ]
 
 
 def test_verify_unknown_or_inapplicable():
@@ -101,6 +120,21 @@ def test_cli_bad_input_exit_code(capsys):
     code, _, err = run(capsys, "orbit", "--map", "rsk", "--a", "2", "--b", "3",
                        "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", [("--path", "1,3,5"), ("--ncp", "1.2/3")])
+def test_cli_apply_without_inverse(capsys, source):
+    code, out, err = run(capsys, "apply", "--map", "lift", "--power", "-1", "--a", "1",
+                         "--b", "1", "--n", "3", *source)
+    assert code == 2 and out == ""
+    assert err == "error: map 'lift' has no registered inverse"
+
+
+def test_cli_apply_path_map_to_chain(capsys):
+    code, out, err = run(capsys, "apply", "--map", "promotion", "--a", "1", "--b", "1",
+                         "--n", "3", "--ncp", "1.2/3")
+    assert code == 2 and out == ""
+    assert err == "error: map 'promotion' does not act on chains"
 
 
 def test_cli_invariant_error_exit_code(capsys, monkeypatch):

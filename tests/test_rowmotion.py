@@ -3,6 +3,7 @@ import pytest
 from ratdyck.paths import (
     Slope,
     enumerate_paths,
+    iterate,
     lowest_path,
     path_from_steps,
     path_from_word,
@@ -19,7 +20,6 @@ from ratdyck.rowmotion import (
     rank_toggle,
     rowmotion,
     rowmotion_inverse,
-    rowmotion_power,
     rowmotion_structural,
     rowvacuation,
 )
@@ -114,7 +114,9 @@ def test_rowvacuation_relations(a, b, n):
         assert dual_rowvacuation(rowmotion(p)) == rowmotion_inverse(
             dual_rowvacuation(p)
         )
-        assert rowmotion_power(p, span + 2) == dual_rowvacuation(rowvacuation(p))
+        assert iterate(rowmotion, rowmotion_inverse, p, span + 2) == dual_rowvacuation(
+            rowvacuation(p)
+        )
 
 
 def test_classical_specializations():
@@ -123,4 +125,4 @@ def test_classical_specializations():
             assert rowmotion(p) == dyck1(p)
             assert rowvacuation(p) == dyck2(p)
             assert dual_rowvacuation(p) == evacuation_fast(dyck2(p))
-            assert rowmotion_power(p, n) == evacuation_fast(p)
+            assert iterate(rowmotion, rowmotion_inverse, p, n) == evacuation_fast(p)
