@@ -1,9 +1,12 @@
 """Command-line interface: count, enum, apply, orbit, verify, golden, convert.
 
-``enum``, ``orbit`` and ``convert --to ncp`` materialize a whole slope (the
-paths, or the chain table, which has one chain per path).  They take
+``enum``, ``orbit``, ``verify --identity``, ``convert --to ncp``, ``apply``
+of a chain map to a path and ``apply --map lk`` to a chain materialize a
+whole slope (the paths, or a chain table, which has one chain per path;
+``lk`` builds the (1,1) table of the chain's size).  They take
 ``--max-domain`` (default 250,000, which admits (1,1) n=12) and refuse a
-slope with more paths than that before anything is enumerated.
+slope with more paths than that before anything is enumerated.  The other
+chain maps act on a chain directly and are not limited.
 
 Exit codes: 0 all good, 1 verification failure, 2 bad input or a refused
 domain, 3 a broken internal invariant (a library defect).
@@ -32,7 +35,7 @@ from .paths import (
     young_rows,
 )
 from .perms import e_p, e_p_inverse, parse_permutation
-from .registry import apply_map, default_suite, verify
+from .registry import CHAIN_MAPS, apply_map, default_suite, verify
 from .registry import orbit_table as registry_orbits
 
 
@@ -92,9 +95,13 @@ def cmd_apply(args) -> int:
             raise ValueError(
                 f"chain with {chain.k} layers needs slope (1,{chain.k}), got ({slope.a},{slope.b})"
             )
+        if args.map == "lk":  # each layer goes through the (1,1) chain table
+            _check_domain(args, Slope(1, 1, slope.n))
         chain = apply_map(args.map, slope, chain, args.power)
         _emit(args, [str(chain)], {"chain": str(chain)})
         return 0
+    if args.map in CHAIN_MAPS:  # carried to paths through the chain table
+        _check_domain(args, slope)
     p = _read_path(args, slope)
     out = apply_map(args.map, slope, p, args.power)
     _emit(args, [out.steps_str()], out.to_json())
@@ -115,6 +122,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     if args.identity:
         slope = _slope(args)
+        _check_domain(args, slope)
         reports = [verify(args.identity, slope)]
     else:
         reports = default_suite(max_n=args.max_n)
@@ -223,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("apply", help="apply a named map to a path or chain")
     slope_args(sp)
+    max_domain_arg(sp)
     sp.add_argument("--map", required=True)
     sp.add_argument("--power", type=int, default=1)
     sp.add_argument("--path")
@@ -238,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one identity or the whole default suite")
     slope_args(sp, required=False)
+    max_domain_arg(sp)
     sp.add_argument("--identity")
     sp.add_argument("--max-n", type=int, default=None)
     sp.set_defaults(fn=cmd_verify)

@@ -14,13 +14,17 @@ step or at a free position holding a later block (possibly wrapping around
 built material), with every interior prefix strictly above the slope line
 and a mid-step return never followed directly by another up step.
 
-``mat`` lays the built blocks out once (``BuiltBlocks``) and keeps one memo
-of sub-window verdicts for its whole call.  A verdict depends only on the
-built blocks with a position in its span, so each new block drops exactly
-the spans that hold one of its positions (``drop_spans``).  Sub-windows
-that hold only part of a block fail, and sub-windows rooted at a free
-position with no built position inside always parse (``admissible`` gives
-the construction), so neither is searched.  ``mat_inverse`` rebuilds the
+``mat`` keeps the unused positions as one sorted list and builds only the
+first b + 1 positions of each entry's cyclic order, since no larger block
+closes.  It lays the built blocks out once per call (``BuiltBlocks``, which
+also holds the slope constants and the complete-window lengths) and keeps
+one memo of sub-window verdicts for its whole call.  A verdict depends only
+on the built blocks with a position in its span, so each new block drops
+exactly the spans that hold one of its positions (``drop_spans``).  A
+candidate whose span is a single window is settled without a parse.
+Sub-windows that hold only part of a block fail, and sub-windows rooted at
+a free position with no built position inside always parse (``admissible``
+gives the proofs), so neither is searched.  ``mat_inverse`` rebuilds the
 path greedily from the bottom row up: the valley values can only go in
 descending order, so there is nothing to search.
 """
@@ -103,19 +107,27 @@ FREE, UP, CAND = -1, -2, -3
 
 class BuiltBlocks:
     """The blocks built so far, laid out as every admissibility parse reads
-    them, so that the set-up is paid once per block and not once per call.
+    them, with what depends only on the slope, so that the set-up is paid
+    once per block or once per ``mat`` call and not once per candidate.
 
     ``tag`` marks each position ``FREE``, ``UP`` (a block's smallest
     position, its up step) or with its block's up step.  ``lowest`` and
     ``highest`` hold the extremes of the block at each built position, and
     values no span check trips on at free ones.  ``after`` gives the first
     built position past each position, and ``rights`` the other positions
-    of each block, keyed by its up step.
+    of each block, keyed by its up step.  ``length[c]`` is the length of a
+    complete window of c up steps, for every window that fits in the size.
     """
 
-    __slots__ = ("tag", "lowest", "highest", "after", "rights")
+    __slots__ = ("slope", "a", "b", "up_count", "length",
+                 "tag", "lowest", "highest", "after", "rights")
 
-    def __init__(self, size: int, blocks=()) -> None:
+    def __init__(self, slope: Slope, size: int, blocks=()) -> None:
+        """``blocks`` are sorted ascending, as ``add`` takes them."""
+        a, b = slope.a, slope.b
+        self.slope, self.a, self.b, self.up_count = slope, a, b, slope.up_count
+        # c + floor(b*c/a) > c*(a+b)/a - 1, so no larger c fits in size + 1
+        self.length = [window_length(slope, c) for c in range(a * (size + 2) // (a + b) + 1)]
         self.tag = [FREE] * (size + 2)
         self.lowest = [size + 2] * (size + 2)
         self.highest = [0] * (size + 2)
@@ -125,22 +137,27 @@ class BuiltBlocks:
             self.add(block)
 
     def add(self, block) -> None:
-        block = sorted(block)
+        """Lay out one new block, sorted ascending."""
+        lo, hi = block[0], block[-1]
         for x in block:
-            self.tag[x] = self.lowest[x] = block[0]
-            self.highest[x] = block[-1]
+            self.tag[x] = self.lowest[x] = lo
+            self.highest[x] = hi
             y = x - 1
             while y >= 0 and self.after[y] > x:
                 self.after[y] = x
                 y -= 1
-        self.tag[block[0]] = UP
-        self.rights[block[0]] = block[1:]
+        self.tag[lo] = UP
+        self.rights[lo] = list(block[1:])
+
+    def encloses(self, lo: int, hi: int) -> bool:
+        """Whether every block with a position in [lo, hi] lies inside it."""
+        return min(self.lowest[lo : hi + 1]) >= lo and max(self.highest[lo : hi + 1]) <= hi
 
 
 def drop_spans(memo: dict, block) -> None:
-    """Forget every memoized span [i, j] holding a position of ``block``:
-    the verdicts ``admissible`` may keep once ``block`` is built."""
-    block = sorted(block)
+    """Forget every memoized span [i, j] holding a position of ``block``
+    (sorted ascending): the verdicts ``admissible`` may keep once ``block``
+    is built."""
     stale = []
     for key in memo:
         k = bisect_left(block, key[0])
@@ -152,7 +169,8 @@ def drop_spans(memo: dict, block) -> None:
 
 def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     """Whether ``candidate`` closes as a maximal matching block given the
-    already-built blocks, a sequence of blocks or a ``BuiltBlocks``.
+    already-built blocks, a sequence of blocks or a ``BuiltBlocks`` laid out
+    for ``slope``.
 
     The span [min, max] of the candidate must parse as one complete window:
     the candidate's rights alternate with complete sub-windows, each rooted
@@ -160,6 +178,23 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     position (a later block, possibly wrapping around built material), every
     interior prefix stays strictly above the slope line, and the number of
     later up steps consumed inside matches the closure count.
+
+    The checks run cheapest first, and each input gets the verdict or the
+    exception that the full parse gives it.  The span length, the window
+    nesting and the closure count are read off ``BuiltBlocks``, which also
+    holds the slope constants and the complete-window lengths, so a call
+    that fails one of them does no parse.  The candidate's positions are
+    marked in ``built.tag`` for the parse and restored before it returns or
+    raises.
+
+    A single window is settled without a parse.  When the span length is
+    1 + floor(b/a), the window holds c = 1 up step, its root, so no
+    sub-window (of at least one up step) fits in it, and every other
+    position of the span must be one of the candidate's own rights.  Those
+    floor(b/a) rights keep every interior prefix strictly above the line,
+    since r < floor(b/a) rights give a*r < b, and the last one closes the
+    window.  So once the span length, the nesting and the closure count
+    hold, such a candidate is admissible iff it fills its span.
 
     Two facts settle most sub-windows without a search.  A built position
     can only be parsed inside the window rooted at its block's up step, so
@@ -183,7 +218,8 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     if a sub-window may end the window and 0 if it ends on an own right,
     and a state whose range misses (b*c) mod a cannot close.  At the root
     of a candidate of s positions, S = b, n = s - 1 and e = 0, so a
-    candidate of more than b + 1 positions never closes.
+    candidate of more than b + 1 positions never closes, and ``mat`` builds
+    only the first b + 1 positions of each entry's cyclic order.
 
     ``memo`` shares sub-window verdicts between calls, keyed by span.  The
     parse never asks about a sub-window holding a candidate position, since
@@ -198,29 +234,28 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
         return False
     lo, hi = cand[0], cand[-1]
     if not isinstance(built, BuiltBlocks):
-        blocks = [tuple(block) for block in built]
-        size = max([slope.total_steps, hi, *(max(block) for block in blocks)])
-        built = BuiltBlocks(size, blocks)
-    lowest, highest, after = built.lowest, built.highest, built.after
-
-    if min(lowest[lo : hi + 1]) < lo or max(highest[lo : hi + 1]) > hi:
-        return False  # window nesting would be violated
-    tag = built.tag.copy()
-    inside = tag[lo : hi + 1].count(UP)
-    for x in cand[1:]:
+        blocks = [sorted(block) for block in built]
+        size = max([slope.total_steps, hi, *(block[-1] for block in blocks)])
+        built = BuiltBlocks(slope, size, blocks)
+    elif built.slope is not slope and built.slope != slope:
+        raise ValueError(f"blocks laid out for {built.slope}, not {slope}")
+    tag, highest, after = built.tag, built.highest, built.after
+    own_rights = cand[1:]
+    for x in own_rights:
         if tag[x] != FREE:
+            if not built.encloses(lo, hi):
+                return False  # window nesting would be violated
             raise ValueError("candidate overlaps a built block")
-        tag[x] = CAND
-
     c_top = _window_ups(slope, hi - lo + 1)
-    if c_top is None:
+    if c_top is None or not built.encloses(lo, hi):
         return False
-    future_needed = c_top - 1 - inside
-    if future_needed < 0 or future_needed > slope.up_count - len(built.rights) - 1:
+    future_needed = c_top - 1 - tag[lo : hi + 1].count(UP)
+    if future_needed < 0 or future_needed > built.up_count - len(built.rights) - 1:
         return False
+    if c_top == 1:
+        return len(cand) == hi - lo + 1  # a single window, see the docstring
 
-    a, b = slope.a, slope.b
-    length = [c + b * c // a for c in range(c_top)]  # complete-window lengths
+    a, b, length = built.a, built.b, built.length
     if memo is None:
         memo = {}
 
@@ -238,10 +273,8 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
             own = i
         verdict = memo.get((i, j))
         if verdict is None:  # whole blocks only, see the docstring
-            verdict = memo[i, j] = (
-                min(lowest[i + 1 : j + 1], default=i) >= i
-                and max(highest[i + 1 : j + 1], default=j) <= j
-                and parse(i, j, c, own, built.rights[i] if own == i else None)
+            verdict = memo[i, j] = built.encloses(i, j) and parse(
+                i, j, c, own, built.rights[i] if own == i else None
             )
         return verdict
 
@@ -296,17 +329,24 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
 
         return rec(i + 1, 0, False)
 
-    return parse(lo, hi, c_top, CAND, cand[1:])
+    for x in own_rights:
+        tag[x] = CAND
+    try:
+        return parse(lo, hi, c_top, CAND, own_rights)
+    finally:
+        for x in own_rights:
+            tag[x] = FREE
 
 
-def _grow_sequence(start: int, pool: set[int], increasing: bool) -> list[int]:
-    """The pool in cyclic order from ``start`` (a member of it), ascending or
+def _cyclic_prefix(free: list[int], i: int, size: int, increasing: bool) -> list[int]:
+    """The first ``size`` (at most ``len(free)``) positions of the sorted
+    list ``free`` in cyclic order from ``free[i]``, ascending or
     descending."""
-    ordered = sorted(pool)
-    i = bisect_left(ordered, start)
     if increasing:
-        return ordered[i:] + ordered[:i]
-    return ordered[i::-1] + ordered[:i:-1]
+        seq = free[i : i + size]
+        return seq + free[: size - len(seq)]
+    seq = free[max(i + 1 - size, 0) : i + 1][::-1]
+    return seq + free[len(free) - (size - len(seq)) :][::-1]
 
 
 def _representing_length(slope: Slope, seq: list[int]) -> int:
@@ -327,29 +367,29 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     s = p.slope
     total = s.total_steps
     ktilde = s.b // s.a
-    pool = set(range(1, total + 1))
+    free = list(range(1, total + 1))  # the unused positions, sorted
     built: list[tuple[int, ...]] = []
-    layout = BuiltBlocks(total)
+    layout = BuiltBlocks(s, total)
     verdicts: dict[tuple[int, int], bool] = {}  # kept valid by drop_spans
     for entry in k_sequence(p).entries:
         start = entry.numeric(s)
-        if start not in pool:
+        i = bisect_left(free, start)
+        if i == len(free) or free[i] != start:
             raise InvariantError(
                 f"matching map start {start} already consumed on {p} "
                 "(admissibility interpretation bug)"
             )
-        seq = _grow_sequence(start, pool, increasing=entry.barred)
-        # Every prefix past the representing length or past b + 1 positions
-        # (see admissible) fails, so the largest admissible size is the
-        # first one found scanning down from there.
+        # Every prefix past b + 1 positions (see admissible) or past the
+        # representing length fails, so only the first b + 1 positions of
+        # the cyclic order are built, and the largest admissible size is
+        # the first one found scanning down from there.
+        seq = _cyclic_prefix(free, i, min(s.b + 1, len(free)), increasing=entry.barred)
         first = min(ktilde + 1, len(seq))
-        last = min(_representing_length(s, seq), s.b + 1)
-        best = next(
-            (size for size in range(last, first - 1, -1)
-             if admissible(s, seq[:size], layout, verdicts)),
-            None,
-        )
-        if best is None:
+        last = _representing_length(s, seq)
+        for best in range(last, first - 1, -1):
+            if admissible(s, seq[:best], layout, verdicts):
+                break
+        else:
             raise InvariantError(
                 f"no admissible block for entry {entry} of {p} "
                 "(admissibility interpretation bug)"
@@ -358,8 +398,9 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         built.append(block)
         layout.add(block)
         drop_spans(verdicts, block)
-        pool.difference_update(block)
-    if pool:
+        for x in block:
+            del free[bisect_left(free, x)]
+    if free:
         raise InvariantError(f"matching map left positions unused on {p}")
     return pm_inverse(canonical_matching(total, built), s)
 

@@ -148,7 +148,7 @@ def parse_chain(text: str, n: int | None = None) -> NonCrossingChain:
     return NonCrossingChain(len(layers), layers)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
     """The non-crossing partitions of [1, n], in the order of the set
     partition walk that puts x into each open block, then into a new one."""
@@ -175,7 +175,7 @@ def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
     """The k-chains of [1, n], each layer's refinements in ``enumerate_ncps``
     order.  A refinement splits every block by a relabelled non-crossing
@@ -260,7 +260,7 @@ def ncp_to_dyck(chain: NonCrossingChain) -> RationalDyckPath:
     return RationalDyckPath(Slope(1, k, n), u)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _chain_table(n: int, k: int) -> dict[RationalDyckPath, NonCrossingChain]:
     table: dict[RationalDyckPath, NonCrossingChain] = {}
     for chain in enumerate_chains(n, k):

@@ -317,7 +317,7 @@ def iter_step_sequences(slope: Slope) -> Iterator[tuple[int, ...]]:
     yield from extend([])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _step_sequences(slope: Slope) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_step_sequences(slope))
 

@@ -5,12 +5,12 @@ swapped path and see whether it is valid, search window lengths one by one,
 intersect the slope line with the path in rationals, sum Bizley's formula
 over partitions, grow and scan the matching map's candidates one element
 at a time with a fresh admissibility parse per size that searches every
-sub-window in full, search every assignment of valley values for the
-inverse, test every pair of blocks for a crossing, walk every set
-partition and keep the non-crossing ones, build chains from the all-pairs
-refinement table, invert the Kreweras complement by applying it 2n - 1
-times, validate blocks by four separate checks, and tabulate orbits with
-every path keyed by its name.
+sub-window in full, put the whole pool in cyclic order by one sort, search
+every assignment of valley values for the inverse, test every pair of
+blocks for a crossing, walk every set partition and keep the non-crossing
+ones, build chains from the all-pairs refinement table, invert the
+Kreweras complement by applying it 2n - 1 times, validate blocks by four
+separate checks, and tabulate orbits with every path keyed by its name.
 """
 
 import itertools
@@ -22,7 +22,8 @@ import pytest
 
 from ratdyck import registry
 from ratdyck.matching_map import (
-    _grow_sequence,
+    BuiltBlocks,
+    _cyclic_prefix,
     _height,
     _representing_length,
     _window_ups,
@@ -123,6 +124,11 @@ def test_window_ups_closed_form(a, b, n):
     slope = Slope(a, b, n)
     for length in range(-1, slope.total_steps + 1):
         assert _window_ups(slope, length) == window_ups_reference(slope, length)
+    # the complete-window lengths admissible reads off its layout
+    table = BuiltBlocks(slope, slope.total_steps).length
+    size = slope.total_steps
+    fits = [c for c in range(size + 2) if window_length(slope, c) <= size + 1]
+    assert table[: len(fits)] == [window_length(slope, c) for c in fits]
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)
@@ -230,6 +236,16 @@ def grow_sequence_reference(start, pool, increasing):
         remaining.remove(nxt)
         cur = nxt
     return seq
+
+
+def _grow_sequence(start, pool, increasing):
+    """The whole pool in cyclic order from ``start`` (a member of it),
+    ascending or descending, by one sort of the pool."""
+    ordered = sorted(pool)
+    i = ordered.index(start)
+    if increasing:
+        return ordered[i:] + ordered[:i]
+    return ordered[i::-1] + ordered[:i:-1]
 
 
 def represents_reference(slope, start, candidate):
@@ -481,6 +497,88 @@ def test_grow_sequence_matches_linear_loop():
             assert _grow_sequence(start, pool, increasing) == grow_sequence_reference(
                 start, pool, increasing
             )
+
+
+def test_cyclic_prefix_matches_whole_sequence():
+    # mat builds only the first min(b + 1, len) positions of the cyclic
+    # order; pools shorter than b + 1 and starts near either end wrap
+    rng = random.Random(20261019)
+    for _ in range(400):
+        pool = sorted(rng.sample(range(1, 41), rng.randint(1, 12)))
+        b = rng.randint(1, 8)
+        size = min(b + 1, len(pool))
+        for i, start in enumerate(pool):
+            for increasing in (True, False):
+                assert _cyclic_prefix(pool, i, size, increasing) == _grow_sequence(
+                    start, set(pool), increasing
+                )[:size], (pool, start, b, increasing)
+
+
+@pytest.mark.parametrize("a,b,n", SLOPES)
+def test_single_window_candidates(a, b, n):
+    # the lemma behind settling a span of 1 + floor(b/a) positions without a
+    # parse: every candidate in every such span, with no blocks built and
+    # with the blocks built before each entry of three paths
+    slope = Slope(a, b, n)
+    span = 1 + b // a
+    assert _window_ups(slope, span) == 1
+    rng = random.Random(a * 100 + b * 10 + n)
+    layouts = [()] + [
+        built
+        for p in rng.sample(list(enumerate_paths(slope)), 3)
+        for _, built, _ in reference_entries(p)
+    ]
+    for built in layouts:
+        used = {x for block in built for x in block}
+        for lo in range(1, slope.total_steps - span + 2):
+            hi = lo + span - 1
+            inner = [x for x in range(lo + 1, hi) if x not in used]
+            if lo in used or hi in used:
+                continue
+            for k in range(len(inner) + 1):
+                for middle in itertools.combinations(inner, k):
+                    cand = [lo, *middle, hi] if hi > lo else [lo]
+                    assert admissible(slope, cand, built) == admissible_reference(
+                        slope, cand, built
+                    ), (cand, built)
+
+
+class _FailingMemo(dict):
+    """A memo that breaks on the first sub-window lookup."""
+
+    def get(self, key, default=None):
+        raise RuntimeError("memo unavailable")
+
+
+@pytest.mark.parametrize("a,b,n", MEMO_SLOPES)
+def test_admissible_leaves_the_layout_unchanged(a, b, n):
+    # admissible marks the candidate in the layout's tags for its parse and
+    # must restore them whether it returns, rejects an overlapping
+    # candidate, or fails inside the parse
+    slope = Slope(a, b, n)
+    rng = random.Random(a * 1000 + b * 100 + n + 1)
+    p = random_path(slope, rng)
+    outcomes = set()
+    for seq, built, _ in reference_entries(p):
+        layout = BuiltBlocks(slope, slope.total_steps, built)
+        before = layout.tag.copy()
+        positions = range(1, slope.total_steps + 1)
+        for _ in range(40):
+            cand = rng.sample(positions, rng.randint(1, b + 1))
+            for memo in ({}, _FailingMemo()):
+                try:
+                    outcomes.add(admissible(slope, cand, layout, memo))
+                except (ValueError, RuntimeError) as exc:
+                    outcomes.add(type(exc))
+                assert layout.tag == before, (cand, built)
+        for size in range(1, len(seq) + 1):
+            outcomes.add(admissible(slope, seq[:size], layout, {}))
+            assert layout.tag == before
+    assert outcomes == {True, False, ValueError, RuntimeError}
+    # the layout holds its slope's constants, so another slope is refused
+    other = Slope(b, a, n)
+    with pytest.raises(ValueError, match="blocks laid out for"):
+        admissible(other, [1, 2], BuiltBlocks(slope, slope.total_steps))
 
 
 def test_representing_length_matches_prefix_scan():

@@ -179,6 +179,10 @@ def test_orbit_image_outside_the_slope_is_an_invariant_error(capsys, monkeypatch
     ("enum",),
     ("orbit", "--map", "promotion"),
     ("convert", "--path", "1,2,3,4,5", "--to", "ncp"),
+    ("verify", "--identity", "mat-rowmotion"),
+    ("apply", "--map", "rot", "--path", "1,2,3,4,5"),
+    ("apply", "--map", "lk", "--path", "1,2,3,4,5"),
+    ("apply", "--map", "lk", "--ncp", "1.2/3/4.5"),
 ])
 def test_cli_domain_guard(capsys, argv):
     # (1,1) n=5 has 42 paths, and its chain table 42 chains
@@ -194,11 +198,28 @@ def test_cli_domain_guard(capsys, argv):
 def test_cli_domain_guard_default(capsys, n):
     # the default admits (1,1) n=12 (208,012 paths) and nothing larger; the
     # sizes are counted from 1 up, so a huge n is refused at once
-    for argv in (("enum",), ("orbit", "--map", "promotion")):
+    for argv in (("enum",), ("orbit", "--map", "promotion"),
+                 ("verify", "--identity", "ev-star"),
+                 ("apply", "--map", "kre", "--path", "1")):
         code, out, err = run(capsys, *argv, "--a", "1", "--b", "1", "--n", n)
         assert code == 2 and out == ""
         assert err == (f"error: (1,1) n={n} has more than 250000 paths; "
                        "raise --max-domain to enumerate it")
+
+
+def test_cli_domain_guard_on_chains(capsys):
+    # lk sends each layer through the (1,1) chain table of the chain's size,
+    # whatever the chain's slope; the other chain maps act on the chain
+    # itself and run past any --max-domain
+    chain = "1.2.3.4.5;1.2/3.4.5"
+    code, out, err = run(capsys, "apply", "--map", "lk", "--a", "1", "--b", "2", "--n", "5",
+                         "--ncp", chain, "--max-domain", "41")
+    assert code == 2 and out == ""
+    assert err == "error: (1,1) n=5 has more than 41 paths; raise --max-domain to enumerate it"
+    for name in ("rot", "ref", "kre", "su", "lift"):
+        code, out, err = run(capsys, "apply", "--map", name, "--a", "1", "--b", "2", "--n", "5",
+                             "--ncp", chain, "--max-domain", "1")
+        assert code == 0 and out and err == "", name
 
 
 def test_cli_verify_rejects_max_n_below_one(capsys):
