@@ -5,8 +5,8 @@ of a chain map to a path and ``apply --map lk`` to a chain materialize a
 whole slope (the paths, or a chain table, which has one chain per path;
 ``lk`` builds the (1,1) table of the chain's size).  They take
 ``--max-domain`` (default 250,000, which admits (1,1) n=12) and refuse a
-slope with more paths than that before anything is enumerated.  The other
-chain maps act on a chain directly and are not limited.
+slope with more paths (or words, for ``step-bound-geometry``) than that
+before anything is enumerated.  Other chain maps are not limited.
 
 Exit codes: 0 all good, 1 verification failure, 2 bad input or a refused
 domain, 3 a broken internal invariant (a library defect).
@@ -35,7 +35,7 @@ from .paths import (
     young_rows,
 )
 from .perms import e_p, e_p_inverse, parse_permutation
-from .registry import CHAIN_MAPS, apply_map, default_suite, verify
+from .registry import CHAIN_MAPS, apply_map, default_suite, identity, verify
 from .registry import orbit_table as registry_orbits
 
 
@@ -51,15 +51,15 @@ def _read_path(args, slope: Slope) -> RationalDyckPath:
     raise ValueError("a path is required (--path or --word)")
 
 
-def _check_domain(args, slope: Slope) -> None:
-    """Refuse a slope with more than ``--max-domain`` paths.  Path counts grow
-    with n (prefixing a path with a up and b right steps is injective), so
-    the sizes are counted from 1 up and the first one past the limit decides:
-    a huge n is refused as fast as a small one."""
+def _check_domain(args, slope: Slope, what="paths", size=count_paths) -> None:
+    """Refuse a slope with more than ``--max-domain`` objects (``what``, as
+    ``size`` counts them).  Path and word counts grow with n (prefixing a up
+    and b right steps is injective), so the sizes are counted from 1 up and
+    the first one past the limit decides: a huge n is refused at once."""
     for m in range(1, slope.n + 1):
-        if count_paths(Slope(slope.a, slope.b, m)) > args.max_domain:
+        if size(Slope(slope.a, slope.b, m)) > args.max_domain:
             raise ValueError(
-                f"({slope.a},{slope.b}) n={slope.n} has more than {args.max_domain} paths; "
+                f"({slope.a},{slope.b}) n={slope.n} has more than {args.max_domain} {what}; "
                 f"raise --max-domain to enumerate it"
             )
 
@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     if args.identity:
         slope = _slope(args)
-        _check_domain(args, slope)
+        _check_domain(args, slope, *identity(args.identity).walks)
         reports = [verify(args.identity, slope)]
     else:
         reports = default_suite(max_n=args.max_n)

@@ -230,7 +230,23 @@ def iterate(fn: Callable, inverse: Callable | None, x, power: int):
     return x
 
 
-def _weakly_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
+def _is_word(slope: Slope, steps: tuple[int, ...]) -> bool:
+    """Right length, strictly increasing and inside [1, (a+b)n]."""
+    if len(steps) != slope.up_count or any(y <= x for x, y in zip(steps, steps[1:])):
+        return False
+    return not steps or (steps[0] >= 1 and steps[-1] <= slope.total_steps)
+
+
+def steps_within_bound(slope: Slope, steps: tuple[int, ...]) -> bool:
+    """The arithmetic bound u_j <= floor((j-1)b/a) + j, without geometry."""
+    return _is_word(slope, steps) and all(
+        u <= slope.step_bound(j) for j, u in enumerate(steps, start=1))
+
+
+def word_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
+    """The geometric condition alone, on an arbitrary step set."""
+    if not _is_word(slope, steps):
+        return False
     x = y = 0
     up = set(steps)
     for i in range(1, slope.total_steps + 1):
@@ -241,24 +257,6 @@ def _weakly_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
             if slope.b * y < slope.a * x:
                 return False
     return True
-
-
-def steps_within_bound(slope: Slope, steps: tuple[int, ...]) -> bool:
-    """The arithmetic bound u_j <= floor((j-1)b/a) + j, without geometry."""
-    if len(steps) != slope.up_count or any(y <= x for x, y in zip(steps, steps[1:])):
-        return False
-    if steps and (steps[0] < 1 or steps[-1] > slope.total_steps):
-        return False
-    return all(u <= slope.step_bound(j) for j, u in enumerate(steps, start=1))
-
-
-def word_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
-    """The geometric condition alone, on an arbitrary step set."""
-    if len(steps) != slope.up_count or any(y <= x for x, y in zip(steps, steps[1:])):
-        return False
-    if steps and (steps[0] < 1 or steps[-1] > slope.total_steps):
-        return False
-    return _weakly_above_line(slope, steps)
 
 
 def path_from_steps(slope: Slope, steps) -> RationalDyckPath:
@@ -390,7 +388,8 @@ class ABTableau:
 
 def to_tableau(p: RationalDyckPath) -> ABTableau:
     total = p.slope.total_steps
-    second = tuple(i for i in range(1, total + 1) if i not in set(p.steps))
+    up = set(p.steps)
+    second = tuple(i for i in range(1, total + 1) if i not in up)
     return ABTableau(p.slope, p.steps, second)
 
 
@@ -407,8 +406,11 @@ def star(t: ABTableau) -> ABTableau:
 
 
 def star_path(p: RationalDyckPath) -> RationalDyckPath:
-    """The path-level star: an (a,b)-path read as a (b,a)-path."""
-    return from_tableau(star(to_tableau(p)))
+    """``from_tableau(star(to_tableau(p)))`` built as one (b,a)-path."""
+    total = p.slope.total_steps
+    up = set(p.steps)
+    steps = tuple(total + 1 - i for i in range(total, 0, -1) if i not in up)
+    return RationalDyckPath(p.slope.transpose(), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +430,19 @@ def region_rows(slope: Slope) -> tuple[int, ...]:
 
 
 def path_from_young_rows(slope: Slope, rows) -> RationalDyckPath:
+    """Weakly decreasing rows inside the staircase are exactly steps
+    u_j = r_(an+1-j) + j of a path, so the path's check is the rows' check;
+    only when it fails are the rows scanned for the rule they break."""
     rows = tuple(rows)
-    an = slope.up_count
-    if len(rows) != an:
-        raise ValueError(f"expected {an} rows, got {len(rows)}")
+    try:
+        return RationalDyckPath(slope, tuple(r + j for j, r in enumerate(reversed(rows), start=1)))
+    except ValueError:
+        pass
+    if len(rows) != slope.up_count:
+        raise ValueError(f"expected {slope.up_count} rows, got {len(rows)}")
     if any(r < 0 for r in rows) or any(x < y for x, y in zip(rows, rows[1:])):
         raise ValueError(f"rows must be non-negative and weakly decreasing: {rows}")
-    staircase = region_rows(slope)
-    if any(r > cap for r, cap in zip(rows, staircase)):
-        raise ValueError(f"rows {rows} do not fit inside the staircase {staircase}")
-    steps = tuple(rows[an - j] + j for j in range(1, an + 1))
-    return RationalDyckPath(slope, steps)
+    raise ValueError(f"rows {rows} do not fit inside the staircase {region_rows(slope)}")
 
 
 def enumerate_words(slope: Slope) -> Iterator[tuple[int, ...]]:

@@ -4,6 +4,9 @@ The toggle t_i swaps the letters at positions i and i+1 when the result is
 still a valid path.  In every toggle product the rightmost factor acts
 first; this convention is pinned by the worked promotion of the (2,3)-path
 1257 to 1346.
+
+``toggle`` is the single-toggle API, and promotion and dual promotion are its
+products; evacuation and dual evacuation run on one up-step mask instead.
 """
 
 from __future__ import annotations
@@ -52,21 +55,36 @@ def dual_promotion(p: RationalDyckPath) -> RationalDyckPath:
     return p
 
 
+def _toggle_runs(p: RationalDyckPath, runs) -> RationalDyckPath:
+    """Apply t_i for i in each run in turn (a range of step 1 or -1) to one
+    up-step mask of ``p``, then build one path.  The swaps are ``toggle``'s:
+    an up step moves left always, and the (j+1)-th moves right iff
+    a(i-j) <= bj, where j (the up steps before i) is kept as i moves."""
+    a, b = p.slope.a, p.slope.b
+    up = [False] * (p.slope.total_steps + 1)  # up[i]: position i holds an up step
+    for u in p.steps:
+        up[u] = True
+    for run in runs:
+        ascending = run.step > 0
+        j = sum(up[: run.start])
+        for i in run:
+            if up[i] != up[i + 1] and (up[i + 1] or a * (i - j) <= b * j):
+                up[i], up[i + 1] = up[i + 1], up[i]
+            j += up[i] if ascending else -up[i - 1]
+    return RationalDyckPath(p.slope, tuple(i for i, x in enumerate(up) if x))
+
+
 @memo_image
 def evacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Evacuation as the triangular toggle product (truncated promotions)."""
-    for top in range(p.slope.total_steps - 1, 0, -1):
-        for i in range(1, top + 1):
-            p = toggle(i, p)
-    return p
+    total = p.slope.total_steps
+    return _toggle_runs(p, (range(1, top + 1) for top in range(total - 1, 0, -1)))
 
 
 @memo_image
 def dual_evacuation(p: RationalDyckPath) -> RationalDyckPath:
-    for low in range(1, p.slope.total_steps):
-        for i in range(p.slope.total_steps - 1, low - 1, -1):
-            p = toggle(i, p)
-    return p
+    total = p.slope.total_steps
+    return _toggle_runs(p, (range(total - 1, low - 1, -1) for low in range(1, total)))
 
 
 @memo_image

@@ -16,6 +16,7 @@ reaches the identities too.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -150,6 +151,8 @@ class Identity:
     applies: Callable[[Slope], bool] = lambda s: True
     expected_pass: Callable[[Slope], bool] = lambda s: True
     max_n: Callable[[Slope], int] = lambda s: 99
+    # what ``check`` walks, for the CLI's domain guard: a noun and a count
+    walks: tuple[str, Callable[[Slope], int]] = ("paths", pa.count_paths)
 
 
 IDENTITIES: dict[str, Identity] = {}
@@ -222,7 +225,8 @@ IDENTITIES["count-enumeration"] = Identity(
 IDENTITIES["step-bound-geometry"] = Identity(
     "step-bound-geometry", "the step-position bound and the geometric "
     "above-the-line test agree on every candidate word", _bound_check,
-    max_n=lambda s: 3 if s.a * s.b == 1 else 2)
+    max_n=lambda s: 3 if s.a * s.b == 1 else 2,
+    walks=("words", lambda s: math.comb(s.total_steps, s.up_count)))
 
 _ident("young-roundtrip", "region rows determine the path and vice versa", _paths,
        lambda p: pa.path_from_young_rows(p.slope, pa.young_rows(p)), lambda p: p)
@@ -537,11 +541,15 @@ DEFAULT_DOMAINS: list[tuple[int, int, int]] = [
 ]
 
 
-def verify(name: str, slope: Slope) -> VerificationReport:
+def identity(name: str) -> Identity:
     try:
-        ident = IDENTITIES[name]
+        return IDENTITIES[name]
     except KeyError:
         raise KeyError(f"unknown identity {name!r}; known: {sorted(IDENTITIES)}") from None
+
+
+def verify(name: str, slope: Slope) -> VerificationReport:
+    ident = identity(name)
     if not ident.applies(slope):
         raise ValueError(f"identity {name!r} does not apply to slope ({slope.a},{slope.b})")
     start = time.perf_counter()

@@ -1,7 +1,8 @@
 """The kernels against small reference implementations.
 
 Each reference is the direct form of the kernel's definition: build the
-swapped path and see whether it is valid, search window lengths one by one,
+swapped path and see whether it is valid, evacuate by one toggle call (and
+one validated path) per factor, search window lengths one by one,
 intersect the slope line with the path in rationals, sum Bizley's formula
 over partitions, grow and scan the matching map's candidates one element
 at a time with a fresh admissibility parse per size that searches every
@@ -55,7 +56,14 @@ from ratdyck.paths import (
     image_scope,
     word_above_line,
 )
-from ratdyck.promotion import toggle
+from ratdyck.promotion import (
+    _toggle_runs,
+    dual_evacuation,
+    dual_promotion,
+    evacuation,
+    promotion,
+    toggle,
+)
 
 SLOPES = [(1, 1, 6), (1, 2, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)]
 
@@ -68,6 +76,20 @@ def toggle_reference(i, p):
         return RationalDyckPath(p.slope, tuple(sorted(here ^ {i, i + 1})))
     except ValueError:
         return p
+
+
+def evacuation_reference(p):
+    for top in range(p.slope.total_steps - 1, 0, -1):
+        for i in range(1, top + 1):
+            p = toggle(i, p)
+    return p
+
+
+def dual_evacuation_reference(p):
+    for low in range(1, p.slope.total_steps):
+        for i in range(p.slope.total_steps - 1, low - 1, -1):
+            p = toggle(i, p)
+    return p
 
 
 def window_ups_reference(slope, length):
@@ -117,6 +139,38 @@ def test_toggle_matches_construct_and_catch(a, b, n):
             assert got == toggle_reference(i, p)
             # no swap returns the very same object
             assert (got is p) == (got == p)
+
+
+def assert_mask_kernel(p):
+    total = p.slope.total_steps
+    for i in range(1, total):
+        # one toggle, met ascending and descending
+        assert _toggle_runs(p, [range(i, i + 1)]) == toggle(i, p)
+        assert _toggle_runs(p, [range(i, i - 1, -1)]) == toggle(i, p)
+    assert _toggle_runs(p, [range(1, total)]) == promotion(p)
+    assert _toggle_runs(p, [range(total - 1, 0, -1)]) == dual_promotion(p)
+
+
+@pytest.mark.parametrize("a,b,n", SLOPES)
+def test_toggle_evacuations_match_per_toggle_loops(a, b, n):
+    for p in enumerate_paths(Slope(a, b, n)):
+        assert evacuation(p) == evacuation_reference(p)
+        assert dual_evacuation(p) == dual_evacuation_reference(p)
+        assert_mask_kernel(p)
+
+
+# the (a, b) of test_properties.MAP_SLOPES at 80 to 100 steps
+MASK_SLOPES = [(1, 1, 40), (1, 2, 30), (2, 3, 20), (3, 5, 12), (3, 2, 20)]
+
+
+@pytest.mark.parametrize("a,b,n", MASK_SLOPES)
+def test_toggle_evacuations_on_random_paths(a, b, n):
+    rng = random.Random(a * 100 + b * 10 + n)
+    for _ in range(3):
+        p = random_path(Slope(a, b, n), rng)
+        assert evacuation(p) == evacuation_reference(p)
+        assert dual_evacuation(p) == dual_evacuation_reference(p)
+        assert_mask_kernel(p)
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import pytest
@@ -15,6 +16,7 @@ from ratdyck.paths import (
     path_from_steps,
     path_from_word,
     path_from_young_rows,
+    region_rows,
     star,
     star_path,
     steps_within_bound,
@@ -86,6 +88,18 @@ def test_star_examples():
     assert star_path(p).steps == (1, 3, 5)
 
 
+DESK_SLOPES = [
+    (1, 1, 6), (1, 2, 4), (1, 3, 3), (2, 3, 3), (3, 2, 3), (2, 5, 2), (5, 3, 2), (2, 1, 4),
+]
+
+
+@pytest.mark.parametrize("a,b,n", DESK_SLOPES)
+def test_star_path_is_the_tableau_star(a, b, n):
+    for p in enumerate_paths(Slope(a, b, n)):
+        assert star_path(p) == from_tableau(star(to_tableau(p)))
+        assert star_path(p).slope == Slope(b, a, n)
+
+
 @pytest.mark.parametrize("a,b,n", [(1, 1, 4), (1, 2, 3), (2, 3, 2), (3, 2, 2)])
 def test_star_involution_and_tableau_roundtrip(a, b, n):
     for p in enumerate_paths(Slope(a, b, n)):
@@ -102,6 +116,60 @@ def test_young_rows_examples():
         path_from_young_rows(Slope(1, 2, 3), (0, 2, 0))
     with pytest.raises(ValueError):
         path_from_young_rows(Slope(1, 2, 3), (5, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ((4, 2), "expected 3 rows, got 2"),
+        ((0, 0, 0, 0), "expected 3 rows, got 4"),
+        ((-1,), "expected 3 rows, got 1"),
+        ((1, 0, -1), "rows must be non-negative and weakly decreasing: (1, 0, -1)"),
+        ([0, 1, 0], "rows must be non-negative and weakly decreasing: (0, 1, 0)"),
+        # negative and over the staircase: the sign rule is reported
+        ((9, 0, -1), "rows must be non-negative and weakly decreasing: (9, 0, -1)"),
+        ((5, 2, 0), "rows (5, 2, 0) do not fit inside the staircase (4, 2, 0)"),
+        ((4, 3, 0), "rows (4, 3, 0) do not fit inside the staircase (4, 2, 0)"),
+        ((4, 2, 1), "rows (4, 2, 1) do not fit inside the staircase (4, 2, 0)"),
+    ],
+)
+def test_path_from_young_rows_messages(rows, message):
+    with pytest.raises(ValueError) as info:
+        path_from_young_rows(Slope(1, 2, 3), rows)
+    assert str(info.value) == message
+
+
+def young_rows_reference(slope, rows):
+    """Check the rows in three scans, then build the path."""
+    rows = tuple(rows)
+    an = slope.up_count
+    if len(rows) != an:
+        raise ValueError(f"expected {an} rows, got {len(rows)}")
+    if any(r < 0 for r in rows) or any(x < y for x, y in zip(rows, rows[1:])):
+        raise ValueError(f"rows must be non-negative and weakly decreasing: {rows}")
+    staircase = region_rows(slope)
+    if any(r > cap for r, cap in zip(rows, staircase)):
+        raise ValueError(f"rows {rows} do not fit inside the staircase {staircase}")
+    return RationalDyckPath(slope, tuple(rows[an - j] + j for j in range(1, an + 1)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 2, 3), (2, 3, 2), (3, 2, 1), (2, 1, 2)])
+def test_path_from_young_rows_matches_three_scans(a, b, n):
+    # every row tuple one short, exact and one long, each row from -1 to
+    # one past the longest staircase row
+    slope = Slope(a, b, n)
+    values = range(-1, max(region_rows(slope)) + 2)
+    for length in (slope.up_count - 1, slope.up_count, slope.up_count + 1):
+        for rows in itertools.product(values, repeat=length):
+            assert _outcome(path_from_young_rows, slope, rows) == _outcome(
+                young_rows_reference, slope, rows)
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 1, 5), (1, 2, 3), (2, 3, 2)])

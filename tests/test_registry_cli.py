@@ -207,6 +207,24 @@ def test_cli_domain_guard_default(capsys, n):
                        "raise --max-domain to enumerate it")
 
 
+def test_cli_domain_guard_counts_words(capsys):
+    # step-bound-geometry walks every word of the slope, C(2n, n) of them at
+    # (1,1): 2,704,156 at n=12, which has 208,012 paths, and 20 at n=3
+    code, out, err = run(capsys, "verify", "--identity", "step-bound-geometry",
+                         "--a", "1", "--b", "1", "--n", "12")
+    assert code == 2 and out == ""
+    assert err == ("error: (1,1) n=12 has more than 250000 words; "
+                   "raise --max-domain to enumerate it")
+    slope = ("--a", "1", "--b", "1", "--n", "3")
+    code, out, err = run(capsys, "verify", "--identity", "step-bound-geometry", *slope)
+    assert code == 0 and err == ""
+    assert out.startswith("PASS step-bound-geometry (1,1) n=3 over 20 objects in ")
+    code, out, err = run(capsys, "verify", "--identity", "step-bound-geometry", *slope,
+                         "--max-domain", "19")
+    assert code == 2 and out == ""
+    assert err == "error: (1,1) n=3 has more than 19 words; raise --max-domain to enumerate it"
+
+
 def test_cli_domain_guard_on_chains(capsys):
     # lk sends each layer through the (1,1) chain table of the chain's size,
     # whatever the chain's slope; the other chain maps act on the chain
