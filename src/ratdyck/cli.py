@@ -51,6 +51,16 @@ def _read_path(args, slope: Slope) -> RationalDyckPath:
     raise ValueError("a path is required (--path or --word)")
 
 
+def _read_chain(args, slope: Slope) -> nc.NonCrossingChain:
+    """The ``--ncp`` chain on [1, n]; a chain of k layers needs slope (1,k)."""
+    chain = nc.parse_chain(args.ncp, slope.n)
+    if (slope.a, slope.b) != (1, chain.k):
+        raise ValueError(
+            f"chain with {chain.k} layers needs slope (1,{chain.k}), got ({slope.a},{slope.b})"
+        )
+    return chain
+
+
 def _check_domain(args, slope: Slope, what="paths", size=count_paths) -> None:
     """Refuse a slope with more than ``--max-domain`` objects (``what``, as
     ``size`` counts them).  Path and word counts grow with n (prefixing a up
@@ -90,11 +100,7 @@ def cmd_enum(args) -> int:
 def cmd_apply(args) -> int:
     slope = _slope(args)
     if args.ncp:
-        chain = nc.parse_chain(args.ncp, slope.n)
-        if chain.k != slope.b or slope.a != 1:
-            raise ValueError(
-                f"chain with {chain.k} layers needs slope (1,{chain.k}), got ({slope.a},{slope.b})"
-            )
+        chain = _read_chain(args, slope)
         if args.map == "lk":  # each layer goes through the (1,1) chain table
             _check_domain(args, Slope(1, 1, slope.n))
         chain = apply_map(args.map, slope, chain, args.power)
@@ -161,9 +167,14 @@ def cmd_convert(args) -> int:
     slope = _slope(args)
     if args.perm:
         w = parse_permutation(args.perm)
+        if (slope.a, slope.b, slope.n) != (1, 1, w.n):
+            raise ValueError(
+                f"permutation of length {w.n} needs slope (1,1) n={w.n}, "
+                f"got ({slope.a},{slope.b}) n={slope.n}"
+            )
         p = e_p(w)
     elif args.ncp:
-        p = nc.ncp_to_dyck(nc.parse_chain(args.ncp, slope.n))
+        p = nc.ncp_to_dyck(_read_chain(args, slope))
     elif args.matching:
         p = pm_inverse(parse_matching(args.matching, slope.total_steps), slope)
     else:

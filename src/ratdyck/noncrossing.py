@@ -1,11 +1,19 @@
 """Non-crossing partitions, refinement chains, and their bijections.
 
 A chain stores its layers coarsest first; the weight of a pair is the
-number of layers whose partition joins it.  The path of a chain is built
-recursively: the path of a block glues the paths of its next-layer
-sub-blocks (splicing each at the slot boundary given by the number of
-smaller elements already present) and then shifts every up step after the
-first one position earlier, which raises all its weights by one.
+number of layers whose partition joins it.  The path of a chain is a word
+of n chunks of k+1 letters, one per element, each starting as ``U R^k``.
+From the finest layer to the coarsest, every block of two or more elements
+joins its members' chunks in increasing order, turns the word ``U R w``
+into ``U w R`` (every up step after the first moves one position earlier,
+which raises all the block's weights by one) and cuts it back into one
+chunk per member.  This is the recursive construction that splices the
+paths of a block's next-layer sub-blocks, in order of minima, at the slot
+of each one's rank among the elements already placed: no earlier sub-block
+has an element between a later one's minimum and maximum, or the two would
+cross, so each sub-block is contiguous among the elements placed so far,
+its splice lands where its chunks already are, and every chunk stays with
+its element.  One pass per layer costs O(kn) letters.
 
 Every partition is validated in full when built, by one linear pass
 (``broken_block_rule``, shared with perfect matchings): it checks that the
@@ -205,59 +213,25 @@ def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
 # Chain <-> path bijection
 
 
-def _increment(u: tuple[int, ...]) -> tuple[int, ...]:
-    if len(u) == 1:
-        return u
-    if u[0] != 1 or u[1] <= 2:
-        raise InvariantError(f"cannot shift up steps of {u}")
-    return (1,) + tuple(x - 1 for x in u[1:])
-
-
-def _glue(children: list[tuple[list[int], tuple[int, ...]]], k: int):
-    """Splice child paths at slot boundaries; children sorted by minimum."""
-    elems: list[int] = []
-    u: tuple[int, ...] = ()
-    for ce, cu in children:
-        if not elems:
-            elems, u = list(ce), cu
-            continue
-        i = sum(1 for e in elems if e < ce[0])
-        pos = (k + 1) * i
-        width = (k + 1) * len(ce)
-        u = (
-            tuple(x for x in u if x <= pos)
-            + tuple(x + pos for x in cu)
-            + tuple(x + width for x in u if x > pos)
-        )
-        elems = sorted(elems + ce)
-    return elems, u
-
-
-def _build_block(block: tuple[int, ...], chain: NonCrossingChain, t: int):
-    k = chain.k
-    if t == k:
-        children = [[x] for x in block]
-    else:
-        layer = chain.layers[t]  # the (t+1)-th layer
-        children = [list(b) for b in layer.blocks if set(b) <= set(block)]
-    parts = []
-    for child in sorted(children, key=lambda c: c[0]):
-        if t == k:
-            parts.append((child, (1,)))
-        else:
-            parts.append((child, _build_block(tuple(child), chain, t + 1)[1]))
-    elems, u = _glue(parts, k)
-    return elems, _increment(u)
-
-
 @memo_image
 def ncp_to_dyck(chain: NonCrossingChain) -> RationalDyckPath:
+    """The (1,k) path of a k-chain: one chunk pass per layer, finest first,
+    as the module docstring describes; the path reads the chunks of 1..n."""
     k, n = chain.k, chain.n
-    parts = [
-        (list(b), _build_block(b, chain, 1)[1]) for b in chain.layers[0].blocks
-    ]
-    _, u = _glue(parts, k)
-    return RationalDyckPath(Slope(1, k, n), u)
+    width = k + 1
+    chunks = ["U" + "R" * k] * (n + 1)  # chunks[x] is element x's; 0 unused
+    for layer in reversed(chain.layers):
+        for b in layer.blocks:
+            if len(b) > 1:
+                word = "".join([chunks[x] for x in b])
+                if word[:2] != "UR":
+                    raise InvariantError(f"cannot shift up steps of {word}")
+                word = "U" + word[2:] + "R"
+                for i, x in enumerate(b):
+                    chunks[x] = word[i * width:(i + 1) * width]
+    word = "".join(chunks[1:])
+    steps = tuple(i for i, c in enumerate(word, 1) if c == "U")
+    return RationalDyckPath(Slope(1, k, n), steps)
 
 
 @lru_cache(maxsize=128)

@@ -9,9 +9,10 @@ at a time with a fresh admissibility parse per size that searches every
 sub-window in full, put the whole pool in cyclic order by one sort, search
 every assignment of valley values for the inverse, test every pair of
 blocks for a crossing, walk every set partition and keep the non-crossing
-ones, build chains from the all-pairs refinement table, invert the
-Kreweras complement by applying it 2n - 1 times, validate blocks by four
-separate checks, and tabulate orbits with every path keyed by its name.
+ones, build chains from the all-pairs refinement table, splice chain paths
+at slot boundaries one block at a time, invert the Kreweras complement by
+applying it 2n - 1 times, validate blocks by four separate checks, and
+tabulate orbits with every path keyed by its name.
 """
 
 import itertools
@@ -45,8 +46,10 @@ from ratdyck.noncrossing import (
     kre,
     kre_inverse,
     ncp,
+    ncp_to_dyck,
 )
 from ratdyck.paths import (
+    InvariantError,
     RationalDyckPath,
     Slope,
     count_paths,
@@ -720,6 +723,101 @@ def enumerate_chains_reference(n, k):
 )
 def test_enumerate_chains_matches_refinement_table(n, k):
     assert enumerate_chains(n, k) == enumerate_chains_reference(n, k)
+
+
+def _increment(u):
+    if len(u) == 1:
+        return u
+    if u[0] != 1 or u[1] <= 2:
+        raise InvariantError(f"cannot shift up steps of {u}")
+    return (1,) + tuple(x - 1 for x in u[1:])
+
+
+def _glue(children, k):
+    """Splice child paths at slot boundaries; children sorted by minimum."""
+    elems = []
+    u = ()
+    for ce, cu in children:
+        if not elems:
+            elems, u = list(ce), cu
+            continue
+        i = sum(1 for e in elems if e < ce[0])
+        pos = (k + 1) * i
+        width = (k + 1) * len(ce)
+        u = (
+            tuple(x for x in u if x <= pos)
+            + tuple(x + pos for x in cu)
+            + tuple(x + width for x in u if x > pos)
+        )
+        elems = sorted(elems + ce)
+    return elems, u
+
+
+def _build_block(block, chain, t):
+    k = chain.k
+    if t == k:
+        children = [[x] for x in block]
+    else:
+        layer = chain.layers[t]  # the (t+1)-th layer
+        children = [list(b) for b in layer.blocks if set(b) <= set(block)]
+    parts = []
+    for child in sorted(children, key=lambda c: c[0]):
+        if t == k:
+            parts.append((child, (1,)))
+        else:
+            parts.append((child, _build_block(tuple(child), chain, t + 1)[1]))
+    elems, u = _glue(parts, k)
+    return elems, _increment(u)
+
+
+def ncp_to_dyck_reference(chain):
+    """The path of each block glues its sub-blocks' paths, spliced at the
+    slot of each one's rank among the elements already placed, then shifts
+    every up step after the first one position earlier."""
+    parts = [(list(b), _build_block(b, chain, 1)[1]) for b in chain.layers[0].blocks]
+    _, u = _glue(parts, chain.k)
+    return RationalDyckPath(Slope(1, chain.k, chain.n), u)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, 1) for n in range(1, 9)] + [(n, k) for k in (2, 3) for n in range(1, 7)]
+)
+def test_ncp_to_dyck_matches_splice(n, k):
+    for c in enumerate_chains(n, k):
+        assert ncp_to_dyck(c) == ncp_to_dyck_reference(c), c
+
+
+def random_ncp_blocks(elems, rng):
+    """A random non-crossing partition of the sorted ``elems``: each element
+    joins one of the blocks it can join without a crossing (those on the
+    stack), closing the blocks above it, or opens a new one."""
+    blocks, stack = [], []
+    for x in elems:
+        i = rng.randrange(len(stack) + 1)
+        if i < len(stack):
+            del stack[i + 1:]
+            stack[i].append(x)
+        else:
+            stack.append([x])
+            blocks.append(stack[-1])
+    return blocks
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (100, 400) for k in (1, 2, 3)])
+def test_ncp_to_dyck_matches_splice_on_random_chains(n, k):
+    rng = random.Random(n * 10 + k)
+    for _ in range(5):
+        c = random_chain(n, k, rng)
+        assert ncp_to_dyck(c) == ncp_to_dyck_reference(c), c
+
+
+def random_chain(n, k, rng):
+    """A random k-chain of [1, n], refined block by block as
+    ``enumerate_chains`` does."""
+    layers = [ncp(n, random_ncp_blocks(range(1, n + 1), rng))]
+    for _ in range(k - 1):
+        layers.append(ncp(n, [c for b in layers[-1].blocks for c in random_ncp_blocks(b, rng)]))
+    return NonCrossingChain(k, tuple(layers))
 
 
 def kre_inverse_reference(chain):

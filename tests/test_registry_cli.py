@@ -272,3 +272,27 @@ def test_cli_convert(capsys):
     code, out, _ = run(capsys, "convert", "--a", "1", "--b", "1", "--n", "3",
                        "--matching", "{1,4},{2,3},{5,6}", "--to", "path")
     assert code == 0 and out == "1,2,5"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("convert", "--a", "2", "--b", "3", "--n", "3", "--ncp", "1.2.3", "--to", "path"),
+     "chain with 1 layers needs slope (1,1), got (2,3)"),
+    (("convert", "--a", "1", "--b", "1", "--n", "3", "--ncp", "1.2.3;1.2/3", "--to", "path"),
+     "chain with 2 layers needs slope (1,2), got (1,1)"),
+    (("apply", "--map", "kre", "--a", "2", "--b", "3", "--n", "3", "--ncp", "1.2.3"),
+     "chain with 1 layers needs slope (1,1), got (2,3)"),
+    (("apply", "--map", "kre", "--a", "1", "--b", "3", "--n", "3", "--ncp", "1.2.3;1.2/3"),
+     "chain with 2 layers needs slope (1,2), got (1,3)"),
+    (("convert", "--a", "2", "--b", "3", "--n", "5", "--perm", "2,1,3", "--to", "path"),
+     "permutation of length 3 needs slope (1,1) n=3, got (2,3) n=5"),
+    (("convert", "--a", "1", "--b", "1", "--n", "5", "--perm", "2,1,3", "--to", "path"),
+     "permutation of length 3 needs slope (1,1) n=3, got (1,1) n=5"),
+    (("convert", "--a", "1", "--b", "2", "--n", "3", "--perm", "2,1,3", "--to", "path"),
+     "permutation of length 3 needs slope (1,1) n=3, got (1,2) n=3"),
+])
+def test_cli_input_must_match_the_slope(capsys, argv, message):
+    # a chain or permutation read against other slope flags used to convert
+    # to the path of its own slope and exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}"
