@@ -43,7 +43,6 @@ from .paths import (
 )
 from .perms import (
     Permutation321,
-    RotheMarks,
     dyck1,
     dyck2,
     dyck3,
@@ -53,7 +52,6 @@ from .perms import (
     e_v,
     e_w,
     pm_cross,
-    rothe_marks,
     rsk_hat,
     rsk_two_row,
 )

@@ -297,7 +297,9 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -136,10 +136,6 @@ class RationalDyckPath:
             pts.append((x, y))
         return pts
 
-    def up_x(self, m: int) -> int:
-        """x-coordinate of the m-th up step (1-based from the bottom)."""
-        return self.steps[m - 1] - m
-
     def steps_str(self) -> str:
         return ",".join(str(u) for u in self.steps)
 

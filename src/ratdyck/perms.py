@@ -6,15 +6,20 @@ are the peaks of the classical path of the permutation; the marks below the
 diagonal drive the two companion paths.  Peak/valley coordinates here are
 lattice points: a peak at (x, y) means the path passes through (x, y)
 arriving upward and leaving rightward.
+
+Every grid path is built from its peaks as a step sequence, and read back
+the same way.  Reflection across the diagonal swaps coordinates, so the two
+reflected paths are built from the swapped corners of their marks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 from .matchings import PerfectMatching, canonical_matching
-from .paths import InvariantError, RationalDyckPath, Slope, memo_image, path_from_word
+from .paths import InvariantError, RationalDyckPath, Slope, memo_image
 
 
 @dataclass(frozen=True)
@@ -45,14 +50,16 @@ class Permutation321:
 
 
 def _is_321_avoiding(values: tuple[int, ...]) -> bool:
-    # a 321 pattern exists iff some value has a larger value before it and a
-    # smaller value after it
-    n = len(values)
-    prefix_max = 0
-    for i, v in enumerate(values):
-        if prefix_max > v and any(w < v for w in values[i + 1 :]):
+    # a permutation avoids 321 iff the values that are not left-to-right
+    # maxima increase
+    top = last = 0
+    for v in values:
+        if v > top:
+            top = v
+        elif v < last:
             return False
-        prefix_max = max(prefix_max, v)
+        else:
+            last = v
     return True
 
 
@@ -88,74 +95,46 @@ def classical_slope(n: int) -> Slope:
     return Slope(1, 1, n)
 
 
-@dataclass(frozen=True)
-class RotheMarks:
-    """Grid marks of a permutation, split by position against the diagonal."""
-
-    n: int
-    above: tuple[tuple[int, int], ...]
-    diagonal: tuple[tuple[int, int], ...]
-    below: tuple[tuple[int, int], ...]
-
-
-def rothe_marks(w: Permutation321) -> RotheMarks:
-    """One mark per column at (column, value), classified by the diagonal."""
-    above, diag, below = [], [], []
-    for i, v in enumerate(w.values, start=1):
-        (above if v > i else diag if v == i else below).append((i, v))
-    return RotheMarks(w.n, tuple(above), tuple(diag), tuple(below))
-
-
 def _path_from_peaks(n: int, peaks: list[tuple[int, int]]) -> RationalDyckPath:
-    """The above-diagonal path through (x, y) peaks, in U/R letters."""
-    word = []
+    """The classical path through (x, y) peaks: the up steps y' in
+    (y_prev, y] of a peak at (x, y) sit at positions x + y'."""
+    steps: list[int] = []
     cx = cy = 0
     for x, y in peaks:
         if x < cx or y <= cy:
             raise ValueError(f"peaks are not increasing: {peaks}")
-        word.append("R" * (x - cx) + "U" * (y - cy))
+        steps.extend(range(x + cy + 1, x + y + 1))
         cx, cy = x, y
-    word.append("R" * (n - cx))
-    return path_from_word(classical_slope(n), "".join(word))
+    return RationalDyckPath(classical_slope(n), tuple(steps))
 
 
-def _peaks_of_path(p: RationalDyckPath) -> list[tuple[int, int]]:
-    word = p.word
-    verts = p.vertices()
-    return [verts[i] for i in range(1, len(word)) if word[i - 1] == "U" and word[i] == "R"]
-
-
-def _valleys_of_path(p: RationalDyckPath) -> list[tuple[int, int]]:
-    word = p.word
-    verts = p.vertices()
-    return [verts[i] for i in range(1, len(word)) if word[i - 1] == "R" and word[i] == "U"]
+def _peaks(p: RationalDyckPath) -> list[tuple[int, int]]:
+    """(u - m, m) for the m-th up step u when step u + 1 is not an up step."""
+    s = p.steps
+    return [(u - m, m) for m, u in enumerate(s, start=1) if m == len(s) or s[m] != u + 1]
 
 
 def e_p(w: Permutation321) -> RationalDyckPath:
     """Path whose peaks sit at the northwest corners of the on/above marks."""
-    marks = rothe_marks(w)
-    peaks = sorted((i - 1, v) for i, v in marks.above + marks.diagonal)
-    return _path_from_peaks(w.n, peaks)
+    return _path_from_peaks(w.n, [(i - 1, v) for i, v in enumerate(w.values, start=1) if v >= i])
 
 
 def e_p_inverse(p: RationalDyckPath) -> Permutation321:
     n = p.slope.n
     if (p.slope.a, p.slope.b) != (1, 1):
         raise ValueError("the grid construction needs a classical path")
-    assign = {x + 1: y for x, y in _peaks_of_path(p)}
-    free_vals = sorted(set(range(1, n + 1)) - set(assign.values()))
-    vals = []
-    it = iter(free_vals)
-    for col in range(1, n + 1):
-        vals.append(assign.get(col) or next(it))
-    return Permutation321(tuple(vals))
+    assign = {x + 1: y for x, y in _peaks(p)}
+    free = iter(sorted(set(range(1, n + 1)) - set(assign.values())))
+    return Permutation321(tuple(assign.get(col) or next(free) for col in range(1, n + 1)))
 
 
 def e_v(w: Permutation321) -> RationalDyckPath:
     """Path whose peaks sit over the valleys of e_p(w), completed with
-    diagonal peaks whenever the required peaks alone are unreachable."""
+    diagonal peaks whenever the required peaks alone are unreachable.
+    Those valleys lie between consecutive on/above marks, at (x2, y1)."""
     n = w.n
-    required = [(x - 1, y + 1) for x, y in _valleys_of_path(e_p(w))]
+    marks = [(i - 1, v) for i, v in enumerate(w.values, start=1) if v >= i]
+    required = [(x2 - 1, y1 + 1) for (_, y1), (x2, _) in pairwise(marks)]
     peaks: list[tuple[int, int]] = []
     height = 0
     for x, y in required:
@@ -173,42 +152,23 @@ def e_v(w: Permutation321) -> RationalDyckPath:
 def e_q(w: Permutation321) -> RationalDyckPath:
     """Reflection of the below-diagonal path whose up-right corners sit at
     the northwest corners of the strictly-below marks."""
-    n = w.n
-    corners = [(i - 1, v) for i, v in rothe_marks(w).below]
-    word = []
-    cx = cy = 0
-    for x, y in corners:
-        word.append("R" * (x - cx) + "U" * (y - cy))
-        cx, cy = x, y
-    word.append("R" * (n - cx) + "U" * (n - cy))
-    return _reflect_word(n, "".join(word))
+    peaks = []
+    y_prev = 0
+    for i, v in enumerate(w.values, start=1):
+        if v < i:
+            peaks.append((y_prev, i - 1))
+            y_prev = v
+    peaks.append((y_prev, w.n))
+    return _path_from_peaks(w.n, peaks)
 
 
 def e_w(w: Permutation321) -> RationalDyckPath:
     """Reflection of the below-diagonal path with valleys at the southeast
     corners of the on/below marks."""
-    n = w.n
-    marks = rothe_marks(w)
-    valleys = sorted((i, v - 1) for i, v in marks.below + marks.diagonal)
-    word = []
-    cx = cy = 0
-    first = True
-    for x, y in valleys:
-        if first:
-            if y != 0:
-                raise InvariantError(f"first grid valley off the floor: {valleys}")
-            word.append("R" * x)
-            first = False
-        else:
-            word.append("U" * (y - cy) + "R" * (x - cx))
-        cx, cy = x, y
-    word.append("U" * (n - cy))
-    return _reflect_word(n, "".join(word))
-
-
-def _reflect_word(n: int, word: str) -> RationalDyckPath:
-    swapped = word.translate(str.maketrans("UR", "RU"))
-    return path_from_word(classical_slope(n), swapped)
+    peaks = [(v - 1, i) for i, v in enumerate(w.values, start=1) if v <= i]
+    if peaks[0][0] != 0:
+        raise InvariantError(f"first grid valley off the floor: {w}")
+    return _path_from_peaks(w.n, peaks)
 
 
 @memo_image
@@ -254,13 +214,8 @@ def rsk_hat(w: Permutation321) -> RationalDyckPath:
     recording tableau."""
     n = w.n
     insertion, recording = rsk_two_row(w)
-    letters = [""] * (2 * n)
-    first_ins = set(insertion[0])
-    first_rec = set(recording[0])
-    for i in range(1, n + 1):
-        letters[i - 1] = "U" if i in first_ins else "R"
-        letters[2 * n - i] = "R" if i in first_rec else "U"
-    return path_from_word(classical_slope(n), "".join(letters))
+    steps = insertion[0] + [2 * n + 1 - i for i in reversed(recording[1])]
+    return RationalDyckPath(classical_slope(n), tuple(steps))
 
 
 def pm_cross(w: Permutation321) -> PerfectMatching:

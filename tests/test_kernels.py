@@ -11,8 +11,10 @@ every assignment of valley values for the inverse, test every pair of
 blocks for a crossing, walk every set partition and keep the non-crossing
 ones, build chains from the all-pairs refinement table, splice chain paths
 at slot boundaries one block at a time, invert the Kreweras complement by
-applying it 2n - 1 times, validate blocks by four separate checks, and
-tabulate orbits with every path keyed by its name.
+applying it 2n - 1 times, validate blocks by four separate checks,
+tabulate orbits with every path keyed by its name, spell grid paths as U/R
+words read back through their vertices and reflect them by swapping
+letters, and look for a 321 pattern by scanning the suffix of every value.
 """
 
 import itertools
@@ -57,7 +59,20 @@ from ratdyck.paths import (
     enumerate_paths,
     enumerate_words,
     image_scope,
+    path_from_word,
     word_above_line,
+)
+from ratdyck.perms import (
+    _is_321_avoiding,
+    _path_from_peaks,
+    _peaks,
+    e_p,
+    e_p_inverse,
+    e_q,
+    e_v,
+    e_w,
+    rsk_hat,
+    rsk_two_row,
 )
 from ratdyck.promotion import (
     _toggle_runs,
@@ -1009,3 +1024,127 @@ def test_orbit_table_names_the_first_collision(monkeypatch):
     with pytest.raises(ValueError) as err:
         orbit_table_reference("promotion", slope)
     assert str(err.value) == message
+
+
+def path_from_peaks_reference(n, peaks):
+    word = []
+    cx = cy = 0
+    for x, y in peaks:
+        if x < cx or y <= cy:
+            raise ValueError(f"peaks are not increasing: {peaks}")
+        word.append("R" * (x - cx) + "U" * (y - cy))
+        cx, cy = x, y
+    word.append("R" * (n - cx))
+    return path_from_word(Slope(1, 1, n), "".join(word))
+
+
+def corners_reference(p, first, second):
+    """The vertices between a `first` step and a `second` step: peaks for
+    U then R, valleys for R then U."""
+    word = p.word
+    verts = p.vertices()
+    return [verts[i] for i in range(1, len(word)) if word[i - 1] == first and word[i] == second]
+
+
+def reflect_reference(n, word):
+    return path_from_word(Slope(1, 1, n), word.translate(str.maketrans("UR", "RU")))
+
+
+def e_v_reference(w):
+    n = w.n
+    required = [(x - 1, y + 1) for x, y in corners_reference(e_p(w), "R", "U")]
+    peaks = []
+    height = 0
+    for x, y in required:
+        while height < x:
+            peaks.append((height, height + 1))
+            height += 1
+        peaks.append((x, y))
+        height = y
+    while height < n:
+        peaks.append((height, height + 1))
+        height += 1
+    return path_from_peaks_reference(n, peaks)
+
+
+def e_q_reference(w):
+    n = w.n
+    word = []
+    cx = cy = 0
+    for x, y in [(i - 1, v) for i, v in enumerate(w.values, start=1) if v < i]:
+        word.append("R" * (x - cx) + "U" * (y - cy))
+        cx, cy = x, y
+    word.append("R" * (n - cx) + "U" * (n - cy))
+    return reflect_reference(n, "".join(word))
+
+
+def e_w_reference(w):
+    n = w.n
+    valleys = sorted((i, v - 1) for i, v in enumerate(w.values, start=1) if v <= i)
+    assert valleys[0][1] == 0
+    word = ["R" * valleys[0][0]]
+    for (cx, cy), (x, y) in zip(valleys, valleys[1:]):
+        word.append("U" * (y - cy) + "R" * (x - cx))
+    word.append("U" * (n - valleys[-1][1]))
+    return reflect_reference(n, "".join(word))
+
+
+def rsk_hat_reference(w):
+    n = w.n
+    insertion, recording = rsk_two_row(w)
+    letters = [""] * (2 * n)
+    for i in range(1, n + 1):
+        letters[i - 1] = "U" if i in insertion[0] else "R"
+        letters[2 * n - i] = "R" if i in recording[0] else "U"
+    return path_from_word(Slope(1, 1, n), "".join(letters))
+
+
+def assert_grid_paths(p):
+    n = p.slope.n
+    peaks = _peaks(p)
+    assert peaks == corners_reference(p, "U", "R")
+    assert _path_from_peaks(n, peaks) == path_from_peaks_reference(n, peaks) == p
+    w = e_p_inverse(p)
+    assert e_p(w) == p
+    assert e_v(w) == e_v_reference(w)
+    assert e_q(w) == e_q_reference(w)
+    assert e_w(w) == e_w_reference(w)
+    assert rsk_hat(w) == rsk_hat_reference(w)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_grid_paths_match_word_builders(n):
+    for p in enumerate_paths(Slope(1, 1, n)):
+        assert_grid_paths(p)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_grid_paths_match_word_builders_on_random_paths(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        assert_grid_paths(random_path(Slope(1, 1, n), rng))
+
+
+def test_path_from_peaks_rejects_unordered_peaks():
+    for peaks in ([(1, 2), (0, 3)], [(0, 2), (1, 2)]):
+        with pytest.raises(ValueError, match="peaks are not increasing"):
+            _path_from_peaks(3, peaks)
+        with pytest.raises(ValueError, match="peaks are not increasing"):
+            path_from_peaks_reference(3, peaks)
+
+
+def is_321_avoiding_reference(values):
+    """No value has a larger value before it and a smaller value after it."""
+    prefix_max = 0
+    for i, v in enumerate(values):
+        if prefix_max > v and any(w < v for w in values[i + 1 :]):
+            return False
+        prefix_max = max(prefix_max, v)
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_linear_321_rule_matches_pairwise_scan(n):
+    for perm in itertools.permutations(range(1, n + 1)):
+        for k in range(n + 1):
+            assert _is_321_avoiding(perm[:k]) == is_321_avoiding_reference(perm[:k])

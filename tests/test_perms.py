@@ -117,11 +117,3 @@ def test_insertion_map_conjugations(n):
         assert rsk_path(dyck3(p)) == evacuation_fast(img)
         assert rsk_path(dyck2(p)) == evacuation_fast(dual_promotion(img))
 
-
-def test_rothe_marks_classification():
-    from ratdyck.perms import rothe_marks
-
-    marks = rothe_marks(Permutation321((1, 3, 4, 2, 5)))
-    assert marks.above == ((2, 3), (3, 4))
-    assert marks.diagonal == ((1, 1), (5, 5))
-    assert marks.below == ((4, 2),)

@@ -122,6 +122,19 @@ def test_cli_bad_input_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,noun,known", [
+    (("apply", "--map", "nope", "--a", "1", "--b", "1", "--n", "2", "--path", "1,2"),
+     "map", registry.PATH_MAPS),
+    (("orbit", "--map", "nope", "--a", "1", "--b", "1", "--n", "2"), "map", registry.PATH_MAPS),
+    (("verify", "--identity", "nope"), "identity", IDENTITIES),
+])
+def test_cli_unknown_name_message(capsys, argv, noun, known):
+    # one unquoted line: the KeyError's message, not its repr
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown {noun} 'nope'; known: {sorted(known)}"
+
+
 @pytest.mark.parametrize("source", [("--path", "1,3,5"), ("--ncp", "1.2/3")])
 def test_cli_apply_without_inverse(capsys, source):
     code, out, err = run(capsys, "apply", "--map", "lift", "--power", "-1", "--a", "1",
