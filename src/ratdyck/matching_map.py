@@ -18,20 +18,23 @@ and a mid-step return never followed directly by another up step.
 first b + 1 positions of each entry's cyclic order, since no larger block
 closes.  It lays the built blocks out once per call (``BuiltBlocks``, which
 also holds the slope constants and the complete-window lengths) and keeps
-one memo of sub-window verdicts for its whole call.  A verdict depends only
-on the built blocks with a position in its span, so each new block drops
-exactly the spans that hold one of its positions (``drop_spans``).  A
-candidate whose span is a single window is settled without a parse.
-Sub-windows that hold only part of a block fail, and sub-windows rooted at
-a free position with no built position inside always parse (``admissible``
-gives the proofs), so neither is searched.  ``mat_inverse`` rebuilds the
-path greedily from the bottom row up: the valley values can only go in
+one memo for its whole call: the verdicts of windows rooted at built up
+steps, keyed by span, and one forward table per free root (``FreeTable``),
+which reads the span one step at a time and settles every window rooted
+there, whatever its end.  Each new block drops exactly the spans and the
+tables whose range holds one of its positions (``drop_spans``).  A
+candidate whose span is a single window is settled without a parse,
+windows rooted at a built up step that hold only part of a block fail,
+free-rooted windows with no built position inside always parse, and a
+parse whose own rights are forced drops the states whose slack can no
+longer close (``admissible`` gives the proofs).  ``mat_inverse`` rebuilds
+the path greedily from the bottom row up: the valley values can only go in
 descending order, so there is nothing to search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .matchings import canonical_matching, pm, pm_inverse
@@ -105,6 +108,17 @@ def _window_ups(slope: Slope, length: int) -> int | None:
 FREE, UP, CAND = -1, -2, -3
 
 
+def _stretches(rights: list[int]) -> list[int]:
+    """Entry k counts the non-empty stretches between consecutive positions
+    of the sorted ``rights[k:]``, for k from 0 to len(rights)."""
+    if len(rights) < 2:
+        return [0, 0]
+    count = [0] * (len(rights) + 1)
+    for k in range(len(rights) - 2, -1, -1):
+        count[k] = count[k + 1] + (rights[k + 1] > rights[k] + 1)
+    return count
+
+
 class BuiltBlocks:
     """The blocks built so far, laid out as every admissibility parse reads
     them, with what depends only on the slope, so that the set-up is paid
@@ -154,14 +168,39 @@ class BuiltBlocks:
         return min(self.lowest[lo : hi + 1]) >= lo and max(self.highest[lo : hi + 1]) <= hi
 
 
+class FreeTable:
+    """The windows rooted at one free position i, scanned forward from i up
+    to i + len(shut) - 1, for every end at once (``admissible`` gives the
+    proof).
+
+    ``shut[k]`` and ``opened[k]`` are bit masks over u, the up steps past
+    the root: bit u is set when a run of items (single steps at free
+    positions, complete windows of built blocks) fills i+1 .. i+k with u up
+    steps, every item but the last ending strictly above the line, and the
+    last one is not (``shut``) or is (``opened``) a block window returning
+    mid-step.  ``pending`` maps each end the scan has not reached to the
+    block windows that end there, as (up step, up count, mask of the up
+    counts before the up step) triples.
+    """
+
+    __slots__ = ("shut", "opened", "pending")
+
+    def __init__(self) -> None:
+        self.shut, self.opened, self.pending = [1], [0], {}
+
+
 def drop_spans(memo: dict, block) -> None:
-    """Forget every memoized span [i, j] holding a position of ``block``
-    (sorted ascending): the verdicts ``admissible`` may keep once ``block``
-    is built."""
+    """Forget every memoized span [i, j], and every table rooted at i and
+    scanned up to j, holding a position of ``block`` (sorted ascending):
+    the entries ``admissible`` may keep once ``block`` is built."""
+    first, last = block[0], block[-1]
     stale = []
     for key in memo:
-        k = bisect_left(block, key[0])
-        if k < len(block) and block[k] <= key[1]:
+        if type(key) is int:  # a table, see FreeTable
+            lo, hi = key, key + len(memo[key].shut) - 1
+        else:
+            lo, hi = key
+        if lo <= last and first <= hi and block[bisect_left(block, lo)] <= hi:
             stale.append(key)
     for key in stale:
         del memo[key]
@@ -196,37 +235,80 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     window.  So once the span length, the nesting and the closure count
     hold, such a candidate is admissible iff it fills its span.
 
-    Two facts settle most sub-windows without a search.  A built position
+    Two facts settle many sub-windows without a search.  A built position
     can only be parsed inside the window rooted at its block's up step, so
-    a sub-window holding part of a block but not all of it fails.  And a
-    sub-window rooted at a free position with no built position inside it
-    always parses: its complete length holds c up steps and floor(b*c/a)
-    rights, and U^c R^floor(b*c/a) fills it, since the c - 1 up steps after
-    the root form one such window (by induction; none for c = 1) and every
-    interior prefix after them has r < b*c/a rights, strictly above the
-    line.
+    a window rooted at a built up step that holds part of a block but not
+    all of it fails.  And a sub-window rooted at a free position with no
+    built position inside it always parses: its complete length holds c up
+    steps and floor(b*c/a) rights, and U^c R^floor(b*c/a) fills it, since
+    the c - 1 up steps after the root form one such window (by induction;
+    none for c = 1) and every interior prefix after them has r < b*c/a
+    rights, strictly above the line.
+
+    Every other window rooted at a free position i is read off one forward
+    table per root (``FreeTable``), which answers every end j at once.
+    Measure the slack b*(1+u) - a*r from the root, for u up steps past it
+    and r rights.  The table reads the span one item at a time: a free
+    position is one up or right step, and a built up step opens one of its
+    block's complete windows (a span verdict).  [i, j] of c up steps parses
+    iff some run of such items fills it with c - 1 up steps past the root,
+    the slack positive after every item that ends before j (that is,
+    (a+b)*u > a*k - b after k positions), and no up step right after a
+    block window that returned mid-step.  A parse gives such a run: write
+    each free sub-window out as an up step and its own run; inside it the
+    slack stays above its value before the sub-window, which is positive,
+    and an item after a window that returned mid-step is an own right (a
+    right step), since such a window is followed by one or ends its
+    enclosing window, which then returns mid-step too.  A run gives a
+    parse: cut each free up step's window at the first item end where the
+    slack measured from that step is 0, or is below a and is j or has a
+    right step next.  Slack moves by +b, by -a or, across a block window
+    (inside which it stays above its value before), by less than a, so the
+    slack from that step is positive inside the window and below a at its
+    end, the window has the length of a complete one, windows cut this way
+    nest, and one that returns mid-step is followed by a right step, which
+    is an own right of the window around it.  Each item is constrained by itself and the state
+    before it only: (k, u, whether the last item was a block window that
+    returned mid-step).  Only the last item reads j, and it may touch the
+    line, so the states reached by runs whose items all end strictly above
+    the line are the same for every end past them, and the verdict for
+    [i, j] is whether a last item ending at j reaches u = c - 1.  The table
+    keeps, for each k, the up counts of the runs whose last item ends at
+    i + k, before that item's line test, as bit masks, so a verdict is one
+    bit.  It scans only as far as the ends asked for, and asks about a block
+    window only once the scan reaches its end.
 
     Where the own rights of a window are forced, as the candidate's are at
     the top and a block's are in the window rooted at its up step, the
-    parse also drops states by their slack b*(1+u) - a*r, for u up steps
-    past the root and r rights so far.  Each own right lowers the slack by
-    a.  A sub-window of c' up steps raises it by (b*c') mod a < a, which is
-    nonzero only when it returns mid-step, and such a window is followed
-    by an own right or ends the window.  A complete window of c up steps
-    ends with slack (b*c) mod a.  So with slack S and n own rights ahead,
-    the final slack lies in [S - a*n, S - a*n + (a-1)*(n+e)], where e is 1
-    if a sub-window may end the window and 0 if it ends on an own right,
-    and a state whose range misses (b*c) mod a cannot close.  At the root
-    of a candidate of s positions, S = b, n = s - 1 and e = 0, so a
-    candidate of more than b + 1 positions never closes, and ``mat`` builds
-    only the first b + 1 positions of each entry's cyclic order.
+    parse also drops states by their slack.  Each own right lowers the
+    slack by a.  A sub-window of c' up steps raises it by (b*c') mod a < a,
+    which is nonzero only when it returns mid-step, and such a window is
+    followed by an own right or ends the window.  So the sub-windows filling
+    one stretch between own rights raise the slack by less than a in all,
+    and the stretches holding no position raise it by nothing.  A complete
+    window of c up steps ends with slack (b*c) mod a.  So with slack S, n
+    own rights ahead and g non-empty stretches ahead (counting the one
+    after the last own right, which holds sub-windows iff the window does
+    not end on an own right), the final slack lies in
+    [S - a*n, S - a*n + (a-1)*g], and a state whose range misses
+    (b*c) mod a cannot close.  At the root of a candidate of s positions,
+    S = b, n = s - 1 and g <= n, so a candidate of more than b + 1
+    positions never closes, and ``mat`` builds only the first b + 1
+    positions of each entry's cyclic order.  A sub-window also ends before
+    the next own right, which it could not hold.
 
-    ``memo`` shares sub-window verdicts between calls, keyed by span.  The
-    parse never asks about a sub-window holding a candidate position, since
-    it could neither own nor open on one, so a verdict for [i, j] depends
-    only on the built blocks with a position in [i, j].  A memo stays valid
-    while blocks are built as long as ``drop_spans`` removes, for each new
-    block, the spans holding one of its positions: ``mat`` keeps one memo
+    ``memo`` shares sub-window verdicts, keyed by span, and free-root
+    tables, keyed by root, between calls.  The parse never asks about a
+    sub-window holding a candidate position, since it could neither own nor
+    open on one, so a verdict for [i, j] depends only on the built blocks
+    with a position in [i, j].  A table scanned from i to e depends only on
+    the tags in [i, e] and on verdicts of block windows inside it.  It reaches
+    e only while some [i, j] with j >= e is asked, so no candidate position
+    lies in [i, e] as it scans; and a later call whose candidate has a
+    position x there asks only about ends before x, which read nothing at
+    or past x.  So the memo stays valid while blocks are built as long as
+    ``drop_spans`` removes, for each new block, the spans and the tables
+    whose scanned range holds one of its positions: ``mat`` keeps one memo
     for its whole call.  Without one, the call keeps a private memo.
     """
     cand = sorted(set(candidate))
@@ -266,40 +348,77 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
         if tag[i] == FREE:
             if after[i] > j:
                 return True  # no built position inside
-            own = FREE
-        elif highest[i] > j:
+            table = memo.get(i)
+            if table is None:
+                table = memo[i] = FreeTable()
+            if len(table.shut) <= j - i:
+                scan(i, j, table)
+            return (table.shut[j - i] | table.opened[j - i]) >> (c - 1) & 1 == 1
+        if highest[i] > j:
             return False
-        else:
-            own = i
         verdict = memo.get((i, j))
         if verdict is None:  # whole blocks only, see the docstring
             verdict = memo[i, j] = built.encloses(i, j) and parse(
-                i, j, c, own, built.rights[i] if own == i else None
+                i, j, c, i, built.rights[i]
             )
         return verdict
 
-    def parse(i: int, j: int, c_total: int, own: int, forced: list[int] | None) -> bool:
+    def scan(i: int, j: int, table: FreeTable) -> None:
+        """Extend the table of the free root i to the runs ending at j."""
+        shut, opened, pending = table.shut, table.opened, table.pending
+        for x in range(i + len(shut), j + 1):
+            # the states before x: the runs over k positions that end
+            # strictly above the line, (a+b)*u > a*k - b
+            k = x - 1 - i
+            least = (a * k - b) // (a + b) + 1
+            closed = shut[k] >> least << least
+            reach_shut = reach_open = 0
+            t = tag[x]
+            if t == FREE:  # an up step, or a right
+                reach_shut = (closed << 1) | closed | (opened[k] >> least << least)
+            elif t == UP and closed:  # the windows of the block built here
+                c = bisect_left(length, highest[x] - x + 1)
+                if c < len(length):
+                    pending.setdefault(x + length[c] - 1, []).append((x, c, closed))
+            for p, c, before in pending.get(x, ()):
+                if window_ok(p, x, c):
+                    if b * c % a:
+                        reach_open |= before << c
+                    else:
+                        reach_shut |= before << c
+                if c + 1 < len(length):
+                    pending.setdefault(p + length[c + 1] - 1, []).append((p, c + 1, before))
+            pending.pop(x, None)
+            shut.append(reach_shut)
+            opened.append(reach_open)
+
+    def parse(i: int, j: int, c_total: int, own: int, forced: list[int]) -> bool:
         """Whether [i, j] is one window of ``c_total`` up steps rooted at i
-        whose own rights are the positions tagged ``own``.  ``forced``
-        lists those positions when every one of them must be an own right;
-        it is None under a free root, whose own positions may also open
-        sub-windows."""
+        whose own rights are exactly ``forced``, the positions tagged
+        ``own``."""
         seen: set[tuple[int, int, bool]] = set()
         s_final = b * c_total % a
+        n = len(forced)
         ends_open = tag[j] != own
+        stretches = _stretches(forced)
 
         def rec(pos: int, ups: int, after_open_return: bool) -> bool:
             # after_open_return: the previous item was a window whose first
             # return is mid-step, so the next step cannot be an up step
             if pos > j:
                 return ups == c_total - 1
-            if (pos, ups, after_open_return) in seen:
+            state = (pos, ups, after_open_return)
+            if state in seen:
                 return False
-            seen.add((pos, ups, after_open_return))
-            if forced is not None:  # the slack bound, see the docstring
-                ahead = len(forced) - bisect_left(forced, pos)
-                low = b * (1 + ups) - a * (pos - 1 - i - ups) - a * ahead
-                if not low <= s_final <= low + (a - 1) * (ahead + ends_open):
+            seen.add(state)
+            # the slack bound, see the docstring
+            k = bisect_left(forced, pos)
+            low = b * (1 + ups) - a * (pos - 1 - i - ups) - a * (n - k)
+            if s_final < low:
+                return False
+            if s_final > low:  # the stretches ahead must make up the rest
+                fills = stretches[k] + ends_open + (k < n and pos < forced[k])
+                if s_final > low + (a - 1) * fills:
                     return False
             t = tag[pos]
             if t == own:
@@ -307,13 +426,9 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
                 if (pos == j or b * (1 + ups) > a * rights) and rec(pos + 1, ups, False):
                     return True
             if (t == FREE or t == UP) and not after_open_return:
-                # a sub-window ends before the next candidate position and
-                # holds at most the up steps this window still lacks
-                end = j
-                if own == CAND:
-                    k = bisect_right(cand, pos)
-                    if k < len(cand) and cand[k] <= j:
-                        end = cand[k] - 1
+                # a sub-window ends before the next own right, which it could
+                # not hold, and holds at most the up steps this window lacks
+                end = forced[k] - 1 if k < n else j
                 for c_sub in range(1, c_total - ups):
                     q = pos + length[c_sub] - 1
                     if q > end:

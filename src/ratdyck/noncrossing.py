@@ -164,7 +164,9 @@ def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
 
     def rec(partial: list[list[int]], x: int) -> None:
         if x > n:
-            out.append(ncp(n, [tuple(b) for b in partial]))
+            # the walk keeps each block sorted and the blocks ordered by
+            # their minimum, so they are already in canonical form
+            out.append(NonCrossingPartition(n, tuple(map(tuple, partial))))
             return
         for b in partial:
             # x joins b without a crossing iff no other block has elements

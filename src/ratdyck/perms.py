@@ -14,6 +14,7 @@ reflected paths are built from the swapped corners of their marks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -197,8 +198,9 @@ def rsk_two_row(w: Permutation321) -> tuple[list[list[int]], list[list[int]]]:
     for pos, v in enumerate(w.values, start=1):
         row = 0
         while True:
-            bigger = next((k for k, x in enumerate(insertion[row]) if x > v), None)
-            if bigger is None:
+            # each row is sorted, so the bumped entry is the first one past v
+            bigger = bisect_right(insertion[row], v)
+            if bigger == len(insertion[row]):
                 insertion[row].append(v)
                 recording[row].append(pos)
                 break

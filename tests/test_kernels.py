@@ -14,7 +14,8 @@ at slot boundaries one block at a time, invert the Kreweras complement by
 applying it 2n - 1 times, validate blocks by four separate checks,
 tabulate orbits with every path keyed by its name, spell grid paths as U/R
 words read back through their vertices and reflect them by swapping
-letters, and look for a 321 pattern by scanning the suffix of every value.
+letters, look for a 321 pattern by scanning the suffix of every value, and
+find each bumped entry of a two-row insertion by scanning its row.
 """
 
 import itertools
@@ -71,6 +72,7 @@ from ratdyck.perms import (
     e_q,
     e_v,
     e_w,
+    enumerate_321_avoiding,
     rsk_hat,
     rsk_two_row,
 )
@@ -478,6 +480,31 @@ def random_path(slope, rng):
     return RationalDyckPath(slope, tuple(steps[1:]))
 
 
+def uniform_path(slope, rng):
+    """A uniformly drawn path: each up step is drawn with weight the number
+    of ways to place the up steps after it."""
+    an = slope.up_count
+    bound = [0] + [slope.step_bound(j) for j in range(1, an + 1)]
+    # ways[j][u]: the ways to place the up steps after the j-th, sitting at u
+    ways = [[1] * (bound[an] + 2)]
+    for j in range(an - 1, -1, -1):
+        after = ways[-1]
+        row = [0] * (bound[an] + 2)
+        for u in range(bound[j + 1] - 1, -1, -1):
+            row[u] = row[u + 1] + after[u + 1]
+        ways.append(row)
+    ways.reverse()
+    steps, u = [], 0
+    for j in range(1, an + 1):
+        r = rng.randrange(ways[j - 1][u])
+        u += 1
+        while r >= ways[j][u]:
+            r -= ways[j][u]
+            u += 1
+        steps.append(u)
+    return RationalDyckPath(slope, tuple(steps))
+
+
 MAT_DESK_SLOPES = [(1, 1, 7), (1, 2, 5), (2, 3, 3), (3, 2, 3), (3, 5, 2)]
 # about 40 steps, where the admissibility parse nests deepest
 MEMO_SLOPES = [(2, 3, 8), (3, 5, 5), (3, 2, 8)]
@@ -556,6 +583,89 @@ def test_memo_replay_across_entries(a, b, n):
             rng.shuffle(candidates)
             for cand in candidates:
                 shared = admissible(slope, cand, built, memo)
+                assert shared == admissible_reference(slope, cand, built), (p, cand, built)
+            drop_spans(memo, block)
+
+
+def mat_entries(p):
+    """For each valley entry: the blocks built before it and its own block,
+    read off ``mat(p)`` (an entry's block is the one holding its start)."""
+    s = p.slope
+    owner = {x: tuple(sorted(block)) for block in pm(mat(p)).blocks for x in block}
+    built = []
+    for entry in k_sequence(p).entries:
+        block = owner[entry.numeric(s)]
+        yield tuple(built), block
+        built.append(block)
+
+
+def cyclic_prefixes(pool):
+    """Every prefix of the cyclic order of ``pool`` from each of its
+    positions, ascending and descending, once per set of positions."""
+    prefixes = {}
+    for start in pool:
+        for increasing in (True, False):
+            grown = _grow_sequence(start, pool, increasing)
+            for size in range(1, len(grown) + 1):
+                prefixes.setdefault(frozenset(grown[:size]), grown[:size])
+    return list(prefixes.values())
+
+
+def assert_prefix_verdicts(slope, paths):
+    """``admissible`` against the full parse on every cyclic prefix of the
+    free positions before each entry of each path.  A verdict depends only
+    on the candidate, the blocks meeting its span and the number of blocks
+    built, so each such triple is checked once."""
+    checked = set()
+    for p in paths:
+        for built, _ in mat_entries(p):
+            layout = BuiltBlocks(slope, slope.total_steps, built)
+            used = {x for block in built for x in block}
+            for cand in cyclic_prefixes(set(range(1, slope.total_steps + 1)) - used):
+                lo, hi = min(cand), max(cand)
+                meeting = tuple(block for block in built if block[0] <= hi and lo <= block[-1])
+                key = (tuple(sorted(cand)), meeting, len(built))
+                if key not in checked:
+                    checked.add(key)
+                    assert admissible(slope, cand, layout) == admissible_reference(
+                        slope, cand, built
+                    ), (p, cand, built)
+
+
+@pytest.mark.parametrize("a,b,n", [(2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)])
+def test_free_tables_on_every_path(a, b, n):
+    # wrap-around prefixes span built blocks, so their free sub-windows are
+    # read off the free-root tables
+    slope = Slope(a, b, n)
+    assert_prefix_verdicts(slope, enumerate_paths(slope))
+
+
+@pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])
+def test_free_tables_on_uniform_paths(a, b, n):
+    slope = Slope(a, b, n)
+    rng = random.Random(a * 1000 + b * 100 + n)
+    assert_prefix_verdicts(slope, [uniform_path(slope, rng) for _ in range(3)])
+
+
+@pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])
+def test_table_replay_across_entries(a, b, n):
+    # one memo, and so its free-root tables, carried over every entry of a
+    # path: every cyclic prefix is asked in a shuffled order, so the tables
+    # grow in steps and are read back by later entries, and a table that
+    # drop_spans kept after a block landed in its scanned range gives stale
+    # verdicts
+    slope = Slope(a, b, n)
+    rng = random.Random(a * 1000 + b * 100 + n + 2)
+    for _ in range(3):
+        p = uniform_path(slope, rng)
+        memo = {}
+        for built, block in mat_entries(p):
+            layout = BuiltBlocks(slope, slope.total_steps, built)
+            used = {x for blk in built for x in blk}
+            candidates = cyclic_prefixes(set(range(1, slope.total_steps + 1)) - used)
+            rng.shuffle(candidates)
+            for cand in candidates:
+                shared = admissible(slope, cand, layout, memo)
                 assert shared == admissible_reference(slope, cand, built), (p, cand, built)
             drop_spans(memo, block)
 
@@ -1148,3 +1258,31 @@ def test_linear_321_rule_matches_pairwise_scan(n):
     for perm in itertools.permutations(range(1, n + 1)):
         for k in range(n + 1):
             assert _is_321_avoiding(perm[:k]) == is_321_avoiding_reference(perm[:k])
+
+
+def rsk_two_row_reference(w):
+    """Row insertion that scans each row from the left for the bumped entry."""
+    insertion, recording = [[], []], [[], []]
+    for pos, v in enumerate(w.values, start=1):
+        row = 0
+        while True:
+            bigger = next((k for k, x in enumerate(insertion[row]) if x > v), None)
+            if bigger is None:
+                insertion[row].append(v)
+                recording[row].append(pos)
+                break
+            insertion[row][bigger], v = v, insertion[row][bigger]
+            row += 1
+            if row > 1:
+                raise ValueError(f"insertion needs more than two rows: {w}")
+    return insertion, recording
+
+
+def test_rsk_two_row_matches_row_scan():
+    for n in range(1, 9):
+        for w in enumerate_321_avoiding(n):
+            assert rsk_two_row(w) == rsk_two_row_reference(w)
+    rng = random.Random(2000)
+    for _ in range(5):
+        w = e_p_inverse(random_path(Slope(1, 1, 2000), rng))
+        assert rsk_two_row(w) == rsk_two_row_reference(w)
