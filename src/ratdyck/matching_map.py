@@ -14,22 +14,23 @@ step or at a free position holding a later block (possibly wrapping around
 built material), with every interior prefix strictly above the slope line
 and a mid-step return never followed directly by another up step.
 
-``mat`` keeps the unused positions as one sorted list and builds only the
-first b + 1 positions of each entry's cyclic order, since no larger block
-closes.  It lays the built blocks out once per call (``BuiltBlocks``, which
-also holds the slope constants and the complete-window lengths) and keeps
-one memo for its whole call: the verdicts of windows rooted at built up
-steps, keyed by span, and one forward table per free root (``FreeTable``),
-which reads the span one step at a time and settles every window rooted
-there, whatever its end.  Each new block drops exactly the spans and the
-tables whose range holds one of its positions (``drop_spans``).  A
-candidate whose span is a single window is settled without a parse,
-windows rooted at a built up step that hold only part of a block fail,
-free-rooted windows with no built position inside always parse, and a
-parse whose own rights are forced drops the states whose slack can no
-longer close (``admissible`` gives the proofs).  ``mat_inverse`` rebuilds
-the path greedily from the bottom row up: the valley values can only go in
-descending order, so there is nothing to search.
+``admissible`` cuts a window at its own rights into stretches.  A stretch
+fills with complete sub-windows only when its length is that of one
+complete window, whose up count it then takes, so the line tests at the
+own rights and the closure count are arithmetic.  A stretch with no built
+position always fills, and one that holds a built position is read off one
+forward table per stretch start (``StretchTable``), which reads it one
+step at a time and settles every end at once.  ``mat`` keeps the unused
+positions as one sorted list and builds only the first b + 1 positions of
+each entry's cyclic order, since no larger block closes.  It lays the
+built blocks out once per call (``BuiltBlocks``, which also holds the
+slope constants and the arithmetic of each block's windows) and keeps one
+memo for its whole call, the stretch tables keyed by start.  Each new
+block drops exactly the tables whose scanned range holds one of its
+positions (``drop_spans``).  ``admissible`` gives the proofs.
+``mat_inverse`` rebuilds the path greedily from the bottom row up: the
+valley values can only go in descending order, so there is nothing to
+search.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .matchings import canonical_matching, pm, pm_inverse
+from .matchings import pm
 from .paths import InvariantError, RationalDyckPath, Slope, memo_image
 
 
@@ -105,24 +106,14 @@ def _window_ups(slope: Slope, length: int) -> int | None:
 
 # Position tags.  A built block's other positions carry the position of its
 # up step, so a window rooted there owns the positions tagged with its root.
-FREE, UP, CAND = -1, -2, -3
-
-
-def _stretches(rights: list[int]) -> list[int]:
-    """Entry k counts the non-empty stretches between consecutive positions
-    of the sorted ``rights[k:]``, for k from 0 to len(rights)."""
-    if len(rights) < 2:
-        return [0, 0]
-    count = [0] * (len(rights) + 1)
-    for k in range(len(rights) - 2, -1, -1):
-        count[k] = count[k + 1] + (rights[k + 1] > rights[k] + 1)
-    return count
+FREE, UP = -1, -2
 
 
 class BuiltBlocks:
-    """The blocks built so far, laid out as every admissibility parse reads
-    them, with what depends only on the slope, so that the set-up is paid
-    once per block or once per ``mat`` call and not once per candidate.
+    """The blocks built so far, laid out as every admissibility check reads
+    them, with what depends only on the slope or on one block, so that the
+    set-up is paid once per block or once per ``mat`` call and not once per
+    candidate.
 
     ``tag`` marks each position ``FREE``, ``UP`` (a block's smallest
     position, its up step) or with its block's up step.  ``lowest`` and
@@ -130,11 +121,15 @@ class BuiltBlocks:
     values no span check trips on at free ones.  ``after`` gives the first
     built position past each position, and ``rights`` the other positions
     of each block, keyed by its up step.  ``length[c]`` is the length of a
-    complete window of c up steps, for every window that fits in the size.
+    complete window of c up steps, for every window that fits in the size,
+    and ``ups[n]`` the up count of a stretch of n positions filled by
+    complete windows, or None when no such filling exists.  ``shape`` holds,
+    keyed by up step, the arithmetic of the windows rooted at each block
+    (``admissible`` gives both).
     """
 
-    __slots__ = ("slope", "a", "b", "up_count", "length",
-                 "tag", "lowest", "highest", "after", "rights")
+    __slots__ = ("slope", "a", "b", "up_count", "length", "ups",
+                 "tag", "lowest", "highest", "after", "rights", "shape")
 
     def __init__(self, slope: Slope, size: int, blocks=()) -> None:
         """``blocks`` are sorted ascending, as ``add`` takes them."""
@@ -142,11 +137,15 @@ class BuiltBlocks:
         self.slope, self.a, self.b, self.up_count = slope, a, b, slope.up_count
         # c + floor(b*c/a) > c*(a+b)/a - 1, so no larger c fits in size + 1
         self.length = [window_length(slope, c) for c in range(a * (size + 2) // (a + b) + 1)]
+        self.ups: list[int | None] = [None] * (size + 3)
+        for c, n in enumerate(self.length):
+            self.ups[n] = c
         self.tag = [FREE] * (size + 2)
         self.lowest = [size + 2] * (size + 2)
         self.highest = [0] * (size + 2)
         self.after = [size + 2] * (size + 2)
         self.rights: dict[int, list[int]] = {}
+        self.shape: dict[int, tuple[int, int] | None] = {}
         for block in blocks:
             self.add(block)
 
@@ -162,25 +161,42 @@ class BuiltBlocks:
                 y -= 1
         self.tag[lo] = UP
         self.rights[lo] = list(block[1:])
+        self.shape[lo] = self.arithmetic(lo, block[1:])
+
+    def arithmetic(self, root: int, rights) -> tuple[int, int] | None:
+        """The up count of a window rooted at ``root`` up to the last of its
+        own ``rights`` (sorted ascending), and its slack after it; None when
+        a stretch before that right cannot fill or an own right before it is
+        not strictly above the line."""
+        a, b, ups = self.a, self.b, self.ups
+        count, slack, prev = 1, b, root
+        for x in rights:
+            u = ups[x - prev - 1]
+            if slack <= 0 or u is None:
+                return None
+            count += u
+            slack += (a + b) * u - a * (x - prev)
+            prev = x
+        return count, slack
 
     def encloses(self, lo: int, hi: int) -> bool:
         """Whether every block with a position in [lo, hi] lies inside it."""
         return min(self.lowest[lo : hi + 1]) >= lo and max(self.highest[lo : hi + 1]) <= hi
 
 
-class FreeTable:
-    """The windows rooted at one free position i, scanned forward from i up
-    to i + len(shut) - 1, for every end at once (``admissible`` gives the
-    proof).
+class StretchTable:
+    """The fillings of the stretches starting at one position s, scanned
+    forward from s up to s + len(shut) - 2, for every end at once
+    (``admissible`` gives the proof).
 
-    ``shut[k]`` and ``opened[k]`` are bit masks over u, the up steps past
-    the root: bit u is set when a run of items (single steps at free
-    positions, complete windows of built blocks) fills i+1 .. i+k with u up
-    steps, every item but the last ending strictly above the line, and the
-    last one is not (``shut``) or is (``opened``) a block window returning
-    mid-step.  ``pending`` maps each end the scan has not reached to the
-    block windows that end there, as (up step, up count, mask of the up
-    counts before the up step) triples.
+    ``shut[k]`` and ``opened[k]`` are bit masks over u: bit u is set when a
+    run of items (single steps at free positions, complete windows of built
+    blocks) fills s .. s+k-1 with u up steps, the slack b*u - a*r of every
+    prefix of items is at least 0, and the last item is not (``shut``) or
+    is (``opened``) a block window returning mid-step.  ``pending`` maps
+    each end the scan has not reached to the block windows that end there,
+    as (up step, up count, mask of the up counts before the up step)
+    triples.
     """
 
     __slots__ = ("shut", "opened", "pending")
@@ -190,20 +206,17 @@ class FreeTable:
 
 
 def drop_spans(memo: dict, block) -> None:
-    """Forget every memoized span [i, j], and every table rooted at i and
-    scanned up to j, holding a position of ``block`` (sorted ascending):
-    the entries ``admissible`` may keep once ``block`` is built."""
+    """Forget every table whose scanned range holds a position of
+    ``block`` (sorted ascending): the tables ``admissible`` may keep once
+    ``block`` is built."""
     first, last = block[0], block[-1]
-    stale = []
-    for key in memo:
-        if type(key) is int:  # a table, see FreeTable
-            lo, hi = key, key + len(memo[key].shut) - 1
-        else:
-            lo, hi = key
-        if lo <= last and first <= hi and block[bisect_left(block, lo)] <= hi:
-            stale.append(key)
-    for key in stale:
-        del memo[key]
+    stale = [  # end: the last position scanned
+        s for s, table in memo.items()
+        if s <= last and first <= (end := s + len(table.shut) - 2)
+        and block[bisect_left(block, s)] <= end
+    ]
+    for s in stale:
+        del memo[s]
 
 
 def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
@@ -221,95 +234,97 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     The checks run cheapest first, and each input gets the verdict or the
     exception that the full parse gives it.  The span length, the window
     nesting and the closure count are read off ``BuiltBlocks``, which also
-    holds the slope constants and the complete-window lengths, so a call
-    that fails one of them does no parse.  The candidate's positions are
-    marked in ``built.tag`` for the parse and restored before it returns or
-    raises.
+    holds the slope constants, so a call that fails one of them reads no
+    stretch.  The layout is only read.
 
-    A single window is settled without a parse.  When the span length is
-    1 + floor(b/a), the window holds c = 1 up step, its root, so no
-    sub-window (of at least one up step) fits in it, and every other
-    position of the span must be one of the candidate's own rights.  Those
-    floor(b/a) rights keep every interior prefix strictly above the line,
-    since r < floor(b/a) rights give a*r < b, and the last one closes the
-    window.  So once the span length, the nesting and the closure count
-    hold, such a candidate is admissible iff it fills its span.
+    Stretches.  Cut a window rooted at i at its own rights: each stretch
+    (between the root and the first own right, between two own rights, or
+    after the last one up to the window's end) is filled by complete
+    sub-windows, since a sub-window cannot hold an own right.  Measure the
+    slack b*U - a*R of U up steps and R rights.  A complete window of c up
+    steps has c + floor(b*c/a) positions and slack (b*c) mod a, in [0, a)
+    and 0 unless it returns mid-step, and such a window is followed by an
+    own right or ends the window, so every sub-window of a stretch but the
+    last has slack 0.  Hence a stretch of n positions filled with u up steps
+    has slack (a+b)*u - a*n in [0, a).  That interval is shorter than a + b,
+    so u = ceil(a*n/(a+b)) is the only candidate, and it fits exactly when n
+    is the length of a complete window of u up steps (or n = 0):
+    ``BuiltBlocks.ups`` gives u, or None.  A stretch of such a length with
+    no built position always fills, with U^u R^(n-u), one window rooted at a
+    free position: the u - 1 up steps after its root form one such window
+    (by induction; none for u = 1), which is followed only by rights, and
+    every interior prefix after them has r < b*u/a rights, strictly above
+    the line.
 
-    Two facts settle many sub-windows without a search.  A built position
-    can only be parsed inside the window rooted at its block's up step, so
-    a window rooted at a built up step that holds part of a block but not
-    all of it fails.  And a sub-window rooted at a free position with no
-    built position inside it always parses: its complete length holds c up
-    steps and floor(b*c/a) rights, and U^c R^floor(b*c/a) fills it, since
-    the c - 1 up steps after the root form one such window (by induction;
-    none for c = 1) and every interior prefix after them has r < b*c/a
-    rights, strictly above the line.
+    The arithmetic.  The slack from the root is b after it; a stretch of n
+    positions and u up steps raises it by (a+b)*u - a*n >= 0, and an own
+    right lowers it by a.  Inside a stretch it never drops below its value
+    at the stretch start (see the tables below), so the line tests inside a
+    stretch hold once the tests at the own rights hold: positive slack
+    after each own right that is not the window's end.  With the up counts
+    read off the lengths, those tests and the closure count (1 plus the up
+    counts of the stretches is the window's c) are plain arithmetic
+    (``BuiltBlocks.arithmetic``).  A complete window ends with slack
+    (b*c) mod a >= 0, and each of its m own rights lowers the slack by a
+    while each stretch raises it by less than a, so b + (a-1)*m - a*m >= 0:
+    a candidate of more than b + 1 positions never closes, and ``mat`` builds
+    only the first b + 1 positions of each entry's cyclic order.
 
-    Every other window rooted at a free position i is read off one forward
-    table per root (``FreeTable``), which answers every end j at once.
-    Measure the slack b*(1+u) - a*r from the root, for u up steps past it
-    and r rights.  The table reads the span one item at a time: a free
+    The tables.  A stretch that holds a built position is read off one
+    forward table per stretch start s (``StretchTable``), which answers
+    every end e at once.  Read the stretch one item at a time: a free
     position is one up or right step, and a built up step opens one of its
-    block's complete windows (a span verdict).  [i, j] of c up steps parses
-    iff some run of such items fills it with c - 1 up steps past the root,
-    the slack positive after every item that ends before j (that is,
-    (a+b)*u > a*k - b after k positions), and no up step right after a
-    block window that returned mid-step.  A parse gives such a run: write
-    each free sub-window out as an up step and its own run; inside it the
-    slack stays above its value before the sub-window, which is positive,
-    and an item after a window that returned mid-step is an own right (a
-    right step), since such a window is followed by one or ends its
-    enclosing window, which then returns mid-step too.  A run gives a
-    parse: cut each free up step's window at the first item end where the
-    slack measured from that step is 0, or is below a and is j or has a
+    block's complete windows (settled as below).  [s, e] is filled by
+    complete sub-windows with u up steps iff some run of such items fills it
+    with u up steps, with slack (from s) at least 0 after every item, and
+    no up step right after a block window that returned mid-step.  A filling
+    gives such a run: write each free-rooted sub-window out as an up step
+    and its own items, recursively; inside a window the slack from its root
+    is positive after every item but the last and at least 0 after it, so
+    the slack from s never drops below its value at the window's start,
+    which is 0 for every sub-window of the stretch; and a window that
+    returned mid-step is followed by an own right (a right step) or ends
+    its enclosing window, which then returns mid-step too.  A run gives a
+    filling: cut each free up step's window at the first item end where the
+    slack measured from that step is 0, or is below a and is e or has a
     right step next.  Slack moves by +b, by -a or, across a block window
     (inside which it stays above its value before), by less than a, so the
     slack from that step is positive inside the window and below a at its
     end, the window has the length of a complete one, windows cut this way
-    nest, and one that returns mid-step is followed by a right step, which
-    is an own right of the window around it.  Each item is constrained by itself and the state
-    before it only: (k, u, whether the last item was a block window that
-    returned mid-step).  Only the last item reads j, and it may touch the
-    line, so the states reached by runs whose items all end strictly above
-    the line are the same for every end past them, and the verdict for
-    [i, j] is whether a last item ending at j reaches u = c - 1.  The table
-    keeps, for each k, the up counts of the runs whose last item ends at
-    i + k, before that item's line test, as bit masks, so a verdict is one
-    bit.  It scans only as far as the ends asked for, and asks about a block
-    window only once the scan reaches its end.
+    nest, and one that returns mid-step is followed by a right step or by
+    e.  At the stretch level the slack from s is 0 before each item: a
+    right step there, or after a window returning mid-step, would take it
+    below 0, so the stretch is a run of complete windows and only the last
+    may return mid-step.  Each item is constrained by itself
+    and the state before it only: (k, u, whether the last item was a block
+    window that returned mid-step), so the states reached over s .. s+k-1
+    are the same for every end past them, and the verdict for [s, e] is
+    whether u is reached at e.  The table keeps, for each k, the up counts
+    reached as bit masks, so a verdict is one bit.  It scans only as far as
+    the ends asked for, and asks about a block window only once the scan
+    reaches its end.
 
-    Where the own rights of a window are forced, as the candidate's are at
-    the top and a block's are in the window rooted at its up step, the
-    parse also drops states by their slack.  Each own right lowers the
-    slack by a.  A sub-window of c' up steps raises it by (b*c') mod a < a,
-    which is nonzero only when it returns mid-step, and such a window is
-    followed by an own right or ends the window.  So the sub-windows filling
-    one stretch between own rights raise the slack by less than a in all,
-    and the stretches holding no position raise it by nothing.  A complete
-    window of c up steps ends with slack (b*c) mod a.  So with slack S, n
-    own rights ahead and g non-empty stretches ahead (counting the one
-    after the last own right, which holds sub-windows iff the window does
-    not end on an own right), the final slack lies in
-    [S - a*n, S - a*n + (a-1)*g], and a state whose range misses
-    (b*c) mod a cannot close.  At the root of a candidate of s positions,
-    S = b, n = s - 1 and g <= n, so a candidate of more than b + 1
-    positions never closes, and ``mat`` builds only the first b + 1
-    positions of each entry's cyclic order.  A sub-window also ends before
-    the next own right, which it could not hold.
+    Windows rooted at a built up step i own exactly the block's rights, so
+    they hold all of them, and their arithmetic up to the last right
+    depends on the block alone: ``BuiltBlocks.shape`` keeps it, or None
+    when no window rooted there closes.  A window that ends past the last
+    right adds one stretch and needs positive slack after that right, so a
+    block without it has at most one window, and the tables ask no further.
+    A block with a position in such a window but not inside it puts a built
+    position in a stretch that no run can pass (a right whose up step lies
+    outside, or an up step whose windows end past the stretch), so the
+    stretches settle the window nesting too.
 
-    ``memo`` shares sub-window verdicts, keyed by span, and free-root
-    tables, keyed by root, between calls.  The parse never asks about a
-    sub-window holding a candidate position, since it could neither own nor
-    open on one, so a verdict for [i, j] depends only on the built blocks
-    with a position in [i, j].  A table scanned from i to e depends only on
-    the tags in [i, e] and on verdicts of block windows inside it.  It reaches
-    e only while some [i, j] with j >= e is asked, so no candidate position
-    lies in [i, e] as it scans; and a later call whose candidate has a
-    position x there asks only about ends before x, which read nothing at
-    or past x.  So the memo stays valid while blocks are built as long as
-    ``drop_spans`` removes, for each new block, the spans and the tables
-    whose scanned range holds one of its positions: ``mat`` keeps one memo
-    for its whole call.  Without one, the call keeps a private memo.
+    ``memo`` shares the stretch tables, keyed by start, between calls.
+    Every stretch read lies between two consecutive positions of the
+    candidate, or inside a block window read from such a stretch, so no
+    candidate position is in it, and the layout is never marked: a table scanned from s to e reads only the layout inside
+    [s, e] and the windows of built blocks inside it, which read only the
+    tables of their own stretches.  So a table stays valid while blocks
+    are built as long as no new block lands in [s, e], and ``drop_spans``
+    removes, for each new block, the tables whose scanned range holds one
+    of its positions: ``mat`` keeps one memo for its whole call.  Without
+    one, the call keeps a private memo.
     """
     cand = sorted(set(candidate))
     if not cand:
@@ -321,7 +336,7 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
         built = BuiltBlocks(slope, size, blocks)
     elif built.slope is not slope and built.slope != slope:
         raise ValueError(f"blocks laid out for {built.slope}, not {slope}")
-    tag, highest, after = built.tag, built.highest, built.after
+    tag, highest, after, ups = built.tag, built.highest, built.after, built.ups
     own_rights = cand[1:]
     for x in own_rights:
         if tag[x] != FREE:
@@ -334,123 +349,71 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     future_needed = c_top - 1 - tag[lo : hi + 1].count(UP)
     if future_needed < 0 or future_needed > built.up_count - len(built.rights) - 1:
         return False
-    if c_top == 1:
-        return len(cand) == hi - lo + 1  # a single window, see the docstring
+    shape = built.arithmetic(lo, own_rights)
+    if shape is None or shape[0] != c_top:
+        return False
 
-    a, b, length = built.a, built.b, built.length
+    a, b, length, shapes = built.a, built.b, built.length, built.shape
     if memo is None:
         memo = {}
 
-    def window_ok(i: int, j: int, c: int) -> bool:
-        """[i, j], of complete-window length for c up steps and free of
-        candidate positions, is one window rooted at i, a free position or
-        a built up step."""
-        if tag[i] == FREE:
-            if after[i] > j:
-                return True  # no built position inside
-            table = memo.get(i)
-            if table is None:
-                table = memo[i] = FreeTable()
-            if len(table.shut) <= j - i:
-                scan(i, j, table)
-            return (table.shut[j - i] | table.opened[j - i]) >> (c - 1) & 1 == 1
-        if highest[i] > j:
-            return False
-        verdict = memo.get((i, j))
-        if verdict is None:  # whole blocks only, see the docstring
-            verdict = memo[i, j] = built.encloses(i, j) and parse(
-                i, j, c, i, built.rights[i]
-            )
-        return verdict
+    def filled(prev: int, ends) -> bool:
+        """Whether the stretches after ``prev`` and after each of ``ends``
+        but the last, each up to the next end (exclusive), fill, given
+        their lengths do."""
+        for x in ends:
+            if after[prev] < x:  # a built position inside, see the docstring
+                table = memo.get(prev + 1)
+                if table is None:
+                    table = memo[prev + 1] = StretchTable()
+                n = x - prev - 1
+                if len(table.shut) <= n:
+                    scan(prev + 1, x - 1, table)
+                if not (table.shut[n] | table.opened[n]) >> ups[n] & 1:
+                    return False
+            prev = x
+        return True
 
-    def scan(i: int, j: int, table: FreeTable) -> None:
-        """Extend the table of the free root i to the runs ending at j."""
+    def window_ok(i: int, j: int, c: int) -> bool:
+        """[i, j], of complete-window length for c up steps, is one window
+        rooted at the built up step i."""
+        count, slack = shapes[i]
+        last = highest[i]
+        if j > last:
+            u = ups[j - last]
+            if slack <= 0 or u is None:
+                return False
+            count += u
+        return count == c and filled(i, built.rights[i] + [j + 1])
+
+    def scan(s: int, e: int, table: StretchTable) -> None:
+        """Extend the table of the stretches starting at s to the runs
+        ending at e."""
         shut, opened, pending = table.shut, table.opened, table.pending
-        for x in range(i + len(shut), j + 1):
-            # the states before x: the runs over k positions that end
-            # strictly above the line, (a+b)*u > a*k - b
-            k = x - 1 - i
-            least = (a * k - b) // (a + b) + 1
-            closed = shut[k] >> least << least
+        for x in range(s + len(shut) - 1, e + 1):
+            k = x - s  # the runs over s .. x-1
             reach_shut = reach_open = 0
             t = tag[x]
             if t == FREE:  # an up step, or a right
-                reach_shut = (closed << 1) | closed | (opened[k] >> least << least)
-            elif t == UP and closed:  # the windows of the block built here
+                reach_shut = (shut[k] << 1) | shut[k] | opened[k]
+            elif t == UP and shut[k] and shapes[x] is not None:
                 c = bisect_left(length, highest[x] - x + 1)
                 if c < len(length):
-                    pending.setdefault(x + length[c] - 1, []).append((x, c, closed))
-            for p, c, before in pending.get(x, ()):
+                    pending.setdefault(x + length[c] - 1, []).append((x, c, shut[k]))
+            for p, c, before in pending.pop(x, ()):
                 if window_ok(p, x, c):
                     if b * c % a:
                         reach_open |= before << c
                     else:
                         reach_shut |= before << c
-                if c + 1 < len(length):
+                if shapes[p][1] > 0 and c + 1 < len(length):  # see the docstring
                     pending.setdefault(p + length[c + 1] - 1, []).append((p, c + 1, before))
-            pending.pop(x, None)
-            shut.append(reach_shut)
-            opened.append(reach_open)
+            # slack at least 0: (a+b)*u >= a*(k+1)
+            least = -(-a * (k + 1) // (a + b))
+            shut.append(reach_shut >> least << least)
+            opened.append(reach_open >> least << least)
 
-    def parse(i: int, j: int, c_total: int, own: int, forced: list[int]) -> bool:
-        """Whether [i, j] is one window of ``c_total`` up steps rooted at i
-        whose own rights are exactly ``forced``, the positions tagged
-        ``own``."""
-        seen: set[tuple[int, int, bool]] = set()
-        s_final = b * c_total % a
-        n = len(forced)
-        ends_open = tag[j] != own
-        stretches = _stretches(forced)
-
-        def rec(pos: int, ups: int, after_open_return: bool) -> bool:
-            # after_open_return: the previous item was a window whose first
-            # return is mid-step, so the next step cannot be an up step
-            if pos > j:
-                return ups == c_total - 1
-            state = (pos, ups, after_open_return)
-            if state in seen:
-                return False
-            seen.add(state)
-            # the slack bound, see the docstring
-            k = bisect_left(forced, pos)
-            low = b * (1 + ups) - a * (pos - 1 - i - ups) - a * (n - k)
-            if s_final < low:
-                return False
-            if s_final > low:  # the stretches ahead must make up the rest
-                fills = stretches[k] + ends_open + (k < n and pos < forced[k])
-                if s_final > low + (a - 1) * fills:
-                    return False
-            t = tag[pos]
-            if t == own:
-                rights = (pos - i) - ups
-                if (pos == j or b * (1 + ups) > a * rights) and rec(pos + 1, ups, False):
-                    return True
-            if (t == FREE or t == UP) and not after_open_return:
-                # a sub-window ends before the next own right, which it could
-                # not hold, and holds at most the up steps this window lacks
-                end = forced[k] - 1 if k < n else j
-                for c_sub in range(1, c_total - ups):
-                    q = pos + length[c_sub] - 1
-                    if q > end:
-                        break
-                    ups2 = ups + c_sub
-                    if (
-                        (q == j or b * (1 + ups2) > a * (q - i - ups2))
-                        and window_ok(pos, q, c_sub)
-                        and rec(q + 1, ups2, b * c_sub % a != 0)
-                    ):
-                        return True
-            return False
-
-        return rec(i + 1, 0, False)
-
-    for x in own_rights:
-        tag[x] = CAND
-    try:
-        return parse(lo, hi, c_top, CAND, own_rights)
-    finally:
-        for x in own_rights:
-            tag[x] = FREE
+    return filled(lo, own_rights)
 
 
 def _cyclic_prefix(free: list[int], i: int, size: int, increasing: bool) -> list[int]:
@@ -485,7 +448,7 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     free = list(range(1, total + 1))  # the unused positions, sorted
     built: list[tuple[int, ...]] = []
     layout = BuiltBlocks(s, total)
-    verdicts: dict[tuple[int, int], bool] = {}  # kept valid by drop_spans
+    tables: dict[int, StretchTable] = {}  # kept valid by drop_spans
     for entry in k_sequence(p).entries:
         start = entry.numeric(s)
         i = bisect_left(free, start)
@@ -502,7 +465,7 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         first = min(ktilde + 1, len(seq))
         last = _representing_length(s, seq)
         for best in range(last, first - 1, -1):
-            if admissible(s, seq[:best], layout, verdicts):
+            if admissible(s, seq[:best], layout, tables):
                 break
         else:
             raise InvariantError(
@@ -512,12 +475,21 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         block = tuple(sorted(seq[:best]))
         built.append(block)
         layout.add(block)
-        drop_spans(verdicts, block)
+        drop_spans(tables, block)
         for x in block:
             del free[bisect_left(free, x)]
     if free:
         raise InvariantError(f"matching map left positions unused on {p}")
-    return pm_inverse(canonical_matching(total, built), s)
+    # the path whose up steps are the block minima, if its matching is the
+    # built one; a mismatch is a defect here, not bad input
+    built.sort()
+    try:
+        q = RationalDyckPath(s, tuple(block[0] for block in built))
+        if pm(q).blocks == tuple(built):
+            return q
+    except ValueError:
+        pass
+    raise InvariantError(f"matching map built blocks on {p} that are no path's matching")
 
 
 def _height(slope: Slope, pos: int) -> int:

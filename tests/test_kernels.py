@@ -27,6 +27,7 @@ import pytest
 
 from ratdyck import registry
 from ratdyck.matching_map import (
+    FREE,
     BuiltBlocks,
     _cyclic_prefix,
     _height,
@@ -532,7 +533,7 @@ def test_mat_inverse_matches_exhaustive_search(a, b, n):
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 5), (5, 3)])
 def test_all_free_windows_parse(a, b):
-    # the lemma behind accepting an all-free sub-window unparsed
+    # the lemma behind accepting a stretch with no built position unread
     slope = Slope(a, b, 40)
     for length in range(1, 41):
         c = window_ups_reference(slope, length)
@@ -633,23 +634,105 @@ def assert_prefix_verdicts(slope, paths):
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)])
-def test_free_tables_on_every_path(a, b, n):
-    # wrap-around prefixes span built blocks, so their free sub-windows are
-    # read off the free-root tables
+def test_stretch_tables_on_every_path(a, b, n):
+    # wrap-around prefixes span built blocks, so their stretches are read
+    # off the stretch tables
     slope = Slope(a, b, n)
     assert_prefix_verdicts(slope, enumerate_paths(slope))
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])
-def test_free_tables_on_uniform_paths(a, b, n):
+def test_stretch_tables_on_uniform_paths(a, b, n):
     slope = Slope(a, b, n)
     rng = random.Random(a * 1000 + b * 100 + n)
     assert_prefix_verdicts(slope, [uniform_path(slope, rng) for _ in range(3)])
 
 
+def stretch_ups_reference(slope, tags, s, e, verdicts):
+    """The up counts of every filling of [s, e] by complete windows, each
+    parsed in full by ``window_reference`` (rooted at a free position, or at
+    a built up step and holding all of its block), none but the last
+    returning mid-step."""
+    a, b = slope.a, slope.b
+    found = set()
+
+    def rec(pos, ups):
+        if pos > e:
+            found.add(ups)
+            return
+        kind, idx = tags[pos]
+        if kind == "R":
+            return
+        own = ("F", -1) if kind == "F" else ("R", idx)
+        c = 1
+        while (q := pos + window_length(slope, c) - 1) <= e:
+            if (
+                (q == e or b * c % a == 0)
+                and (kind == "F" or all(x <= q for x, tag in tags.items() if tag == own))
+                and window_reference(slope, tags, pos, q, c, own, verdicts)
+            ):
+                rec(q + 1, ups + c)
+            c += 1
+
+    rec(s, 0)
+    return found
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 2, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)])
+def test_stretch_lemma(a, b, n):
+    # every stretch of every layout mat builds on the slope fills only with
+    # the one up count BuiltBlocks.ups reads off its length, always when it
+    # holds no built position; and every stretch table admissible builds
+    # there, asked every cyclic prefix of the free positions, gives the
+    # verdict of a search over all fillings
+    slope = Slope(a, b, n)
+    size = slope.total_steps
+    layouts = {frozenset(built) for p in enumerate_paths(slope) for built, _ in mat_entries(p)}
+    fillings = {}
+    for built in layouts:
+        built = sorted(built)
+        layout = BuiltBlocks(slope, size, built)
+        tags = {x: ("F", -1) for x in range(1, size + 1)}
+        for idx, block in enumerate(built):
+            tags[block[0]] = ("U", idx)
+            tags.update((x, ("R", idx)) for x in block[1:])
+        verdicts = {}
+
+        def reference(s, e):
+            # a filling of [s, e] reads only its positions and the extremes
+            # of their blocks, relative to s
+            key = tuple(
+                (tags[x][0], layout.lowest[x] - s, layout.highest[x] - s)
+                if layout.tag[x] != FREE else None
+                for x in range(s, e + 1)
+            )
+            if key not in fillings:
+                fillings[key] = stretch_ups_reference(slope, tags, s, e, verdicts)
+            return fillings[key]
+
+        for s in range(1, size + 2):
+            for e in range(s - 1, size + 1):
+                u = layout.ups[e - s + 1]
+                found = reference(s, e)
+                assert found <= {u}, (built, s, e)
+                if u is not None and layout.after[s - 1] > e:
+                    assert found == {u}, (built, s, e)
+        memo = {}
+        used = {x for block in built for x in block}
+        for cand in cyclic_prefixes(set(range(1, size + 1)) - used):
+            if len(cand) <= b + 1:
+                admissible(slope, cand, layout, memo)
+        for s, table in memo.items():
+            for k in range(len(table.shut)):
+                u = layout.ups[k]
+                if u is not None:
+                    got = (table.shut[k] | table.opened[k]) >> u & 1 == 1
+                    assert got == (u in reference(s, s + k - 1)), (built, s, k)
+
+
 @pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])
 def test_table_replay_across_entries(a, b, n):
-    # one memo, and so its free-root tables, carried over every entry of a
+    # one memo, and so its stretch tables, carried over every entry of a
     # path: every cyclic prefix is asked in a shuffled order, so the tables
     # grow in steps and are read back by later entries, and a table that
     # drop_spans kept after a block landed in its scanned range gives stale
@@ -734,9 +817,8 @@ class _FailingMemo(dict):
 
 @pytest.mark.parametrize("a,b,n", MEMO_SLOPES)
 def test_admissible_leaves_the_layout_unchanged(a, b, n):
-    # admissible marks the candidate in the layout's tags for its parse and
-    # must restore them whether it returns, rejects an overlapping
-    # candidate, or fails inside the parse
+    # admissible only reads the layout, whether it returns, rejects an
+    # overlapping candidate, or fails while reading a stretch
     slope = Slope(a, b, n)
     rng = random.Random(a * 1000 + b * 100 + n + 1)
     p = random_path(slope, rng)

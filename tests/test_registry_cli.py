@@ -5,6 +5,7 @@ import pytest
 from ratdyck import matching_map, promotion, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
+from ratdyck.matchings import pm
 from ratdyck.paths import InvariantError, Slope, count_paths_dp, path_from_steps, top_path
 from ratdyck.registry import IDENTITIES, apply_map, orbit_table, verify
 
@@ -161,6 +162,20 @@ def test_cli_invariant_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "apply", "--map", "mat", "--a", "1", "--b", "2",
                        "--n", "3", "--path", "1,5,7")
     assert code == 2 and err.startswith("error: ")
+
+
+def test_mat_blocks_of_no_path_are_an_invariant_error(capsys, monkeypatch):
+    # mat checks its blocks against the matching of the path they give; a
+    # mismatch is a library defect, exit 3, not the exit 2 of bad input
+    monkeypatch.setattr(matching_map, "pm", lambda q: pm(top_path(q.slope)))
+    p = path_from_steps(Slope(1, 2, 3), (1, 4, 7))
+    with pytest.raises(InvariantError, match="that are no path's matching"):
+        matching_map.mat(p)
+    code, out, err = run(capsys, "apply", "--map", "mat", "--a", "1", "--b", "2",
+                         "--n", "3", "--path", "1,4,7")
+    assert code == 3 and out == ""
+    assert err == "internal error: matching map built blocks on 1,4,7 that are no path's matching"
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_orbit_and_verify(capsys):
