@@ -15,7 +15,10 @@ domain, 3 a broken internal invariant (a library defect).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import cProfile
 import json
+import pstats
 import sys
 
 from . import noncrossing as nc
@@ -124,14 +127,19 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_n is not None and args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    if args.identity:
-        slope = _slope(args)
-        _check_domain(args, slope, *identity(args.identity).walks)
-        reports = [verify(args.identity, slope)]
-    else:
-        reports = default_suite(max_n=args.max_n)
+    for flag, value in (("--max-n", args.max_n), ("--profile", args.profile)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    profiler = cProfile.Profile() if args.profile else None
+    with profiler or contextlib.nullcontext():
+        if args.identity:
+            slope = _slope(args)
+            _check_domain(args, slope, *identity(args.identity).walks)
+            reports = [verify(args.identity, slope)]
+        else:
+            reports = default_suite(max_n=args.max_n)
+    if profiler:  # the top functions by self time, to stderr only
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats("tottime").print_stats(args.profile)
     lines = []
     ok = True
     for r in reports:
@@ -261,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     max_domain_arg(sp)
     sp.add_argument("--identity")
     sp.add_argument("--max-n", type=int, default=None)
+    sp.add_argument("--profile", type=int, metavar="N",
+                    help="print the N functions with the most self time to stderr")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("golden", help="replay the embedded reference tables")

@@ -13,30 +13,24 @@ alternate with complete nested windows, each rooted at a built block's up
 step or at a free position holding a later block (possibly wrapping around
 built material), with every interior prefix strictly above the slope line
 and a mid-step return never followed directly by another up step.
-
-``admissible`` cuts a window at its own rights into stretches.  A stretch
-fills with complete sub-windows only when its length is that of one
-complete window, whose up count it then takes, so the line tests at the
-own rights and the closure count are arithmetic.  A stretch with no built
-position always fills, and one that holds a built position is read off one
-forward table per stretch start (``StretchTable``), which reads it one
-step at a time and settles every end at once.  ``mat`` keeps the unused
-positions as one sorted list and builds only the first b + 1 positions of
-each entry's cyclic order, since no larger block closes.  It lays the
-built blocks out once per call (``BuiltBlocks``, which also holds the
-slope constants and the arithmetic of each block's windows) and keeps one
-memo for its whole call, the stretch tables keyed by start.  Each new
-block drops exactly the tables whose scanned range holds one of its
-positions (``drop_spans``).  ``admissible`` gives the proofs.
-``mat_inverse`` rebuilds the path greedily from the bottom row up: the
-valley values can only go in descending order, so there is nothing to
-search.
+``admissible`` settles it by arithmetic on the stretches between the
+candidate's positions, reading only a stretch that holds a built position,
+off one forward table per stretch start (``StretchTable``); it gives the
+proofs.  ``mat`` tries only the first b + 1 positions of each entry's
+cyclic order of unused positions.  It lays the blocks out as it builds
+them (``BuiltBlocks``, O(|block|) per block, the slope's constants cached
+per slope), takes each block's window arithmetic from its accepted span,
+and keeps its stretch tables for the whole call, dropping exactly those a
+new block lands in (``drop_spans``).  ``mat_inverse`` rebuilds the path
+greedily from the bottom row up: the valley values can only go in
+descending order, so there is no search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .matchings import pm
 from .paths import InvariantError, RationalDyckPath, Slope, memo_image
@@ -65,27 +59,21 @@ class BarSequence:
 def parse_bar_sequence(text: str) -> BarSequence:
     entries = []
     for part in text.replace(" ", "").split(","):
-        if part.startswith("~"):
-            entries.append(BarInt(int(part[1:]), True))
-        else:
-            entries.append(BarInt(int(part), False))
+        barred = part.startswith("~")
+        entries.append(BarInt(int(part[barred:]), barred))
     return BarSequence(tuple(entries))
+
+
+def _valley_entries(p: RationalDyckPath) -> list[tuple[int, bool]]:
+    """The valley sequence as (value, barred) pairs, rows from the top."""
+    steps, an, bn = p.steps, p.slope.up_count, p.slope.right_count
+    return [(bn - (steps[m - 1] - m) + 1, False) if m >= 2 and steps[m - 1] > steps[m - 2] + 1
+            else (an + 1 - m, True) for m in range(an, 0, -1)]  # the m-th up step from below
 
 
 def k_sequence(p: RationalDyckPath) -> BarSequence:
     """One entry per row from the top: reversed valley column, or barred row."""
-    s = p.slope
-    an, bn = s.up_count, s.right_count
-    entries = []
-    for i in range(1, an + 1):
-        m = an + 1 - i
-        u_m = p.steps[m - 1]
-        has_valley = m >= 2 and u_m > p.steps[m - 2] + 1
-        if has_valley:
-            entries.append(BarInt(bn - (u_m - m) + 1, False))
-        else:
-            entries.append(BarInt(i, True))
-    return BarSequence(tuple(entries))
+    return BarSequence(tuple(BarInt(value, barred) for value, barred in _valley_entries(p)))
 
 
 def window_length(slope: Slope, ups: int) -> int:
@@ -93,15 +81,30 @@ def window_length(slope: Slope, ups: int) -> int:
     return ups + slope.b * ups // slope.a
 
 
-def _window_ups(slope: Slope, length: int) -> int | None:
-    """The up count of a complete window of this length, if one exists.
+def _height(slope: Slope, pos: int) -> int:
+    bn = slope.right_count
+    if pos <= bn:
+        return pos
+    i = slope.total_steps + 1 - pos
+    return -(-slope.b * i // slope.a)  # ceil(b*i/a)
 
-    c + floor(b*c/a) = length puts c in [a*length/(a+b), a*(length+1)/(a+b)),
-    an interval shorter than one, so the only candidate is the ceiling.
-    """
-    a, b = slope.a, slope.b
-    c = -(-a * length // (a + b))
-    return c if c >= 1 and window_length(slope, c) == length else None
+
+@lru_cache(maxsize=64)
+def _slope_tables(slope: Slope, size: int) -> tuple[tuple, ...]:
+    """What depends only on the slope and the size: ``length[c]``, the
+    length of a complete window of c up steps, for every window that fits
+    in the size; ``ups[n]``, the up count of a stretch of n positions
+    filled by complete windows, or None when no such filling exists;
+    ``keys[x]``, which orders positions by height, bars winning ties; and
+    ``least[k]``, the least up count u with slack at least 0 over k + 1
+    positions, (a+b)*u >= a*(k+1)."""
+    a, b, bn = slope.a, slope.b, slope.right_count
+    # c + floor(b*c/a) > c*(a+b)/a - 1, so no larger c fits in size + 1
+    length = tuple(window_length(slope, c) for c in range(a * (size + 2) // (a + b) + 1))
+    ups = tuple(map({n: c for c, n in enumerate(length)}.get, range(size + 3)))
+    keys = tuple(2 * _height(slope, x) + (x > bn) for x in range(size + 1))
+    least = tuple(-(-a * (k + 1) // (a + b)) for k in range(size + 2))
+    return length, ups, keys, least
 
 
 # Position tags.  A built block's other positions carry the position of its
@@ -112,56 +115,56 @@ FREE, UP = -1, -2
 class BuiltBlocks:
     """The blocks built so far, laid out as every admissibility check reads
     them, with what depends only on the slope or on one block, so that the
-    set-up is paid once per block or once per ``mat`` call and not once per
-    candidate.
+    set-up is paid once per slope, block or ``mat`` call and not once per
+    candidate.  Adding a block costs O(|block|).
 
     ``tag`` marks each position ``FREE``, ``UP`` (a block's smallest
     position, its up step) or with its block's up step.  ``lowest`` and
     ``highest`` hold the extremes of the block at each built position, and
-    values no span check trips on at free ones.  ``after`` gives the first
-    built position past each position, and ``rights`` the other positions
-    of each block, keyed by its up step.  ``length[c]`` is the length of a
-    complete window of c up steps, for every window that fits in the size,
-    and ``ups[n]`` the up count of a stretch of n positions filled by
-    complete windows, or None when no such filling exists.  ``shape`` holds,
-    keyed by up step, the arithmetic of the windows rooted at each block
-    (``admissible`` gives both).
+    values no span check trips on at free ones.  ``built`` lists the built
+    positions in order and then size + 2, so ``built_in`` is one bisection.
+    ``rights`` holds the other positions of each block and ``shape`` the
+    arithmetic of the windows rooted at it (``admissible`` gives both),
+    keyed by its up step.  ``length``, ``ups`` and ``least`` are the
+    slope's, cached per slope and size (``_slope_tables``).
     """
 
-    __slots__ = ("slope", "a", "b", "up_count", "length", "ups",
-                 "tag", "lowest", "highest", "after", "rights", "shape")
+    __slots__ = ("slope", "a", "b", "up_count", "length", "ups", "least",
+                 "tag", "lowest", "highest", "built", "rights", "shape")
 
     def __init__(self, slope: Slope, size: int, blocks=()) -> None:
         """``blocks`` are sorted ascending, as ``add`` takes them."""
-        a, b = slope.a, slope.b
-        self.slope, self.a, self.b, self.up_count = slope, a, b, slope.up_count
-        # c + floor(b*c/a) > c*(a+b)/a - 1, so no larger c fits in size + 1
-        self.length = [window_length(slope, c) for c in range(a * (size + 2) // (a + b) + 1)]
-        self.ups: list[int | None] = [None] * (size + 3)
-        for c, n in enumerate(self.length):
-            self.ups[n] = c
+        self.slope, self.a, self.b, self.up_count = slope, slope.a, slope.b, slope.up_count
+        self.length, self.ups, _, self.least = _slope_tables(slope, size)
         self.tag = [FREE] * (size + 2)
         self.lowest = [size + 2] * (size + 2)
         self.highest = [0] * (size + 2)
-        self.after = [size + 2] * (size + 2)
-        self.rights: dict[int, list[int]] = {}
+        self.built = [size + 2]
+        self.rights: dict[int, list | tuple] = {}
         self.shape: dict[int, tuple[int, int] | None] = {}
         for block in blocks:
             self.add(block)
 
-    def add(self, block) -> None:
-        """Lay out one new block, sorted ascending."""
+    def add(self, block, shape=None) -> None:
+        """Lay out one new block, sorted ascending; ``shape`` is its
+        ``arithmetic``, when the caller already has it."""
         lo, hi = block[0], block[-1]
+        tag, lowest, highest, built = self.tag, self.lowest, self.highest, self.built
         for x in block:
-            self.tag[x] = self.lowest[x] = lo
-            self.highest[x] = hi
-            y = x - 1
-            while y >= 0 and self.after[y] > x:
-                self.after[y] = x
-                y -= 1
-        self.tag[lo] = UP
-        self.rights[lo] = list(block[1:])
-        self.shape[lo] = self.arithmetic(lo, block[1:])
+            tag[x] = lowest[x] = lo
+            highest[x] = hi
+            insort(built, x)
+        tag[lo] = UP
+        self.rights[lo] = rights = block[1:]
+        self.shape[lo] = self.arithmetic(lo, rights) if shape is None else shape
+
+    def built_in(self, s: int, e: int) -> bool:
+        """Whether a built position lies in [s, e]."""
+        return self.built[bisect_left(self.built, s)] <= e
+
+    def up_steps(self, s: int, e: int) -> int:
+        """The number of built up steps in [s, e]."""
+        return self.tag[s : e + 1].count(UP)
 
     def arithmetic(self, root: int, rights) -> tuple[int, int] | None:
         """The up count of a window rooted at ``root`` up to the last of its
@@ -182,6 +185,59 @@ class BuiltBlocks:
     def encloses(self, lo: int, hi: int) -> bool:
         """Whether every block with a position in [lo, hi] lies inside it."""
         return min(self.lowest[lo : hi + 1]) >= lo and max(self.highest[lo : hi + 1]) <= hi
+
+    def filled(self, prev: int, ends, memo: StretchTables) -> bool:
+        """Whether the stretches after ``prev`` and after each of ``ends``
+        but the last, each up to the next end (exclusive), fill, given
+        their lengths do."""
+        built, ups = self.built, self.ups
+        for x in ends:
+            if built[bisect_right(built, prev)] < x:  # a built position inside
+                n = x - prev - 1
+                table = memo.get(prev + 1)
+                if table is None:
+                    table = memo[prev + 1] = StretchTable()
+                if len(table.shut) <= n:
+                    self.scan(prev + 1, x - 1, table, memo)
+                if not (table.shut[n] | table.opened[n]) >> ups[n] & 1:
+                    return False
+            prev = x
+        return True
+
+    def scan(self, s: int, e: int, table: StretchTable, memo: StretchTables) -> None:
+        """Extend the table of the stretches starting at s to the runs
+        ending at e."""
+        a, b, length, ups, least = self.a, self.b, self.length, self.ups, self.least
+        tag, highest, shapes, rights = self.tag, self.highest, self.shape, self.rights
+        shut, opened, pending, readers = table.shut, table.opened, table.pending, memo.readers
+        bit = 1 << s
+        for x in range(s + len(shut) - 1, e + 1):
+            k = x - s  # the runs over s .. x-1
+            reach_shut = reach_open = 0
+            t = tag[x]
+            if t == FREE:  # an up step, or a right
+                reach_shut = (shut[k] << 1) | shut[k] | opened[k]
+                readers[x] = readers.get(x, 0) | bit
+            elif t == UP and shut[k] and shapes[x] is not None:
+                c = bisect_left(length, highest[x] - x + 1)
+                if c < len(length):
+                    pending.setdefault(x + length[c] - 1, []).append((x, c, shut[k]))
+            for p, c, before in pending.pop(x, ()):
+                # [p, x] is one window of c up steps rooted at p if the stretch
+                # after the block's last right fills (there is none if x is it)
+                count, slack = shapes[p]
+                last = highest[p]
+                u = 0 if x == last else ups[x - last] if slack > 0 else None
+                if u is not None and count + u == c and self.filled(p, [*rights[p], x + 1], memo):
+                    if b * c % a:
+                        reach_open |= before << c
+                    else:
+                        reach_shut |= before << c
+                if slack > 0 and c + 1 < len(length):  # see admissible
+                    pending.setdefault(p + length[c + 1] - 1, []).append((p, c + 1, before))
+            m = least[k]  # slack at least 0
+            shut.append(reach_shut >> m << m)
+            opened.append(reach_open >> m << m)
 
 
 class StretchTable:
@@ -205,18 +261,28 @@ class StretchTable:
         self.shut, self.opened, self.pending = [1], [0], {}
 
 
-def drop_spans(memo: dict, block) -> None:
-    """Forget every table whose scanned range holds a position of
-    ``block`` (sorted ascending): the tables ``admissible`` may keep once
-    ``block`` is built."""
-    first, last = block[0], block[-1]
-    stale = [  # end: the last position scanned
-        s for s, table in memo.items()
-        if s <= last and first <= (end := s + len(table.shut) - 2)
-        and block[bisect_left(block, s)] <= end
-    ]
-    for s in stale:
-        del memo[s]
+class StretchTables(dict):
+    """Stretch tables by start, and ``readers``: for each position some
+    table read free, the starts of the tables that did, as a bit mask."""
+
+    def __init__(self) -> None:
+        self.readers: dict[int, int] = {}
+
+
+def drop_spans(memo: StretchTables, block) -> None:
+    """Forget every table whose scanned range holds a position of ``block``,
+    as ``admissible`` needs once it is built.  Its positions were free until
+    now, so only the starts ``readers`` gives for them are visited; the
+    table now at such a start is stale iff its range reaches the position
+    (the one that read it may since have been dropped and scanned again)."""
+    readers = memo.readers
+    for x in block if readers else ():
+        starts = readers.pop(x, 0)
+        while starts:  # a table at s that read x covers x while it is kept
+            s = starts.bit_length() - 1
+            starts ^= 1 << s
+            if s in memo and s + len(memo[s].shut) - 2 >= x:
+                del memo[s]
 
 
 def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
@@ -233,9 +299,9 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
 
     The checks run cheapest first, and each input gets the verdict or the
     exception that the full parse gives it.  The span length, the window
-    nesting and the closure count are read off ``BuiltBlocks``, which also
-    holds the slope constants, so a call that fails one of them reads no
-    stretch.  The layout is only read.
+    nesting and the closure count are read off ``BuiltBlocks``, so a call
+    that fails one of them reads no stretch, and a span with no built
+    position reads neither.  The layout is only read.
 
     Stretches.  Cut a window rooted at i at its own rights: each stretch
     (between the root and the first own right, between two own rights, or
@@ -268,7 +334,10 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     (b*c) mod a >= 0, and each of its m own rights lowers the slack by a
     while each stretch raises it by less than a, so b + (a-1)*m - a*m >= 0:
     a candidate of more than b + 1 positions never closes, and ``mat`` builds
-    only the first b + 1 positions of each entry's cyclic order.
+    only the first b + 1 positions of each entry's cyclic order.  The slack
+    after the last own right telescopes to (a+b)*c - a*(its span length),
+    which is (b*c) mod a for an accepted block, so ``mat`` lays a block out
+    with that arithmetic and does not run it again.
 
     The tables.  A stretch that holds a built position is read off one
     forward table per stretch start s (``StretchTable``), which answers
@@ -295,14 +364,13 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     e.  At the stretch level the slack from s is 0 before each item: a
     right step there, or after a window returning mid-step, would take it
     below 0, so the stretch is a run of complete windows and only the last
-    may return mid-step.  Each item is constrained by itself
-    and the state before it only: (k, u, whether the last item was a block
-    window that returned mid-step), so the states reached over s .. s+k-1
-    are the same for every end past them, and the verdict for [s, e] is
-    whether u is reached at e.  The table keeps, for each k, the up counts
-    reached as bit masks, so a verdict is one bit.  It scans only as far as
-    the ends asked for, and asks about a block window only once the scan
-    reaches its end.
+    may return mid-step.  Each item is constrained by itself and the state
+    before it only: (k, u, whether the last item was a block window that
+    returned mid-step), so the states reached over s .. s+k-1 are the same
+    for every end past them, and the verdict for [s, e] is whether u is
+    reached at e.  The table keeps, for each k, the up counts reached as bit
+    masks, so a verdict is one bit.  It scans only as far as the ends asked
+    for, and asks about a block window only once the scan reaches its end.
 
     Windows rooted at a built up step i own exactly the block's rights, so
     they hold all of them, and their arithmetic up to the last right
@@ -315,16 +383,16 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     outside, or an up step whose windows end past the stretch), so the
     stretches settle the window nesting too.
 
-    ``memo`` shares the stretch tables, keyed by start, between calls.
+    ``memo`` (``StretchTables``) shares the stretch tables between calls.
     Every stretch read lies between two consecutive positions of the
     candidate, or inside a block window read from such a stretch, so no
-    candidate position is in it, and the layout is never marked: a table scanned from s to e reads only the layout inside
-    [s, e] and the windows of built blocks inside it, which read only the
-    tables of their own stretches.  So a table stays valid while blocks
-    are built as long as no new block lands in [s, e], and ``drop_spans``
-    removes, for each new block, the tables whose scanned range holds one
-    of its positions: ``mat`` keeps one memo for its whole call.  Without
-    one, the call keeps a private memo.
+    candidate position is in it: a table scanned from s to e reads only the
+    layout inside [s, e] and the windows of built blocks inside it, which
+    read only the tables of their own stretches.  So a table stays valid
+    while blocks are built as long as no new block lands in [s, e], and
+    ``drop_spans`` removes, for each new block, the tables whose scanned
+    range holds one of its positions: ``mat`` keeps one memo for its whole
+    call.  Without one, the call keeps a private memo.
     """
     cand = sorted(set(candidate))
     if not cand:
@@ -336,84 +404,22 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
         built = BuiltBlocks(slope, size, blocks)
     elif built.slope is not slope and built.slope != slope:
         raise ValueError(f"blocks laid out for {built.slope}, not {slope}")
-    tag, highest, after, ups = built.tag, built.highest, built.after, built.ups
     own_rights = cand[1:]
-    for x in own_rights:
-        if tag[x] != FREE:
-            if not built.encloses(lo, hi):
-                return False  # window nesting would be violated
-            raise ValueError("candidate overlaps a built block")
-    c_top = _window_ups(slope, hi - lo + 1)
-    if c_top is None or not built.encloses(lo, hi):
+    inside = built.built_in(lo, hi)
+    if inside and not built.encloses(lo, hi):
+        return False  # window nesting would be violated
+    if inside and any(map(built.highest.__getitem__, own_rights)):  # an own right is built
+        raise ValueError("candidate overlaps a built block")
+    c_top = built.ups[hi - lo + 1]
+    if c_top is None:
         return False
-    future_needed = c_top - 1 - tag[lo : hi + 1].count(UP)
-    if future_needed < 0 or future_needed > built.up_count - len(built.rights) - 1:
+    future_needed = c_top - 1 - (built.up_steps(lo, hi) if inside else 0)
+    if not 0 <= future_needed < built.up_count - len(built.rights):
         return False
     shape = built.arithmetic(lo, own_rights)
     if shape is None or shape[0] != c_top:
         return False
-
-    a, b, length, shapes = built.a, built.b, built.length, built.shape
-    if memo is None:
-        memo = {}
-
-    def filled(prev: int, ends) -> bool:
-        """Whether the stretches after ``prev`` and after each of ``ends``
-        but the last, each up to the next end (exclusive), fill, given
-        their lengths do."""
-        for x in ends:
-            if after[prev] < x:  # a built position inside, see the docstring
-                table = memo.get(prev + 1)
-                if table is None:
-                    table = memo[prev + 1] = StretchTable()
-                n = x - prev - 1
-                if len(table.shut) <= n:
-                    scan(prev + 1, x - 1, table)
-                if not (table.shut[n] | table.opened[n]) >> ups[n] & 1:
-                    return False
-            prev = x
-        return True
-
-    def window_ok(i: int, j: int, c: int) -> bool:
-        """[i, j], of complete-window length for c up steps, is one window
-        rooted at the built up step i."""
-        count, slack = shapes[i]
-        last = highest[i]
-        if j > last:
-            u = ups[j - last]
-            if slack <= 0 or u is None:
-                return False
-            count += u
-        return count == c and filled(i, built.rights[i] + [j + 1])
-
-    def scan(s: int, e: int, table: StretchTable) -> None:
-        """Extend the table of the stretches starting at s to the runs
-        ending at e."""
-        shut, opened, pending = table.shut, table.opened, table.pending
-        for x in range(s + len(shut) - 1, e + 1):
-            k = x - s  # the runs over s .. x-1
-            reach_shut = reach_open = 0
-            t = tag[x]
-            if t == FREE:  # an up step, or a right
-                reach_shut = (shut[k] << 1) | shut[k] | opened[k]
-            elif t == UP and shut[k] and shapes[x] is not None:
-                c = bisect_left(length, highest[x] - x + 1)
-                if c < len(length):
-                    pending.setdefault(x + length[c] - 1, []).append((x, c, shut[k]))
-            for p, c, before in pending.pop(x, ()):
-                if window_ok(p, x, c):
-                    if b * c % a:
-                        reach_open |= before << c
-                    else:
-                        reach_shut |= before << c
-                if shapes[p][1] > 0 and c + 1 < len(length):  # see the docstring
-                    pending.setdefault(p + length[c + 1] - 1, []).append((p, c + 1, before))
-            # slack at least 0: (a+b)*u >= a*(k+1)
-            least = -(-a * (k + 1) // (a + b))
-            shut.append(reach_shut >> least << least)
-            opened.append(reach_open >> least << least)
-
-    return filled(lo, own_rights)
+    return not inside or built.filled(lo, own_rights, StretchTables() if memo is None else memo)
 
 
 def _cyclic_prefix(free: list[int], i: int, size: int, increasing: bool) -> list[int]:
@@ -427,14 +433,13 @@ def _cyclic_prefix(free: list[int], i: int, size: int, increasing: bool) -> list
     return seq + free[len(free) - (size - len(seq)) :][::-1]
 
 
-def _representing_length(slope: Slope, seq: list[int]) -> int:
+def _representing_length(keys: tuple[int, ...], seq: list[int]) -> int:
     """Length of the longest prefix of ``seq`` whose first element stays the
-    height-maximal element of it (bars winning ties), or the inverse map
-    could not select it back."""
-    bn = slope.right_count
-    start_key = (_height(slope, seq[0]), seq[0] > bn)
-    for size, x in enumerate(seq[1:], start=1):
-        if (_height(slope, x), x > bn) >= start_key:
+    height-maximal element of it (bars winning ties, as ``keys`` orders
+    positions), or the inverse map could not select it back."""
+    start_key = keys[seq[0]]
+    for size in range(1, len(seq)):
+        if keys[seq[size]] >= start_key:
             return size
     return len(seq)
 
@@ -443,38 +448,32 @@ def _representing_length(slope: Slope, seq: list[int]) -> int:
 def mat(p: RationalDyckPath) -> RationalDyckPath:
     """The matching map."""
     s = p.slope
-    total = s.total_steps
-    ktilde = s.b // s.a
+    total, a, b, smallest = s.total_steps, s.a, s.b, s.b // s.a + 1
     free = list(range(1, total + 1))  # the unused positions, sorted
-    built: list[tuple[int, ...]] = []
     layout = BuiltBlocks(s, total)
-    tables: dict[int, StretchTable] = {}  # kept valid by drop_spans
-    for entry in k_sequence(p).entries:
-        start = entry.numeric(s)
+    ups, keys = layout.ups, _slope_tables(s, total)[2]
+    tables = StretchTables()  # kept valid by drop_spans
+    for value, barred in _valley_entries(p):
+        start = total + 1 - value if barred else value
         i = bisect_left(free, start)
         if i == len(free) or free[i] != start:
             raise InvariantError(
                 f"matching map start {start} already consumed on {p} "
                 "(admissibility interpretation bug)"
             )
-        # Every prefix past b + 1 positions (see admissible) or past the
-        # representing length fails, so only the first b + 1 positions of
-        # the cyclic order are built, and the largest admissible size is
-        # the first one found scanning down from there.
-        seq = _cyclic_prefix(free, i, min(s.b + 1, len(free)), increasing=entry.barred)
-        first = min(ktilde + 1, len(seq))
-        last = _representing_length(s, seq)
-        for best in range(last, first - 1, -1):
+        # no prefix longer than b + 1 (see admissible) or the representing length closes
+        seq = _cyclic_prefix(free, i, min(b + 1, len(free)), barred)
+        for best in range(_representing_length(keys, seq), min(smallest, len(seq)) - 1, -1):
             if admissible(s, seq[:best], layout, tables):
                 break
         else:
             raise InvariantError(
-                f"no admissible block for entry {entry} of {p} "
+                f"no admissible block for entry {'~' * barred}{value} of {p} "
                 "(admissibility interpretation bug)"
             )
-        block = tuple(sorted(seq[:best]))
-        built.append(block)
-        layout.add(block)
+        block = sorted(seq[:best])
+        c = ups[block[-1] - block[0] + 1]
+        layout.add(block, (c, b * c % a))  # the arithmetic admissible accepted
         drop_spans(tables, block)
         for x in block:
             del free[bisect_left(free, x)]
@@ -482,22 +481,13 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         raise InvariantError(f"matching map left positions unused on {p}")
     # the path whose up steps are the block minima, if its matching is the
     # built one; a mismatch is a defect here, not bad input
-    built.sort()
     try:
-        q = RationalDyckPath(s, tuple(block[0] for block in built))
-        if pm(q).blocks == tuple(built):
+        q = RationalDyckPath(s, tuple(sorted(layout.rights)))
+        if pm(q).blocks == tuple((lo, *layout.rights[lo]) for lo in q.steps):
             return q
     except ValueError:
         pass
     raise InvariantError(f"matching map built blocks on {p} that are no path's matching")
-
-
-def _height(slope: Slope, pos: int) -> int:
-    bn = slope.right_count
-    if pos <= bn:
-        return pos
-    i = slope.total_steps + 1 - pos
-    return -(-slope.b * i // slope.a)  # ceil(b*i/a)
 
 
 @memo_image
@@ -507,13 +497,11 @@ def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
     ``ValueError`` when the selections fit no path."""
     s = q.slope
     total, bn, an = s.total_steps, s.right_count, s.up_count
+    keys = _slope_tables(s, total)[2]
     selections: list[BarInt] = []
     for block in pm(q).blocks:
-        best = max(block, key=lambda pos: (_height(s, pos), pos > bn))
-        if best > bn:
-            selections.append(BarInt(total + 1 - best, True))
-        else:
-            selections.append(BarInt(best, False))
+        best = max(block, key=keys.__getitem__)
+        selections.append(BarInt(total + 1 - best, True) if best > bn else BarInt(best, False))
 
     barred_rows = {e.value for e in selections if e.barred}
     if len(barred_rows) != sum(1 for e in selections if e.barred):

@@ -18,6 +18,7 @@ letters, look for a 321 pattern by scanning the suffix of every value, and
 find each bumped entry of a two-row insertion by scanning its row.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -25,14 +26,16 @@ from fractions import Fraction
 
 import pytest
 
-from ratdyck import registry
+from ratdyck import matching_map, registry
 from ratdyck.matching_map import (
     FREE,
+    UP,
     BuiltBlocks,
+    StretchTables,
     _cyclic_prefix,
     _height,
     _representing_length,
-    _window_ups,
+    _slope_tables,
     admissible,
     drop_spans,
     k_sequence,
@@ -197,13 +200,16 @@ def test_toggle_evacuations_on_random_paths(a, b, n):
 @pytest.mark.parametrize("a,b,n", SLOPES)
 def test_window_ups_closed_form(a, b, n):
     slope = Slope(a, b, n)
-    for length in range(-1, slope.total_steps + 1):
-        assert _window_ups(slope, length) == window_ups_reference(slope, length)
-    # the complete-window lengths admissible reads off its layout
-    table = BuiltBlocks(slope, slope.total_steps).length
+    # the up counts and complete-window lengths admissible reads off its
+    # layout, for every length a span or stretch of the size can have
+    layout = BuiltBlocks(slope, slope.total_steps)
     size = slope.total_steps
+    assert layout.ups[0] == 0  # the empty stretch
+    for length in range(1, size + 2):
+        assert layout.ups[length] == window_ups_reference(slope, length)
+    table = layout.length
     fits = [c for c in range(size + 2) if window_length(slope, c) <= size + 1]
-    assert table[: len(fits)] == [window_length(slope, c) for c in fits]
+    assert list(table[: len(fits)]) == [window_length(slope, c) for c in fits]
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)
@@ -551,7 +557,7 @@ def test_shared_memo_gives_fresh_verdicts(a, b, n):
     slope = Slope(a, b, n)
     rng = random.Random(a * 1000 + b * 100 + n)
     p = random_path(slope, rng)
-    memo = {}
+    memo = StretchTables()
     for seq, built, block in reference_entries(p):
         sizes = list(range(1, len(seq) + 1))
         rng.shuffle(sizes)
@@ -572,19 +578,14 @@ def test_memo_replay_across_entries(a, b, n):
     rng = random.Random(a * 1000 + b * 100 + n)
     for _ in range(4):
         p = random_path(slope, rng)
-        memo = {}
-        for seq, built, block in reference_entries(p):
-            pool = set(seq)
-            candidates = [
-                grown[:size]
-                for start in pool
-                for grown in (_grow_sequence(start, pool, True), _grow_sequence(start, pool, False))
-                for size in range(1, len(grown) + 1)
-            ]
+        memo = StretchTables()
+        for built, block in mat_entries(p):
+            used = {x for blk in built for x in blk}
+            candidates = list(all_cyclic_prefixes(free_pool(slope, used)))
             rng.shuffle(candidates)
             for cand in candidates:
                 shared = admissible(slope, cand, built, memo)
-                assert shared == admissible_reference(slope, cand, built), (p, cand, built)
+                assert shared == reference_verdict(slope, cand, built), (p, cand, built)
             drop_spans(memo, block)
 
 
@@ -600,37 +601,81 @@ def mat_entries(p):
         built.append(block)
 
 
+# The caches below are shared by the tests of this module: the layouts mat
+# builds on a slope, the cyclic prefixes of a set of free positions, and the
+# verdicts of the full parse.
+
+
+def first_layouts(paths):
+    """The blocks built before each entry of each path, as ``mat_entries``
+    gives them, each tuple once, in the order first met."""
+    return list(dict.fromkeys(built for p in paths for built, _ in mat_entries(p)))
+
+
+@functools.cache
+def slope_layouts(slope):
+    """``first_layouts`` of every path of the slope."""
+    return first_layouts(enumerate_paths(slope))
+
+
+def free_pool(slope, used):
+    return frozenset(range(1, slope.total_steps + 1)) - used
+
+
+@functools.cache
+def all_cyclic_prefixes(pool):
+    """Every prefix of the cyclic order of the frozenset ``pool`` from each
+    of its positions, ascending and descending."""
+    return tuple(
+        grown[:size]
+        for start in pool
+        for grown in (_grow_sequence(start, pool, True), _grow_sequence(start, pool, False))
+        for size in range(1, len(grown) + 1)
+    )
+
+
+@functools.cache
 def cyclic_prefixes(pool):
-    """Every prefix of the cyclic order of ``pool`` from each of its
-    positions, ascending and descending, once per set of positions."""
+    """``all_cyclic_prefixes``, once per set of positions."""
     prefixes = {}
-    for start in pool:
-        for increasing in (True, False):
-            grown = _grow_sequence(start, pool, increasing)
-            for size in range(1, len(grown) + 1):
-                prefixes.setdefault(frozenset(grown[:size]), grown[:size])
-    return list(prefixes.values())
+    for cand in all_cyclic_prefixes(pool):
+        prefixes.setdefault(frozenset(cand), cand)
+    return tuple(prefixes.values())
 
 
-def assert_prefix_verdicts(slope, paths):
+_verdicts = {}
+
+
+def reference_verdict(slope, cand, built):
+    """``admissible_reference``, computed once per key: a verdict depends
+    only on the candidate, the blocks meeting its span and the number of
+    blocks built."""
+    lo, hi = min(cand), max(cand)
+    meeting = tuple(block for block in built if block[0] <= hi and lo <= block[-1])
+    key = (slope, tuple(sorted(cand)), meeting, len(built))
+    if key not in _verdicts:
+        _verdicts[key] = admissible_reference(slope, cand, built)
+    return _verdicts[key]
+
+
+def assert_prefix_verdicts(slope, layouts):
     """``admissible`` against the full parse on every cyclic prefix of the
-    free positions before each entry of each path.  A verdict depends only
-    on the candidate, the blocks meeting its span and the number of blocks
-    built, so each such triple is checked once."""
+    free positions of each layout (the blocks built before an entry).  A
+    verdict depends only on the candidate, the blocks meeting its span and
+    the number of blocks built, so each such triple is checked once."""
     checked = set()
-    for p in paths:
-        for built, _ in mat_entries(p):
-            layout = BuiltBlocks(slope, slope.total_steps, built)
-            used = {x for block in built for x in block}
-            for cand in cyclic_prefixes(set(range(1, slope.total_steps + 1)) - used):
-                lo, hi = min(cand), max(cand)
-                meeting = tuple(block for block in built if block[0] <= hi and lo <= block[-1])
-                key = (tuple(sorted(cand)), meeting, len(built))
-                if key not in checked:
-                    checked.add(key)
-                    assert admissible(slope, cand, layout) == admissible_reference(
-                        slope, cand, built
-                    ), (p, cand, built)
+    for built in layouts:
+        layout = BuiltBlocks(slope, slope.total_steps, built)
+        used = {x for block in built for x in block}
+        for cand in cyclic_prefixes(free_pool(slope, used)):
+            lo, hi = min(cand), max(cand)
+            meeting = tuple(block for block in built if block[0] <= hi and lo <= block[-1])
+            key = (tuple(sorted(cand)), meeting, len(built))
+            if key not in checked:
+                checked.add(key)
+                assert admissible(slope, cand, layout) == reference_verdict(
+                    slope, cand, built
+                ), (cand, built)
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)])
@@ -638,14 +683,14 @@ def test_stretch_tables_on_every_path(a, b, n):
     # wrap-around prefixes span built blocks, so their stretches are read
     # off the stretch tables
     slope = Slope(a, b, n)
-    assert_prefix_verdicts(slope, enumerate_paths(slope))
+    assert_prefix_verdicts(slope, slope_layouts(slope))
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])
 def test_stretch_tables_on_uniform_paths(a, b, n):
     slope = Slope(a, b, n)
     rng = random.Random(a * 1000 + b * 100 + n)
-    assert_prefix_verdicts(slope, [uniform_path(slope, rng) for _ in range(3)])
+    assert_prefix_verdicts(slope, first_layouts([uniform_path(slope, rng) for _ in range(3)]))
 
 
 def stretch_ups_reference(slope, tags, s, e, verdicts):
@@ -687,7 +732,7 @@ def test_stretch_lemma(a, b, n):
     # verdict of a search over all fillings
     slope = Slope(a, b, n)
     size = slope.total_steps
-    layouts = {frozenset(built) for p in enumerate_paths(slope) for built, _ in mat_entries(p)}
+    layouts = dict.fromkeys(frozenset(built) for built in slope_layouts(slope))
     fillings = {}
     for built in layouts:
         built = sorted(built)
@@ -697,15 +742,19 @@ def test_stretch_lemma(a, b, n):
             tags[block[0]] = ("U", idx)
             tags.update((x, ("R", idx)) for x in block[1:])
         verdicts = {}
-
-        def reference(s, e):
-            # a filling of [s, e] reads only its positions and the extremes
-            # of their blocks, relative to s
-            key = tuple(
+        # a filling of [s, e] reads only its positions and the extremes of
+        # their blocks, relative to s; relative[s][k] reads position s + k
+        relative = {
+            s: [
                 (tags[x][0], layout.lowest[x] - s, layout.highest[x] - s)
                 if layout.tag[x] != FREE else None
-                for x in range(s, e + 1)
-            )
+                for x in range(s, size + 1)
+            ]
+            for s in range(1, size + 2)
+        }
+
+        def reference(s, e):
+            key = tuple(relative[s][: e - s + 1])
             if key not in fillings:
                 fillings[key] = stretch_ups_reference(slope, tags, s, e, verdicts)
             return fillings[key]
@@ -715,11 +764,11 @@ def test_stretch_lemma(a, b, n):
                 u = layout.ups[e - s + 1]
                 found = reference(s, e)
                 assert found <= {u}, (built, s, e)
-                if u is not None and layout.after[s - 1] > e:
+                if u is not None and not layout.built_in(s, e):
                     assert found == {u}, (built, s, e)
-        memo = {}
+        memo = StretchTables()
         used = {x for block in built for x in block}
-        for cand in cyclic_prefixes(set(range(1, size + 1)) - used):
+        for cand in cyclic_prefixes(free_pool(slope, used)):
             if len(cand) <= b + 1:
                 admissible(slope, cand, layout, memo)
         for s, table in memo.items():
@@ -728,6 +777,87 @@ def test_stretch_lemma(a, b, n):
                 if u is not None:
                     got = (table.shut[k] | table.opened[k]) >> u & 1 == 1
                     assert got == (u in reference(s, s + k - 1)), (built, s, k)
+
+
+def layout_reference(size, blocks):
+    """``tag``, ``lowest`` and ``highest`` of every position, and for each
+    x the number of built positions and of up steps in 1..x, each found by
+    searching the block list for the block holding the position."""
+    tag, lowest, highest, built, ups = [], [], [], [0], [0]
+    for x in range(size + 2):
+        owner = next((block for block in blocks if x in block), None)
+        if owner is None:
+            tag.append(FREE)
+            lowest.append(size + 2)
+            highest.append(0)
+        else:
+            tag.append(UP if x == min(owner) else min(owner))
+            lowest.append(min(owner))
+            highest.append(max(owner))
+        if x:
+            built.append(built[-1] + (owner is not None))
+            ups.append(ups[-1] + (owner is not None and x == min(owner)))
+    return (tag, lowest, highest), built, ups
+
+
+def check_layouts_and_drops(monkeypatch, slope, paths):
+    """Run ``mat`` on the paths with every layout it builds checked, after
+    each block it adds, against the block list searched afresh (the lists,
+    whether [s, e] holds a built position, the up steps in [s, e]), and
+    every ``drop_spans`` it makes checked to keep exactly the tables a full
+    scan of its memo keeps.  Returns, per drop, the tables dropped and the
+    tables kept that once read a block position free (a table at the same
+    start that was dropped before did)."""
+    size = slope.total_steps
+    add, drop = BuiltBlocks.add, matching_map.drop_spans
+    history, seen, drops = {}, set(), []
+
+    def checked_add(layout, block, shape=None):
+        add(layout, block, shape)
+        # the layout stays referenced, so its id is not reused
+        blocks = history.setdefault(id(layout), (layout, []))[1]
+        blocks.append(tuple(block))
+        if tuple(blocks) in seen:
+            return  # the same blocks in the same order lay out the same
+        seen.add(tuple(blocks))
+        lists, built, ups = layout_reference(size, blocks)
+        assert (layout.tag, layout.lowest, layout.highest) == lists, blocks
+        for s in range(1, size + 2):
+            for e in range(s - 1, size + 1):
+                assert layout.built_in(s, e) == (built[e] > built[s - 1]), (blocks, s, e)
+                assert layout.up_steps(s, e) == ups[e] - ups[s - 1], (blocks, s, e)
+
+    def checked_drop(memo, block):
+        ends = {s: s + len(table.shut) - 2 for s, table in memo.items()}
+        kept = {s for s, end in ends.items() if not any(s <= x <= end for x in block)}
+        read = {s for x in block for s in kept if memo.readers.get(x, 0) >> s & 1}
+        drop(memo, block)
+        assert set(memo) == kept, (block, ends)
+        drops.append((len(ends) - len(kept), len(read)))
+
+    monkeypatch.setattr(BuiltBlocks, "add", checked_add)
+    monkeypatch.setattr(matching_map, "drop_spans", checked_drop)
+    for p in paths:
+        mat(p)
+    assert len(drops) == len(paths) * slope.up_count  # one per entry
+    return drops
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 2, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)])
+def test_layout_and_drops_match_a_full_recomputation(a, b, n, monkeypatch):
+    slope = Slope(a, b, n)
+    drops = check_layouts_and_drops(monkeypatch, slope, enumerate_paths(slope))
+    assert sum(dropped for dropped, _ in drops) > 0
+
+
+def test_drops_keep_a_table_that_ends_before_the_block(monkeypatch):
+    # a table dropped and scanned again from the same start may end before
+    # a position the first one read free; building that position keeps it
+    slope = Slope(3, 2, 12)
+    rng = random.Random(3212)
+    paths = [uniform_path(slope, rng) for _ in range(8)]
+    drops = check_layouts_and_drops(monkeypatch, slope, paths)
+    assert sum(read for _, read in drops) > 0
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])
@@ -741,15 +871,15 @@ def test_table_replay_across_entries(a, b, n):
     rng = random.Random(a * 1000 + b * 100 + n + 2)
     for _ in range(3):
         p = uniform_path(slope, rng)
-        memo = {}
+        memo = StretchTables()
         for built, block in mat_entries(p):
             layout = BuiltBlocks(slope, slope.total_steps, built)
             used = {x for blk in built for x in blk}
-            candidates = cyclic_prefixes(set(range(1, slope.total_steps + 1)) - used)
+            candidates = list(cyclic_prefixes(free_pool(slope, used)))
             rng.shuffle(candidates)
             for cand in candidates:
                 shared = admissible(slope, cand, layout, memo)
-                assert shared == admissible_reference(slope, cand, built), (p, cand, built)
+                assert shared == reference_verdict(slope, cand, built), (p, cand, built)
             drop_spans(memo, block)
 
 
@@ -786,7 +916,7 @@ def test_single_window_candidates(a, b, n):
     # with the blocks built before each entry of three paths
     slope = Slope(a, b, n)
     span = 1 + b // a
-    assert _window_ups(slope, span) == 1
+    assert BuiltBlocks(slope, slope.total_steps).ups[span] == 1
     rng = random.Random(a * 100 + b * 10 + n)
     layouts = [()] + [
         built
@@ -808,7 +938,7 @@ def test_single_window_candidates(a, b, n):
                     ), (cand, built)
 
 
-class _FailingMemo(dict):
+class _FailingMemo(StretchTables):
     """A memo that breaks on the first sub-window lookup."""
 
     def get(self, key, default=None):
@@ -829,14 +959,14 @@ def test_admissible_leaves_the_layout_unchanged(a, b, n):
         positions = range(1, slope.total_steps + 1)
         for _ in range(40):
             cand = rng.sample(positions, rng.randint(1, b + 1))
-            for memo in ({}, _FailingMemo()):
+            for memo in (StretchTables(), _FailingMemo()):
                 try:
                     outcomes.add(admissible(slope, cand, layout, memo))
                 except (ValueError, RuntimeError) as exc:
                     outcomes.add(type(exc))
                 assert layout.tag == before, (cand, built)
         for size in range(1, len(seq) + 1):
-            outcomes.add(admissible(slope, seq[:size], layout, {}))
+            outcomes.add(admissible(slope, seq[:size], layout, StretchTables()))
             assert layout.tag == before
     assert outcomes == {True, False, ValueError, RuntimeError}
     # the layout holds its slope's constants, so another slope is refused
@@ -851,13 +981,14 @@ def test_representing_length_matches_prefix_scan():
     rng = random.Random(7)
     for a, b, n in [(1, 2, 4), (3, 2, 3), (5, 3, 2)]:
         slope = Slope(a, b, n)
+        keys = _slope_tables(slope, slope.total_steps)[2]
         for _ in range(200):
             seq = rng.sample(range(1, slope.total_steps + 1), rng.randint(1, slope.total_steps))
             longest = max(
                 size for size in range(1, len(seq) + 1)
                 if represents_reference(slope, seq[0], seq[:size])
             )
-            assert _representing_length(slope, seq) == longest
+            assert _representing_length(keys, seq) == longest
 
 
 # -- partitions and chains --------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -274,6 +275,25 @@ def test_cli_verify_rejects_max_n_below_one(capsys):
         code, out, err = run(capsys, "verify", "--max-n", bad)
         assert code == 2 and out == ""
         assert err == f"error: --max-n must be at least 1, got {bad}"
+
+
+def test_cli_verify_profile(capsys):
+    # --profile N puts the N functions with the most self time on stderr
+    # and leaves stdout as it is; only the measured seconds may differ
+    argv = ("verify", "--identity", "mat-rowmotion", "--a", "2", "--b", "3", "--n", "2")
+    seconds = re.compile(r"in \d+\.\d\ds|\"seconds\": [0-9.e-]+")
+    for fmt in ("text", "json"):
+        code, plain, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        code, profiled, err = run(capsys, *argv, "--format", fmt, "--profile", "4")
+        assert code == 0 and seconds.sub("", profiled) == seconds.sub("", plain)
+        assert "Ordered by: internal time" in err
+        rows = err.split("filename:lineno(function)")[1].strip().splitlines()
+        assert len(rows) == 4 and all(row.split()[0][0].isdigit() for row in rows), err
+    for bad in ("0", "-1"):
+        code, out, err = run(capsys, *argv, "--profile", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: --profile must be at least 1, got {bad}"
 
 
 def test_cli_golden(capsys):
