@@ -5,8 +5,11 @@ centers trace (1,k)-paths.  The maximal cover-inclusive tiling is built from
 its history lines: processing rows bottom-up, a line sweeps right through
 free cells and climbs one row when blocked, provided the opened ribbon debt
 can still be repaid further along; each line is then cut greedily into the
-longest complete ribbons.  Tiles are removed lowest-first (leftmost on
-ties), each removal contributing the transposition (south-most step index,
+longest complete ribbons.  Each line is the rim of the cells still free
+(`_threads`), so a list of row lengths is all the state it needs.  Tiles
+are removed lowest-first (leftmost on ties), which is the lines from the
+bottom start row up, each from its last tile to its first (`max_tiling`).
+Each removal contributes the transposition (south-most step index,
 rightmost step index) read on the current lower boundary.
 """
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from .matchings import pm
 from .matching_map import mat
 from .paths import (
-    InvariantError,
     RationalDyckPath,
     iterate,
     memo_image,
@@ -42,7 +44,7 @@ class DyckTile:
 @dataclass(frozen=True)
 class Tiling:
     base_path: RationalDyckPath
-    tiles: tuple[DyckTile, ...]  # in removal order, bottom to top
+    tiles: tuple[DyckTile, ...]  # removal order: lines bottom-up, each from its last tile
 
     def to_json(self) -> list[dict]:
         return [t.to_json() for t in self.tiles]
@@ -57,48 +59,50 @@ def _require_unit_a(p: RationalDyckPath) -> int:
 def _threads(p: RationalDyckPath) -> list[list[tuple[int, int]]]:
     """Cells visited by each history line, indexed by starting row (1 = top).
 
-    A line sweeps right through free cells and climbs when blocked, but only
-    if the climb's opened ribbon debt (k rights per up) can still be repaid
-    further along; the lookahead follows the same deterministic policy.
+    Lines start from the bottom row up.  A line sweeps right through free cells and
+    climbs one row when blocked, but only if the climb's opened ribbon debt
+    (k rights per up) can still be repaid further along the same policy.
+
+    The lines are rims.  Before line i is drawn, the free cells form a Young
+    diagram with no cell below row i: each earlier line took its whole start
+    row and, in every row it climbed into, a right end.  So line i runs row i
+    to its end, and the cell above is free there because rows weakly
+    decrease.  In each row it climbs into, it enters at the end of the row
+    below and runs to the row's end, which leaves that row one cell shorter
+    than the row below was: rows still weakly decrease.  The row lengths are
+    therefore the whole state, and the lookahead pays a row's rights off
+    against the debt at once, adding k at each row end it climbs.
+
+    The lookahead climbs at every row end, as the line does while it owes.
+    So the line follows the lookahead that allowed its last climb from zero
+    debt until that debt is repaid, and a climb with debt still owed needs
+    no lookahead of its own.
     """
     k = _require_unit_a(p)
-    rows = young_rows(p)
     n = p.slope.n
-    free = {(i, j) for i in range(1, n + 1) for j in range(1, rows[i - 1] + 1)}
+    rows = list(young_rows(p))  # free cells per row, rows[r - 1] for row r
 
-    def repayable(r: int, c: int, debt: int) -> bool:
-        while True:
-            if (r, c + 1) in free:
-                c += 1
-                debt -= 1
-                if debt <= 0:
-                    return True
-            elif r > 1 and (r - 1, c) in free:
-                r -= 1
-                debt += k
-            else:
+    def repayable(r: int, c: int) -> bool:
+        debt = k
+        while rows[r - 1] - c < debt:
+            if r == 1:
                 return False
+            debt += k - (rows[r - 1] - c)
+            c = rows[r - 1]
+            r -= 1
+        return True
 
     threads: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i in range(n, 0, -1):
-        if (i, 1) not in free:
-            continue
-        cells = [(i, 1)]
-        free.discard((i, 1))
-        r, c = i, 1
-        debt = 0
-        while True:
-            if (r, c + 1) in free:
-                c += 1
-                debt = max(debt - 1, 0)
-            elif r > 1 and (r - 1, c) in free and repayable(r - 1, c, debt + k):
-                r -= 1
-                debt += k
-            else:
+        r, c, debt = i, 1, 0
+        while rows[r - 1] >= c:
+            end = rows[r - 1]
+            threads[i].extend((r, j) for j in range(c, end + 1))
+            rows[r - 1] = c - 1
+            debt = max(debt - (end - c), 0)
+            if r == 1 or not (debt or repayable(r - 1, end)):
                 break
-            cells.append((r, c))
-            free.discard((r, c))
-        threads[i] = cells
+            r, c, debt = r - 1, end, debt + k
     return threads
 
 
@@ -128,41 +132,33 @@ def _cut_thread(cells: list[tuple[int, int]], k: int) -> list[DyckTile]:
 
 @memo_image
 def max_tiling(p: RationalDyckPath) -> Tiling:
-    """The maximal cover-inclusive tiling, tiles listed in removal order."""
+    """The maximal cover-inclusive tiling, tiles listed in removal order.
+
+    Removal takes, among the tiles whose cells are the right ends of their
+    rows and whose removal leaves rows weakly decreasing, the lowest first
+    cell, leftmost on ties.  That order is the lines from the bottom start
+    row up, each line's tiles from the last cut to the first:
+
+    - Two tiles of one line meet at a right step.  After an up step the
+      line's debt is at least k > 0, and by the lookahead of `_threads` the
+      line repays it at a later right step.  The running balance
+      k*ups - rights of the tile being cut is at most that debt, and it
+      falls by one per right step, so it reaches 0 again by then without
+      going negative; a cut that stopped just before an up step would not
+      have been the longest.
+    - By the rim lemma of `_threads`, the cells left after the outer lines
+      and the tail tiles of the current line are the inner lines' Young
+      diagram plus a head of the current line, cut after a tile.  That head
+      ends before a right step or at the line's end, so its union with the
+      inner diagram is a Young diagram, and the tail tile is removable.
+    - The current line holds the right end of every row from its start row
+      up to the tail tile's top row.  Any other removable tile lies in rows
+      strictly above, so its first cell is higher than the tail tile's.
+    """
     k = _require_unit_a(p)
-    all_tiles = [t for thread in _threads(p) for t in _cut_thread(thread, k)]
-    order = _removal_order(p, all_tiles)
-    return Tiling(p, tuple(order))
-
-
-def _removal_order(p: RationalDyckPath, tiles: list[DyckTile]) -> list[DyckTile]:
-    rows = list(young_rows(p))
-    remaining = list(tiles)
-    ordered = []
-    while remaining:
-        candidates = [t for t in remaining if _removable(rows, t)]
-        if not candidates:
-            raise InvariantError(f"tiling of {p} is stuck: {remaining}")
-        candidates.sort(key=lambda t: (-t.cells[0][0], t.cells[0][1]))
-        tile = candidates[0]
-        for i, j in tile.cells:
-            rows[i - 1] -= 1
-        ordered.append(tile)
-        remaining.remove(tile)
-    return ordered
-
-
-def _removable(rows: list[int], tile: DyckTile) -> bool:
-    per_row: dict[int, list[int]] = {}
-    for i, j in tile.cells:
-        per_row.setdefault(i, []).append(j)
-    new_rows = list(rows)
-    for i, cols in per_row.items():
-        # the tile's cells must be the current right end of the row
-        if sorted(cols) != list(range(rows[i - 1] - len(cols) + 1, rows[i - 1] + 1)):
-            return False
-        new_rows[i - 1] -= len(cols)
-    return all(x >= y for x, y in zip(new_rows, new_rows[1:]))
+    return Tiling(
+        p, tuple(t for thread in reversed(_threads(p)) for t in reversed(_cut_thread(thread, k)))
+    )
 
 
 def tile_transpositions(t: Tiling) -> list[tuple[int, int]]:
@@ -178,11 +174,17 @@ def tile_transpositions(t: Tiling) -> list[tuple[int, int]]:
 
 def _apply_transpositions(p: RationalDyckPath) -> list[tuple[int, ...]]:
     """Blocks of the matching after acting by the tiling transpositions."""
-    blocks = [set(b) for b in pm(p).blocks]
+    m = pm(p)
+    owner = [0] * (m.ground_size + 1)  # the block each position belongs to
+    for b, block in enumerate(m.blocks):
+        for x in block:
+            owner[x] = b
     for i, j in tile_transpositions(max_tiling(p)):
-        swap = {i: j, j: i}
-        blocks = [{swap.get(x, x) for x in block} for block in blocks]
-    return [tuple(sorted(b)) for b in blocks]
+        owner[i], owner[j] = owner[j], owner[i]
+    blocks: list[list[int]] = [[] for _ in m.blocks]
+    for x in range(1, m.ground_size + 1):
+        blocks[owner[x]].append(x)
+    return [tuple(b) for b in blocks]
 
 
 @memo_image
@@ -249,10 +251,6 @@ def rsk_hat_path(p: RationalDyckPath) -> RationalDyckPath:
 # Structural checks used by the verification harness
 
 
-def _tile_cell_set(t: DyckTile) -> set[tuple[int, int]]:
-    return set(t.cells)
-
-
 def _is_valid_tile_shape(cells: tuple[tuple[int, int], ...], k: int) -> bool:
     if not cells:
         return False
@@ -278,7 +276,7 @@ def is_cover_inclusive(t: Tiling) -> bool:
         i, j = cell
         return i > len(rows) or j > rows[i - 1]
 
-    others = [_tile_cell_set(x) for x in t.tiles]
+    others = [set(x.cells) for x in t.tiles]
     for idx, tile in enumerate(t.tiles):
         shifted = {(i + 1, j + 1) for i, j in tile.cells}
         if all(below(c) for c in shifted):

@@ -1,10 +1,23 @@
 import pytest
 
-from ratdyck.paths import Slope, enumerate_paths, path_from_steps, path_from_word, top_path
+from ratdyck.matchings import pm
+from ratdyck.paths import (
+    InvariantError,
+    Slope,
+    enumerate_paths,
+    path_from_steps,
+    path_from_word,
+    top_path,
+    young_rows,
+)
 from ratdyck.perms import enumerate_321_avoiding, rsk_hat, rsk_path
 from ratdyck.promotion import dual_promotion
 from ratdyck.rowmotion import rowmotion
 from ratdyck.tilings import (
+    Tiling,
+    _apply_transpositions,
+    _cut_thread,
+    _threads,
     dt_map,
     is_cover_inclusive,
     is_maximal,
@@ -15,6 +28,7 @@ from ratdyck.tilings import (
     rsk_hat_path,
     tile_transpositions,
 )
+from test_properties import random_paths
 
 
 def s(p):
@@ -106,3 +120,117 @@ def test_classical_composite_agrees():
     for n in range(1, 6):
         for p in enumerate_paths(Slope(1, 1, n)):
             assert rsk_hat_path(p) == rsk_path(p)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the construction as worded, on a set of free cells, with the
+# removal order found greedily and the transpositions applied to whole blocks
+
+
+def threads_reference(p):
+    """History lines walked cell by cell through the free cells."""
+    k = p.slope.b
+    rows = young_rows(p)
+    n = p.slope.n
+    free = {(i, j) for i in range(1, n + 1) for j in range(1, rows[i - 1] + 1)}
+
+    def repayable(r, c, debt):
+        while True:
+            if (r, c + 1) in free:
+                c += 1
+                debt -= 1
+                if debt <= 0:
+                    return True
+            elif r > 1 and (r - 1, c) in free:
+                r -= 1
+                debt += k
+            else:
+                return False
+
+    threads = [[] for _ in range(n + 1)]
+    for i in range(n, 0, -1):
+        if (i, 1) not in free:
+            continue
+        cells = [(i, 1)]
+        free.discard((i, 1))
+        r, c = i, 1
+        debt = 0
+        while True:
+            if (r, c + 1) in free:
+                c += 1
+                debt = max(debt - 1, 0)
+            elif r > 1 and (r - 1, c) in free and repayable(r - 1, c, debt + k):
+                r -= 1
+                debt += k
+            else:
+                break
+            cells.append((r, c))
+            free.discard((r, c))
+        threads[i] = cells
+    return threads
+
+
+def removable_reference(rows, tile):
+    """The tile is the right end of each row it meets, and removing it
+    leaves the rows weakly decreasing."""
+    per_row = {}
+    for i, j in tile.cells:
+        per_row.setdefault(i, []).append(j)
+    new_rows = list(rows)
+    for i, cols in per_row.items():
+        if sorted(cols) != list(range(rows[i - 1] - len(cols) + 1, rows[i - 1] + 1)):
+            return False
+        new_rows[i - 1] -= len(cols)
+    return all(x >= y for x, y in zip(new_rows, new_rows[1:]))
+
+
+def removal_order_reference(p, tiles):
+    """Remove the lowest removable tile, leftmost on ties, until none is left."""
+    rows = list(young_rows(p))
+    remaining = list(tiles)
+    ordered = []
+    while remaining:
+        candidates = [t for t in remaining if removable_reference(rows, t)]
+        if not candidates:
+            raise InvariantError(f"tiling of {p} is stuck: {remaining}")
+        tile = min(candidates, key=lambda t: (-t.cells[0][0], t.cells[0][1]))
+        for i, j in tile.cells:
+            rows[i - 1] -= 1
+        ordered.append(tile)
+        remaining.remove(tile)
+    return ordered
+
+
+def apply_transpositions_reference(p, tiling):
+    """Each transposition rebuilds every block of the matching."""
+    blocks = [set(b) for b in pm(p).blocks]
+    for i, j in tile_transpositions(tiling):
+        swap = {i: j, j: i}
+        blocks = [{swap.get(x, x) for x in block} for block in blocks]
+    return [tuple(sorted(b)) for b in blocks]
+
+
+def tiling_oracle_paths():
+    for k, nmax in [(1, 8), (2, 5), (3, 4)]:
+        for n in range(1, nmax + 1):
+            yield from enumerate_paths(Slope(1, k, n))
+    for k, n in [(1, 60), (2, 30), (3, 20)]:
+        yield from random_paths(1, k, n, 10, seed=1000 * k + n)
+
+
+def test_tilings_match_the_worded_construction():
+    for p in tiling_oracle_paths():
+        k = p.slope.b
+        threads = threads_reference(p)
+        assert _threads(p) == threads
+        cut = [t for thread in threads for t in _cut_thread(thread, k)]
+        reference = Tiling(p, tuple(removal_order_reference(p, cut)))
+        assert max_tiling(p) == reference
+        assert _apply_transpositions(p) == apply_transpositions_reference(p, reference)
+
+
+def test_removal_order_reference_reports_a_stuck_tiling():
+    p = path_from_word(Slope(1, 1, 5), "UURRURURUR")
+    tiles = max_tiling(p).tiles
+    with pytest.raises(InvariantError, match="stuck"):
+        removal_order_reference(p, tiles[1:])
