@@ -4,7 +4,8 @@ reaches.
 A random path draws each up step u_j uniformly from [u_{j-1} + 1,
 step_bound(j)]; every draw is a valid path, though not a uniform one.  The
 matching map runs at about 40-60 steps on five slopes and at 160 steps on
-(1,1) and (2,3); every other property runs at size 20-40.
+(1,1) and (2,3), the rank sweeps at about 80 steps on six slopes; every
+other property runs at size 20-40.
 """
 
 import random
@@ -16,9 +17,11 @@ from ratdyck.matchings import pm, pm_inverse
 from ratdyck.paths import RationalDyckPath, Slope
 from ratdyck.promotion import evacuation, evacuation_fast
 from ratdyck.rowmotion import dual_rowvacuation, rowmotion, rowmotion_structural, rowvacuation
+from test_rowmotion import check_sweeps_against_reference
 
 MAP_SLOPES = [(1, 1, 40), (1, 2, 20), (2, 3, 20), (3, 5, 20), (3, 2, 20)]
 MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 12), (3, 5, 8), (3, 2, 12), (1, 1, 80), (2, 3, 32)]
+SWEEP_SLOPES = [(1, 1, 40), (1, 2, 27), (2, 3, 16), (3, 2, 16), (3, 5, 10), (5, 3, 10)]
 
 
 def random_paths(a, b, n, count, seed):
@@ -48,3 +51,9 @@ def test_random_path_mat_roundtrips(a, b, n):
     for p in random_paths(a, b, n, 2, seed=a * 100 + b * 10 + n):
         assert mat_inverse(mat(p)) == p
         assert mat(mat_inverse(p)) == p
+
+
+@pytest.mark.parametrize("a,b,n", SWEEP_SLOPES)
+def test_random_path_sweeps(a, b, n):
+    for p in random_paths(a, b, n, 2, seed=a * 100 + b * 10 + n):
+        check_sweeps_against_reference(p)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from ratdyck.paths import (
@@ -7,6 +9,7 @@ from ratdyck.paths import (
     lowest_path,
     path_from_steps,
     path_from_word,
+    path_from_young_rows,
     top_path,
     young_rows,
 )
@@ -14,8 +17,11 @@ from ratdyck.perms import dyck1, dyck2
 from ratdyck.promotion import evacuation_fast
 from ratdyck.rowmotion import (
     BoxRegion,
+    _sweep,
+    box_region,
     dual_rowvacuation,
     filter_of_path,
+    partial_rowvacuation,
     path_of_filter,
     rank_toggle,
     rowmotion,
@@ -29,6 +35,67 @@ def s(p):
     return "".join(str(u) for u in p.steps)
 
 
+@functools.cache
+def cells_by_rank(region):
+    """The cells of each rank, top row first."""
+    by_rank = {}
+    for i, length in enumerate(region.row_lengths, start=1):
+        for j in range(1, length + 1):
+            by_rank.setdefault(region.rank(i, j), []).append((i, j))
+    return by_rank
+
+
+def sweep_reference(p, ranks):
+    """Toggle the ranks in order, one cell at a time; toggles of equal rank
+    commute and are applied row by row from the top."""
+    rows = list(young_rows(p))
+    last = len(rows) - 1
+    cells = cells_by_rank(box_region(p.slope))
+    for r in ranks:
+        for i, j in cells.get(r, ()):
+            k = i - 1
+            if j == rows[k] + 1:
+                # addable iff the cell above is present (the one to the
+                # left is, as rows are left-justified)
+                if k == 0 or rows[k - 1] >= j:
+                    rows[k] = j
+            elif j == rows[k]:
+                # removable iff the cell below is absent
+                if k == last or rows[k + 1] <= j - 1:
+                    rows[k] = j - 1
+    return path_from_young_rows(p.slope, rows)
+
+
+def check_sweeps_against_reference(p):
+    """All six maps and every window [m, h], in both directions, against
+    the cell-by-cell sweep."""
+    region = box_region(p.slope)
+    lo, hi = region.min_rank, region.max_rank
+    assert rowmotion(p) == sweep_reference(p, range(hi, lo - 1, -1)), p
+    assert rowmotion_inverse(p) == sweep_reference(p, range(lo, hi + 1)), p
+    for r in range(lo, hi + 1):
+        assert rank_toggle(r, p) == sweep_reference(p, [r]), (p, r)
+    assert rowvacuation(p) == sweep_reference(
+        p, [r for m in range(lo, hi + 1) for r in range(hi, m - 1, -1)]
+    ), p
+    assert dual_rowvacuation(p) == sweep_reference(
+        p, [r for t in range(hi, lo - 1, -1) for r in range(lo, t + 1)]
+    ), p
+    assert partial_rowvacuation(p) == sweep_reference(
+        p, [r for m in range(lo + 1, hi + 1) for r in range(hi, m - 1, -1)]
+    ), p
+    for h in range(lo, hi + 1):
+        q = p
+        for m in range(h, lo - 1, -1):
+            q = sweep_reference(q, [m])  # p toggled at ranks h, h-1, ..., m
+            assert _sweep(p, region, [(m, h)], True) == q, (p, m, h)
+    for m in range(lo, hi + 1):
+        q = p
+        for h in range(m, hi + 1):
+            q = sweep_reference(q, [h])  # p toggled at ranks m, m+1, ..., h
+            assert _sweep(p, region, [(m, h)], False) == q, (p, m, h)
+
+
 def test_region_ranks():
     region = BoxRegion(Slope(1, 3, 3))
     assert region.row_lengths == (6, 3, 0)
@@ -37,6 +104,25 @@ def test_region_ranks():
     assert BoxRegion(Slope(1, 1, 4)).max_rank == 2
     # steep slopes have cells below rank zero
     assert BoxRegion(Slope(2, 1, 3)).min_rank < 0
+
+
+SWEEP_SLOPES = [
+    (1, 1, 6), (1, 2, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2), (2, 1, 4),
+    # n = 1: the regions of (1,k) and (k,1) are empty, the others are not
+    (1, 1, 1), (1, 3, 1), (3, 1, 1), (2, 3, 1), (3, 2, 1), (3, 5, 1), (5, 3, 1),
+]
+
+
+@pytest.mark.parametrize("a,b,n", SWEEP_SLOPES)
+def test_min_rank_closed_form(a, b, n):
+    region = BoxRegion(Slope(a, b, n))
+    assert region.min_rank == min(cells_by_rank(region), default=region.max_rank)
+
+
+@pytest.mark.parametrize("a,b,n", SWEEP_SLOPES)
+def test_sweeps_match_reference(a, b, n):
+    for p in enumerate_paths(Slope(a, b, n)):
+        check_sweeps_against_reference(p)
 
 
 def test_filter_roundtrip():
