@@ -65,10 +65,7 @@ from .promotion import (
 )
 from .rowmotion import (
     BoxRegion,
-    OrderFilter,
     dual_rowvacuation,
-    filter_of_path,
-    path_of_filter,
     rank_toggle,
     rowmotion_structural,
     rowvacuation,

@@ -7,34 +7,32 @@ of the line of slope a/b drawn from the base of that up step.  The first
 return is found on the integer levels b*y - a*x of the path's vertices, so
 no rational intersection point is ever formed.
 
-Every matching is validated in full when built, by the one linear pass that
-also validates non-crossing partitions (``noncrossing.broken_block_rule``).
+A matching is a ``NonCrossingPartition`` of [1, (a+b)n]: it shares the
+partition's validation (``noncrossing.broken_block_rule``), canonical
+constructor and relabelling, and keeps only its own text form and
+messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .noncrossing import broken_block_rule
+from .noncrossing import NonCrossingPartition
 from .paths import RationalDyckPath, Slope, memo_image, star_path
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    """Partition of [1, ground_size] into non-crossing blocks."""
+class PerfectMatching(NonCrossingPartition):
+    """Partition of [1, ground_size] into non-crossing blocks.  A matching
+    never equals a partition with the same blocks."""
 
-    ground_size: int
-    blocks: tuple[tuple[int, ...], ...]
+    @property
+    def ground_size(self) -> int:
+        return self.n
 
-    def __post_init__(self) -> None:
-        rule = broken_block_rule(self.blocks, self.ground_size)
-        if rule:
-            raise ValueError((
-                "blocks must partition the ground set",
-                "block elements must be sorted ascending",
-                "blocks must be ordered by minimum",
-                f"blocks are crossing: {self.blocks}",
-            )[rule - 1])
+    _rule_messages = (
+        "blocks must partition the ground set",
+        "block elements must be sorted ascending",
+        "blocks must be ordered by minimum",
+        "blocks are crossing: {blocks}",
+    )
 
     def __str__(self) -> str:
         return ",".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
@@ -43,9 +41,7 @@ class PerfectMatching:
         return [list(b) for b in self.blocks]
 
 
-def canonical_matching(ground: int, blocks) -> PerfectMatching:
-    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-    return PerfectMatching(ground, canon)
+canonical_matching = PerfectMatching.canonical
 
 
 def parse_matching(text: str, ground: int) -> PerfectMatching:
@@ -59,9 +55,8 @@ def parse_matching(text: str, ground: int) -> PerfectMatching:
     return canonical_matching(ground, blocks)
 
 
-@memo_image
-def pm(p: RationalDyckPath) -> PerfectMatching:
-    """The slope-line matching of a path.
+def _pm_blocks(p: RationalDyckPath) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the slope-line matching of a path, in canonical order.
 
     Walking on from the m-th up step, the level b*(y - y0) - a*(x - x0)
     relative to its base (x0, y0) starts at b, rises by b per up step and
@@ -71,8 +66,7 @@ def pm(p: RationalDyckPath) -> PerfectMatching:
     """
     s = p.slope
     a, b = s.a, s.b
-    total = s.total_steps
-    is_up = [False] * (total + 1)
+    is_up = [False] * (s.total_steps + 1)
     for u in p.steps:
         is_up[u] = True
     taken = is_up[:]  # up positions and right positions already in a block
@@ -96,7 +90,13 @@ def pm(p: RationalDyckPath) -> PerfectMatching:
             taken[j] = True
         blocks.append(tuple(block))
     # each block ascends, and the block minima descend
-    return PerfectMatching(total, tuple(reversed(blocks)))
+    return tuple(reversed(blocks))
+
+
+@memo_image
+def pm(p: RationalDyckPath) -> PerfectMatching:
+    """The slope-line matching of a path (see ``_pm_blocks``)."""
+    return PerfectMatching(p.slope.total_steps, _pm_blocks(p))
 
 
 def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:
@@ -110,17 +110,17 @@ def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:
 
 def bar(m: PerfectMatching) -> PerfectMatching:
     """Relabel i -> ground+1-i; an involution preserving non-crossingness."""
-    g = m.ground_size
-    return canonical_matching(g, [[g + 1 - x for x in block] for block in m.blocks])
+    return m.relabel(lambda x: m.n + 1 - x)
 
 
 def rotate(m: PerfectMatching) -> PerfectMatching:
     """Shift every element down by one cyclically (1 -> ground)."""
-    g = m.ground_size
-    return canonical_matching(g, [[(x - 2) % g + 1 for x in block] for block in m.blocks])
+    return m.relabel(lambda x: (x - 2) % m.n + 1)
 
 
 @memo_image
 def dpm(p: RationalDyckPath) -> PerfectMatching:
-    """The dual matching: bar of the matching of the transposed path."""
-    return bar(pm(star_path(p)))
+    """The dual matching: bar of the matching of the transposed path, built
+    and validated once from the transposed path's blocks."""
+    g = p.slope.total_steps
+    return canonical_matching(g, [[g + 1 - x for x in b] for b in _pm_blocks(star_path(p))])

@@ -15,12 +15,12 @@ cross, so each sub-block is contiguous among the elements placed so far,
 its splice lands where its chunks already are, and every chunk stays with
 its element.  One pass per layer costs O(kn) letters.
 
-Every partition is validated in full when built, by one linear pass
-(``broken_block_rule``, shared with perfect matchings): it checks that the
-blocks partition [1, n], are sorted and ordered by minimum, and do not
-cross, and reports the first rule broken.  The chain maps act
-layer by layer and share images inside an image scope; ``kre_inverse`` is
-``kre`` after ``rot_inverse``, since kre² = rot.
+Every partition, perfect matchings included (``matchings.PerfectMatching``
+is a subclass), is validated in full when built, by one linear pass
+(``broken_block_rule``): it checks that the blocks partition [1, n], are
+sorted and ordered by minimum, and do not cross, and reports the first rule
+broken.  The chain maps act layer by layer and share images inside an image
+scope; ``kre_inverse`` is ``kre`` after ``rot_inverse``, since kre² = rot.
 """
 
 from __future__ import annotations
@@ -37,15 +37,29 @@ class NonCrossingPartition:
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
+    # the message for each rule of ``broken_block_rule``, in its order
+    _rule_messages = (
+        "blocks must partition [1,{n}]",
+        "block elements must be sorted",
+        "blocks must be ordered by minimum",
+        "partition crosses: {blocks}",
+    )
+
     def __post_init__(self) -> None:
         rule = broken_block_rule(self.blocks, self.n)
         if rule:
-            raise ValueError((
-                f"blocks must partition [1,{self.n}]",
-                "block elements must be sorted",
-                "blocks must be ordered by minimum",
-                f"partition crosses: {self.blocks}",
-            )[rule - 1])
+            raise ValueError(self._rule_messages[rule - 1].format(n=self.n, blocks=self.blocks))
+
+    @classmethod
+    def canonical(cls, n: int, blocks):
+        """The partition of ``blocks`` given in any order, each in any order.
+        An empty block sorts first and breaks the ordering rule."""
+        return cls(n, tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1])))
+
+    def relabel(self, f):
+        """The partition of the same kind with each element x renamed f(x);
+        ``f`` must permute [1, n]."""
+        return self.canonical(self.n, [[f(x) for x in b] for b in self.blocks])
 
     def block_index(self) -> dict[int, int]:
         return {x: i for i, b in enumerate(self.blocks) for x in b}
@@ -111,9 +125,7 @@ def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
     return 0
 
 
-def ncp(n: int, blocks) -> NonCrossingPartition:
-    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-    return NonCrossingPartition(n, canon)
+ncp = NonCrossingPartition.canonical
 
 
 def parse_ncp(text: str, n: int | None = None) -> NonCrossingPartition:
@@ -270,12 +282,12 @@ def transport(f, p: RationalDyckPath) -> RationalDyckPath:
 
 @memo_image
 def rot_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    return ncp(p.n, [[(x - 2) % p.n + 1 for x in b] for b in p.blocks])
+    return p.relabel(lambda x: (x - 2) % p.n + 1)
 
 
 @memo_image
 def ref_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    return ncp(p.n, [[p.n + 1 - x for x in b] for b in p.blocks])
+    return p.relabel(lambda x: p.n + 1 - x)
 
 
 @memo_image
@@ -343,8 +355,7 @@ def rot(chain: NonCrossingChain) -> NonCrossingChain:
 @memo_image
 def rot_inverse(chain: NonCrossingChain) -> NonCrossingChain:
     n = chain.n
-    shift = lambda p: ncp(n, [[x % n + 1 for x in b] for b in p.blocks])
-    return _layerwise(chain, shift, reverse=False)
+    return _layerwise(chain, lambda p: p.relabel(lambda x: x % n + 1), reverse=False)
 
 
 @memo_image

@@ -131,31 +131,6 @@ def box_region(slope: Slope) -> BoxRegion:
     return BoxRegion(slope)
 
 
-@dataclass(frozen=True)
-class OrderFilter:
-    """A filter of the box region, stored as weakly decreasing row prefixes."""
-
-    region: BoxRegion
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        caps = self.region.row_lengths
-        if len(self.rows) != len(caps):
-            raise ValueError("wrong number of rows")
-        if any(r < 0 or r > cap for r, cap in zip(self.rows, caps)):
-            raise ValueError(f"rows {self.rows} outside the region {caps}")
-        if any(x < y for x, y in zip(self.rows, self.rows[1:])):
-            raise ValueError(f"not up-left closed: {self.rows}")
-
-
-def filter_of_path(p: RationalDyckPath) -> OrderFilter:
-    return OrderFilter(box_region(p.slope), young_rows(p))
-
-
-def path_of_filter(f: OrderFilter) -> RationalDyckPath:
-    return path_from_young_rows(f.region.slope, f.rows)
-
-
 def _sweep(p: RationalDyckPath, region: BoxRegion, windows, descending: bool) -> RationalDyckPath:
     """Toggle the ranks of each window [m, h] in turn, from h down to m if
     ``descending``, else from m up to h: one pass over the rows per window,

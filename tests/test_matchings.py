@@ -1,5 +1,6 @@
 import pytest
 
+from ratdyck import noncrossing
 from ratdyck.matchings import (
     PerfectMatching,
     bar,
@@ -10,7 +11,8 @@ from ratdyck.matchings import (
     pm_inverse,
     rotate,
 )
-from ratdyck.paths import Slope, enumerate_paths, path_from_steps, path_from_word
+from ratdyck.noncrossing import NonCrossingPartition, ncp, ref_partition, rot_partition
+from ratdyck.paths import Slope, enumerate_paths, path_from_steps, path_from_word, star_path
 from ratdyck.promotion import evacuation_fast, promotion
 
 
@@ -119,3 +121,27 @@ def test_matching_validation_and_parse():
     m = parse_matching("{1,4,10},{2,3},{5,6,9},{7,8}", 10)
     assert str(m) == "{1,4,10},{2,3},{5,6,9},{7,8}"
     assert m.to_json() == [[1, 4, 10], [2, 3], [5, 6, 9], [7, 8]]
+
+
+def test_matching_is_a_partition_but_never_equals_one():
+    m = canonical_matching(6, [(1, 2), (3, 4), (5, 6)])
+    q = ncp(6, [(1, 2), (3, 4), (5, 6)])
+    assert isinstance(m, NonCrossingPartition) and m.ground_size == m.n == 6
+    assert m != q and q != m
+    # rotation and reflection are the partition relabellings, kept a matching
+    assert type(rotate(m)) is type(bar(m)) is PerfectMatching
+    assert rotate(m).blocks == rot_partition(q).blocks
+    assert bar(m).blocks == ref_partition(q).blocks
+    assert str(m) == "{1,2},{3,4},{5,6}" and str(q) == "1.2/3.4/5.6"
+
+
+def test_dpm_validates_one_matching(monkeypatch):
+    calls = []
+    rule = noncrossing.broken_block_rule
+    monkeypatch.setattr(noncrossing, "broken_block_rule",
+                        lambda blocks, n: calls.append(n) or rule(blocks, n))
+    p = path_from_steps(Slope(2, 3, 2), [1, 2, 5, 7])
+    assert dpm(p) == bar(pm(star_path(p)))
+    calls.clear()
+    dpm(p)
+    assert calls == [10]

@@ -33,6 +33,9 @@ from ratdyck.registry import CHAIN_MAPS
 def test_partition_validation():
     with pytest.raises(ValueError):
         ncp(4, [(1, 3), (2, 4)])
+    # an empty block has no minimum; it sorts first and breaks the ordering
+    with pytest.raises(ValueError, match="^blocks must be ordered by minimum$"):
+        ncp(3, [(), (1, 2, 3)])
     assert str(parse_ncp("1.3/2/4.5.7/6")) == "1.3/2/4.5.7/6"
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ratdyck import matching_map, promotion, registry
+from ratdyck import golden, matching_map, promotion, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
 from ratdyck.matchings import pm
@@ -301,6 +301,22 @@ def test_cli_golden(capsys):
     assert code == 0 and out.count("PASS") == 12
 
 
+def test_cli_failed_verification_exit_code(capsys, monkeypatch):
+    # a broken map is a failed verification (exit 1), not bad input (2) or a
+    # broken invariant (3); each counterexample shows both sides
+    monkeypatch.setattr(promotion, "evacuation_fast", lambda p: p)
+    code, out, _ = run(capsys, "verify", "--identity", "fast-evacuation",
+                       "--a", "1", "--b", "1", "--n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL fast-evacuation (1,1) n=3")
+    assert lines[0].endswith("[UNEXPECTED]")
+    assert lines[1:] and all(re.search(r": lhs=\S+ rhs=\S+$", x) for x in lines[1:])
+    monkeypatch.setattr(golden, "promotion", lambda p: p)
+    code, out, _ = run(capsys, "golden")
+    assert code == 1 and "FAIL golden-promotion" in out
+
+
 def test_cli_convert(capsys):
     code, out, _ = run(capsys, "convert", "--a", "1", "--b", "2", "--n", "3",
                        "--path", "1,4,7", "--to", "ncp")
@@ -320,6 +336,19 @@ def test_cli_convert(capsys):
     code, out, _ = run(capsys, "convert", "--a", "1", "--b", "1", "--n", "3",
                        "--matching", "{1,4},{2,3},{5,6}", "--to", "path")
     assert code == 0 and out == "1,2,5"
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("{}", "blocks must partition the ground set"),
+    ("{1,2},{}", "blocks must be ordered by minimum"),
+])
+def test_cli_empty_block_in_matching(capsys, literal, message):
+    # an empty block has no minimum; the canonical sort hands it to the block
+    # rule, which reports bad input
+    code, out, err = run(capsys, "convert", "--a", "1", "--b", "1", "--n", "1",
+                         "--matching", literal, "--to", "path")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -20,9 +20,7 @@ from ratdyck.rowmotion import (
     _sweep,
     box_region,
     dual_rowvacuation,
-    filter_of_path,
     partial_rowvacuation,
-    path_of_filter,
     rank_toggle,
     rowmotion,
     rowmotion_inverse,
@@ -126,13 +124,16 @@ def test_sweeps_match_reference(a, b, n):
 
 
 def test_filter_roundtrip():
-    p = path_from_steps(Slope(1, 3, 3), [1, 3, 6])
-    f = filter_of_path(p)
-    assert f.rows == (3, 1, 0)
-    assert path_of_filter(f) == p
+    # a filter of the box region is the Young rows of its path
+    slope = Slope(1, 3, 3)
+    p = path_from_steps(slope, [1, 3, 6])
+    assert young_rows(p) == (3, 1, 0)
+    assert path_from_young_rows(slope, (3, 1, 0)) == p
     # boxes above the path: the lowest path sits under the whole region
-    assert filter_of_path(lowest_path(Slope(1, 3, 3))).rows == (6, 3, 0)
-    assert filter_of_path(top_path(Slope(1, 3, 3))).rows == (0, 0, 0)
+    assert young_rows(lowest_path(slope)) == (6, 3, 0)
+    assert young_rows(top_path(slope)) == (0, 0, 0)
+    assert path_from_young_rows(slope, (6, 3, 0)) == lowest_path(slope)
+    assert path_from_young_rows(slope, (0, 0, 0)) == top_path(slope)
 
 
 def test_rank_toggle_worked_examples():
