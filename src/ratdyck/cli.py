@@ -302,6 +302,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_domain", 0) < 0:
+            raise ValueError(f"--max-domain must be at least 0, got {args.max_domain}")
         return args.fn(args)
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -17,13 +17,18 @@ and a mid-step return never followed directly by another up step.
 candidate's positions, reading only a stretch that holds a built position,
 off one forward table per stretch start (``StretchTable``); it gives the
 proofs.  ``mat`` tries only the first b + 1 positions of each entry's
-cyclic order of unused positions.  It lays the blocks out as it builds
-them (``BuiltBlocks``, O(|block|) per block, the slope's constants cached
-per slope), takes each block's window arithmetic from its accepted span,
-and keeps its stretch tables for the whole call, dropping exactly those a
-new block lands in (``drop_spans``).  ``mat_inverse`` rebuilds the path
-greedily from the bottom row up: the valley values can only go in
-descending order, so there is no search.
+cyclic order of unused positions, and calls ``admissible`` only while more
+than one size remains: a block of the smallest size floor(b/a) + 1 is
+checked by its window arithmetic alone (``window_arithmetic``), and the
+final round trip through ``pm`` settles the rest (the lemma is in
+``mat``'s docstring).  So at a = 1, where every block has that size, no
+layout is built.  Elsewhere ``mat`` lays the blocks out from the first
+entry with a real choice on (``BuiltBlocks``, O(|block|) per block, the
+slope's constants cached per slope), takes each block's window arithmetic
+from its accepted span, and keeps its stretch tables from then on,
+dropping exactly those a new block lands in (``drop_spans``).
+``mat_inverse`` rebuilds the path greedily from the bottom row up: the
+valley values can only go in descending order, so there is no search.
 """
 
 from __future__ import annotations
@@ -107,6 +112,23 @@ def _slope_tables(slope: Slope, size: int) -> tuple[tuple, ...]:
     return length, ups, keys, least
 
 
+def window_arithmetic(a: int, b: int, ups: tuple, root: int, rights) -> tuple[int, int] | None:
+    """The up count of a window rooted at ``root`` up to the last of its own
+    ``rights`` (sorted ascending), and its slack after it, for slope a/b
+    and the slope's ``ups`` (``_slope_tables``); None when a stretch before
+    that right cannot fill or an own right before it is not strictly above
+    the line.  It reads no layout (``admissible`` gives the proof)."""
+    count, slack, prev = 1, b, root
+    for x in rights:
+        u = ups[x - prev - 1]
+        if slack <= 0 or u is None:
+            return None
+        count += u
+        slack += (a + b) * u - a * (x - prev)
+        prev = x
+    return count, slack
+
+
 # Position tags.  A built block's other positions carry the position of its
 # up step, so a window rooted there owns the positions tagged with its root.
 FREE, UP = -1, -2
@@ -147,7 +169,7 @@ class BuiltBlocks:
 
     def add(self, block, shape=None) -> None:
         """Lay out one new block, sorted ascending; ``shape`` is its
-        ``arithmetic``, when the caller already has it."""
+        ``window_arithmetic``, when the caller already has it."""
         lo, hi = block[0], block[-1]
         tag, lowest, highest, built = self.tag, self.lowest, self.highest, self.built
         for x in block:
@@ -156,7 +178,9 @@ class BuiltBlocks:
             insort(built, x)
         tag[lo] = UP
         self.rights[lo] = rights = block[1:]
-        self.shape[lo] = self.arithmetic(lo, rights) if shape is None else shape
+        if shape is None:
+            shape = window_arithmetic(self.a, self.b, self.ups, lo, rights)
+        self.shape[lo] = shape
 
     def built_in(self, s: int, e: int) -> bool:
         """Whether a built position lies in [s, e]."""
@@ -165,22 +189,6 @@ class BuiltBlocks:
     def up_steps(self, s: int, e: int) -> int:
         """The number of built up steps in [s, e]."""
         return self.tag[s : e + 1].count(UP)
-
-    def arithmetic(self, root: int, rights) -> tuple[int, int] | None:
-        """The up count of a window rooted at ``root`` up to the last of its
-        own ``rights`` (sorted ascending), and its slack after it; None when
-        a stretch before that right cannot fill or an own right before it is
-        not strictly above the line."""
-        a, b, ups = self.a, self.b, self.ups
-        count, slack, prev = 1, b, root
-        for x in rights:
-            u = ups[x - prev - 1]
-            if slack <= 0 or u is None:
-                return None
-            count += u
-            slack += (a + b) * u - a * (x - prev)
-            prev = x
-        return count, slack
 
     def encloses(self, lo: int, hi: int) -> bool:
         """Whether every block with a position in [lo, hi] lies inside it."""
@@ -330,14 +338,18 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     after each own right that is not the window's end.  With the up counts
     read off the lengths, those tests and the closure count (1 plus the up
     counts of the stretches is the window's c) are plain arithmetic
-    (``BuiltBlocks.arithmetic``).  A complete window ends with slack
-    (b*c) mod a >= 0, and each of its m own rights lowers the slack by a
-    while each stretch raises it by less than a, so b + (a-1)*m - a*m >= 0:
-    a candidate of more than b + 1 positions never closes, and ``mat`` builds
-    only the first b + 1 positions of each entry's cyclic order.  The slack
-    after the last own right telescopes to (a+b)*c - a*(its span length),
-    which is (b*c) mod a for an accepted block, so ``mat`` lays a block out
-    with that arithmetic and does not run it again.
+    (``window_arithmetic``, which reads no layout).  A complete window ends
+    with slack (b*c) mod a >= 0, and each of its m own rights lowers the
+    slack by a while each stretch raises it by less than a, so b + (a-1)*m
+    - a*m >= 0: a candidate of more than b + 1 positions never closes, and
+    ``mat`` builds only the first b + 1 positions of each entry's cyclic
+    order.  The slack after the last own right telescopes to (a+b)*c -
+    a*(its span length), which is (b*c) mod a for an accepted block, so
+    ``mat`` lays a block out with that arithmetic and does not run it
+    again.  At the smallest size, floor(b/a) + 1, ``mat`` has no choice
+    left and does not call this function: it runs only the span length,
+    the closure count and this arithmetic, and its final round trip stands
+    in for the nesting and the stretches (see ``mat``).
 
     The tables.  A stretch that holds a built position is read off one
     forward table per stretch start s (``StretchTable``), which answers
@@ -391,8 +403,9 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     read only the tables of their own stretches.  So a table stays valid
     while blocks are built as long as no new block lands in [s, e], and
     ``drop_spans`` removes, for each new block, the tables whose scanned
-    range holds one of its positions: ``mat`` keeps one memo for its whole
-    call.  Without one, the call keeps a private memo.
+    range holds one of its positions: ``mat`` keeps one memo from its first
+    real choice to the end of its call.  Without one, the call keeps a
+    private memo.
     """
     cand = sorted(set(candidate))
     if not cand:
@@ -416,7 +429,7 @@ def admissible(slope: Slope, candidate, built=(), memo=None) -> bool:
     future_needed = c_top - 1 - (built.up_steps(lo, hi) if inside else 0)
     if not 0 <= future_needed < built.up_count - len(built.rights):
         return False
-    shape = built.arithmetic(lo, own_rights)
+    shape = window_arithmetic(built.a, built.b, built.ups, lo, own_rights)
     if shape is None or shape[0] != c_top:
         return False
     return not inside or built.filled(lo, own_rights, StretchTables() if memo is None else memo)
@@ -446,13 +459,52 @@ def _representing_length(keys: tuple[int, ...], seq: list[int]) -> int:
 
 @memo_image
 def mat(p: RationalDyckPath) -> RationalDyckPath:
-    """The matching map."""
+    """The matching map.
+
+    Each entry takes the largest size, from its representing length down,
+    whose prefix ``admissible`` accepts, and at ``forced`` = min(floor(b/a)
+    + 1, the prefix length) it takes the prefix whenever it closes at all:
+    ``admissible`` is called only while more than one size remains, so never
+    at a = 1, where every block has b + 1 positions.  At the forced size
+    only ``admissible``'s layout-free checks run, in O(|block|): the span
+    has the length of a complete window, the closure count holds against
+    the built up steps inside the span, and the own-right arithmetic closes
+    (``window_arithmetic``).  The window nesting and the stretch fill are
+    settled by the final round trip instead.
+
+    Lemma: if ``pm(q)`` equals the built blocks, where q is the path whose
+    up steps are the block minima, each block was admissible given the
+    blocks built before it.  ``pm`` gives the up step of q at lo its rights
+    up to the first return of the slope line from lo that no up step after
+    lo took, so q's steps on the block's span [lo, hi] form one complete
+    window rooted at lo whose own rights are the block's rights: they
+    alternate with complete windows, each rooted at an up step of q in the
+    span and holding all of its block, and every interior prefix stays
+    strictly above the line.  A block built before lo's is such a nested
+    window, laid out as built; every other position in the span was free
+    when lo's block was built and gets q's step.  That is a parse of the
+    span as ``admissible`` asks for, with the nesting, the stretch fill and
+    the closure count (the up steps inside are its c - 1) all holding, so
+    ``admissible`` accepts the block.  Hence a block taken at the forced
+    size that fails the nesting or a stretch makes the round trip fail (or
+    an earlier check raise), and ``mat`` raises ``InvariantError`` as it did
+    when it called ``admissible`` there; on every path on which it returns,
+    ``admissible`` would have accepted each forced block, so the output is
+    the same.
+
+    The layout and the stretch tables are built at the first entry with a
+    real choice, from the blocks built so far (``{up step: (block,
+    arithmetic)}``), and kept from then on as ``admissible`` describes: at a
+    = 1 neither is ever built.
+    """
     s = p.slope
-    total, a, b, smallest = s.total_steps, s.a, s.b, s.b // s.a + 1
+    total, a, b, up_count = s.total_steps, s.a, s.b, s.up_count
+    smallest = b // a + 1
     free = list(range(1, total + 1))  # the unused positions, sorted
-    layout = BuiltBlocks(s, total)
-    ups, keys = layout.ups, _slope_tables(s, total)[2]
-    tables = StretchTables()  # kept valid by drop_spans
+    ups, keys = _slope_tables(s, total)[1:3]
+    blocks: dict[int, tuple[tuple[int, ...], tuple[int, int]]] = {}
+    minima: list[int] = []  # the built up steps, sorted
+    layout = tables = None  # laid out at the first real choice, tables kept valid by drop_spans
     for value, barred in _valley_entries(p):
         start = total + 1 - value if barred else value
         i = bisect_left(free, start)
@@ -463,18 +515,37 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
             )
         # no prefix longer than b + 1 (see admissible) or the representing length closes
         seq = _cyclic_prefix(free, i, min(b + 1, len(free)), barred)
-        for best in range(_representing_length(keys, seq), min(smallest, len(seq)) - 1, -1):
-            if admissible(s, seq[:best], layout, tables):
-                break
-        else:
-            raise InvariantError(
-                f"no admissible block for entry {'~' * barred}{value} of {p} "
-                "(admissibility interpretation bug)"
-            )
-        block = sorted(seq[:best])
-        c = ups[block[-1] - block[0] + 1]
-        layout.add(block, (c, b * c % a))  # the arithmetic admissible accepted
-        drop_spans(tables, block)
+        top, forced = _representing_length(keys, seq), min(smallest, len(seq))
+        best = forced
+        if top > forced:
+            if layout is None:
+                layout, tables = BuiltBlocks(s, total), StretchTables()
+                for block, shape in blocks.values():
+                    layout.add(block, shape)
+            for size in range(top, forced, -1):
+                if admissible(s, seq[:size], layout, tables):
+                    best = size
+                    break
+        block = tuple(sorted(seq[:best]))
+        lo, hi = block[0], block[-1]
+        c = ups[hi - lo + 1]
+        if best > forced:
+            shape = (c, b * c % a)  # the arithmetic admissible accepted
+        else:  # admissible's layout-free checks; the round trip settles the rest
+            inside = bisect_right(minima, hi) - bisect_left(minima, lo)
+            shape = None
+            if top >= forced and c is not None and 0 <= c - 1 - inside < up_count - len(blocks):
+                shape = window_arithmetic(a, b, ups, lo, block[1:])
+            if shape is None or shape[0] != c:
+                raise InvariantError(
+                    f"no admissible block for entry {'~' * barred}{value} of {p} "
+                    "(admissibility interpretation bug)"
+                )
+        blocks[lo] = block, shape
+        insort(minima, lo)
+        if layout is not None:
+            layout.add(block, shape)
+            drop_spans(tables, block)
         for x in block:
             del free[bisect_left(free, x)]
     if free:
@@ -482,8 +553,8 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     # the path whose up steps are the block minima, if its matching is the
     # built one; a mismatch is a defect here, not bad input
     try:
-        q = RationalDyckPath(s, tuple(sorted(layout.rights)))
-        if pm(q).blocks == tuple((lo, *layout.rights[lo]) for lo in q.steps):
+        q = RationalDyckPath(s, tuple(minima))
+        if pm(q).blocks == tuple(blocks[lo][0] for lo in minima):
             return q
     except ValueError:
         pass

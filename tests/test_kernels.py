@@ -18,6 +18,7 @@ letters, look for a 321 pattern by scanning the suffix of every value, and
 find each bumped entry of a two-row insertion by scanning its row.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -27,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 from ratdyck import matching_map, registry
+from ratdyck.cli import main
 from ratdyck.matching_map import (
     FREE,
     UP,
@@ -805,18 +807,24 @@ def check_layouts_and_drops(monkeypatch, slope, paths):
     each block it adds, against the block list searched afresh (the lists,
     whether [s, e] holds a built position, the up steps in [s, e]), and
     every ``drop_spans`` it makes checked to keep exactly the tables a full
-    scan of its memo keeps.  Returns, per drop, the tables dropped and the
+    scan of its memo keeps.  A layout is built at the first entry with a
+    real choice: it takes the blocks built before that entry, then one block
+    and one drop per entry.  Returns, per drop, the tables dropped and the
     tables kept that once read a block position free (a table at the same
-    start that was dropped before did)."""
+    start that was dropped before did), and the number of layouts built."""
     size = slope.total_steps
     add, drop = BuiltBlocks.add, matching_map.drop_spans
     history, seen, drops = {}, set(), []
+    events = {}  # per layout, "A" per block added and "D" per drop, in order
+    current = []  # the layout of the latest block added
 
     def checked_add(layout, block, shape=None):
         add(layout, block, shape)
         # the layout stays referenced, so its id is not reused
         blocks = history.setdefault(id(layout), (layout, []))[1]
         blocks.append(tuple(block))
+        events.setdefault(id(layout), []).append("A")
+        current[:] = [id(layout)]
         if tuple(blocks) in seen:
             return  # the same blocks in the same order lay out the same
         seen.add(tuple(blocks))
@@ -834,20 +842,28 @@ def check_layouts_and_drops(monkeypatch, slope, paths):
         drop(memo, block)
         assert set(memo) == kept, (block, ends)
         drops.append((len(ends) - len(kept), len(read)))
+        events[current[0]].append("D")
 
     monkeypatch.setattr(BuiltBlocks, "add", checked_add)
     monkeypatch.setattr(matching_map, "drop_spans", checked_drop)
     for p in paths:
         mat(p)
-    assert len(drops) == len(paths) * slope.up_count  # one per entry
-    return drops
+    up_count = slope.up_count
+    for kinds in events.values():
+        replayed = 2 * up_count - len(kinds)  # the blocks before the first choice
+        assert 0 <= replayed < up_count, kinds
+        assert "".join(kinds) == "A" * replayed + "AD" * (up_count - replayed), kinds
+    return drops, len(events)
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 2, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)])
 def test_layout_and_drops_match_a_full_recomputation(a, b, n, monkeypatch):
     slope = Slope(a, b, n)
-    drops = check_layouts_and_drops(monkeypatch, slope, enumerate_paths(slope))
-    assert sum(dropped for dropped, _ in drops) > 0
+    drops, layouts = check_layouts_and_drops(monkeypatch, slope, enumerate_paths(slope))
+    if a == 1:  # every block of a (1,k) path has the forced size
+        assert layouts == 0 and drops == []
+    else:
+        assert layouts > 0 and sum(dropped for dropped, _ in drops) > 0
 
 
 def test_drops_keep_a_table_that_ends_before_the_block(monkeypatch):
@@ -856,8 +872,77 @@ def test_drops_keep_a_table_that_ends_before_the_block(monkeypatch):
     slope = Slope(3, 2, 12)
     rng = random.Random(3212)
     paths = [uniform_path(slope, rng) for _ in range(8)]
-    drops = check_layouts_and_drops(monkeypatch, slope, paths)
+    drops, _ = check_layouts_and_drops(monkeypatch, slope, paths)
     assert sum(read for _, read in drops) > 0
+
+
+@pytest.mark.parametrize(
+    "a,b,n,uniform",
+    [(1, 1, 6, 0), (1, 2, 4, 0), (1, 3, 3, 0), (2, 3, 3, 0), (3, 2, 3, 0), (3, 5, 2, 0),
+     (5, 3, 2, 0), (2, 3, 8, 3), (3, 5, 5, 3), (1, 1, 40, 3)],
+)
+def test_every_block_is_admissible_given_the_blocks_before(a, b, n, uniform, monkeypatch):
+    # mat takes a block of the forced size on arithmetic alone and leaves
+    # the nesting and the stretch fill to its final round trip (the lemma in
+    # its docstring); the full parse confirms each block it builds
+    slope = Slope(a, b, n)
+    if uniform:
+        rng = random.Random(a * 1000 + b * 100 + n + 4)
+        paths = [uniform_path(slope, rng) for _ in range(uniform)]
+    else:
+        paths = enumerate_paths(slope)
+    calls = collections.Counter()
+    check, init = matching_map.admissible, BuiltBlocks.__init__
+
+    def counted_check(*args):
+        calls["admissible"] += 1
+        return check(*args)
+
+    def counted_init(layout, *args):
+        calls["BuiltBlocks"] += 1
+        init(layout, *args)
+
+    monkeypatch.setattr(matching_map, "admissible", counted_check)
+    monkeypatch.setattr(BuiltBlocks, "__init__", counted_init)
+    for p in paths:
+        for built, block in mat_entries(p):
+            assert reference_verdict(slope, block, built), (p, block, built)
+    if a == 1:  # every block has the forced size b + 1
+        assert calls == {}
+    else:
+        assert calls["admissible"] > 0 and calls["BuiltBlocks"] > 0
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 1, 6), (1, 2, 4), (2, 3, 3), (3, 5, 2)])
+def test_a_wrong_block_choice_is_an_invariant_error(a, b, n, monkeypatch, capsys):
+    # with the nearest free position skipped wherever the pool is large
+    # enough, mat builds blocks the valley sequence does not ask for: the
+    # forced-size arithmetic or the final round trip must report a broken
+    # invariant, never crash on a block that cannot close
+    prefix = matching_map._cyclic_prefix
+
+    def skipping(free, i, size, increasing):
+        if len(free) <= size + 1:
+            return prefix(free, i, size, increasing)
+        seq = prefix(free, i, size + 1, increasing)
+        return [seq[0], *seq[2:]]
+
+    monkeypatch.setattr(matching_map, "_cyclic_prefix", skipping)
+    slope = Slope(a, b, n)
+    broken = []
+    for p in enumerate_paths(slope):
+        try:
+            q = mat(p)
+        except InvariantError:
+            broken.append(p)
+        else:
+            assert mat_inverse(q) == p, p
+    assert broken
+    code = main(["apply", "--map", "mat", "--a", str(a), "--b", str(b), "--n", str(n),
+                 "--path", broken[0].steps_str()])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("internal error: ") and len(out.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 8), (3, 5, 5)])

@@ -153,8 +153,9 @@ def test_cli_apply_path_map_to_chain(capsys):
 
 
 def test_cli_invariant_error_exit_code(capsys, monkeypatch):
-    # a broken invariant is told apart from bad input: exit 3, one line
-    monkeypatch.setattr(matching_map, "admissible", lambda *args: False)
+    # a broken invariant is told apart from bad input: exit 3, one line (every
+    # block of a (1,k) path has the forced size, checked by window arithmetic)
+    monkeypatch.setattr(matching_map, "window_arithmetic", lambda *args: None)
     code, out, err = run(capsys, "apply", "--map", "mat", "--a", "1", "--b", "2",
                          "--n", "3", "--path", "1,4,7")
     assert code == 3 and out == ""
@@ -221,6 +222,19 @@ def test_cli_domain_guard(capsys, argv):
     assert err == "error: (1,1) n=5 has more than 41 paths; raise --max-domain to enumerate it"
     code, out, _ = run(capsys, *argv, *slope, "--max-domain", "42")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", [("orbit", "--map", "mat"), ("enum",),
+                                     ("apply", "--map", "mat", "--path", "1,2,3")])
+def test_cli_negative_max_domain_is_refused(capsys, command):
+    # a negative limit is bad input on every command that takes one, even
+    # where nothing would be enumerated; 0 still refuses every slope
+    slope = ("--a", "1", "--b", "1", "--n", "3")
+    code, out, err = run(capsys, *command, *slope, "--max-domain", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-domain must be at least 0, got -1"
+    code, out, err = run(capsys, "orbit", "--map", "mat", *slope, "--max-domain", "0")
+    assert code == 2 and err.startswith("error: (1,1) n=3 has more than 0 paths")
 
 
 @pytest.mark.parametrize("n", ["13", "14", "1000000"])
