@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import cProfile
 import json
-import pstats
 import sys
 
 from . import noncrossing as nc
@@ -46,10 +44,19 @@ def _slope(args) -> Slope:
     return Slope(args.a, args.b, args.n)
 
 
+def _given(args, option: str) -> bool:
+    """Whether the literal ``--option`` was given; an empty one is refused,
+    since no object of any slope is written as the empty string."""
+    value = getattr(args, option)
+    if value == "":
+        raise ValueError(f"--{option} is empty")
+    return value is not None
+
+
 def _read_path(args, slope: Slope) -> RationalDyckPath:
-    if args.path:
+    if _given(args, "path"):
         return path_from_steps(slope, parse_steps(args.path))
-    if getattr(args, "word", None):
+    if _given(args, "word"):
         return path_from_word(slope, args.word)
     raise ValueError("a path is required (--path or --word)")
 
@@ -72,7 +79,7 @@ def _check_domain(args, slope: Slope, what="paths", size=count_paths) -> None:
     for m in range(1, slope.n + 1):
         if size(Slope(slope.a, slope.b, m)) > args.max_domain:
             raise ValueError(
-                f"({slope.a},{slope.b}) n={slope.n} has more than {args.max_domain} {what}; "
+                f"{slope} has more than {args.max_domain} {what}; "
                 f"raise --max-domain to enumerate it"
             )
 
@@ -102,7 +109,7 @@ def cmd_enum(args) -> int:
 
 def cmd_apply(args) -> int:
     slope = _slope(args)
-    if args.ncp:
+    if _given(args, "ncp"):
         chain = _read_chain(args, slope)
         if args.map == "lk":  # each layer goes through the (1,1) chain table
             _check_domain(args, Slope(1, 1, slope.n))
@@ -130,7 +137,11 @@ def cmd_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--profile", args.profile)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    profiler = cProfile.Profile() if args.profile else None
+    profiler = None
+    if args.profile:  # the profiler is imported only when asked for
+        import cProfile
+
+        profiler = cProfile.Profile()
     with profiler or contextlib.nullcontext():
         if args.identity:
             slope = _slope(args)
@@ -139,6 +150,8 @@ def cmd_verify(args) -> int:
         else:
             reports = default_suite(max_n=args.max_n)
     if profiler:  # the top functions by self time, to stderr only
+        import pstats
+
         pstats.Stats(profiler, stream=sys.stderr).sort_stats("tottime").print_stats(args.profile)
     lines = []
     ok = True
@@ -173,17 +186,14 @@ def cmd_golden(args) -> int:
 
 def cmd_convert(args) -> int:
     slope = _slope(args)
-    if args.perm:
+    if _given(args, "perm"):
         w = parse_permutation(args.perm)
         if (slope.a, slope.b, slope.n) != (1, 1, w.n):
-            raise ValueError(
-                f"permutation of length {w.n} needs slope (1,1) n={w.n}, "
-                f"got ({slope.a},{slope.b}) n={slope.n}"
-            )
+            raise ValueError(f"permutation of length {w.n} needs slope (1,1) n={w.n}, got {slope}")
         p = e_p(w)
-    elif args.ncp:
+    elif _given(args, "ncp"):
         p = nc.ncp_to_dyck(_read_chain(args, slope))
-    elif args.matching:
+    elif _given(args, "matching"):
         p = pm_inverse(parse_matching(args.matching, slope.total_steps), slope)
     else:
         p = _read_path(args, slope)

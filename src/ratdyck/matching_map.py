@@ -34,17 +34,20 @@ valley values can only go in descending order, so there is no search.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .matchings import pm
-from .paths import InvariantError, RationalDyckPath, Slope, memo_image
+from .paths import InvariantError, RationalDyckPath, Slope, Value, memo_image
 
 
-@dataclass(frozen=True)
-class BarInt:
+class BarInt(Value):
+    __slots__ = ("value", "barred")
     value: int
     barred: bool
+
+    def __init__(self, value: int, barred: bool) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "barred", barred)
 
     def numeric(self, slope: Slope) -> int:
         return slope.total_steps + 1 - self.value if self.barred else self.value
@@ -53,9 +56,12 @@ class BarInt:
         return f"~{self.value}" if self.barred else str(self.value)
 
 
-@dataclass(frozen=True)
-class BarSequence:
+class BarSequence(Value):
+    __slots__ = ("entries",)
     entries: tuple[BarInt, ...]
+
+    def __init__(self, entries: tuple[BarInt, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -569,18 +575,23 @@ def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
     s = q.slope
     total, bn, an = s.total_steps, s.right_count, s.up_count
     keys = _slope_tables(s, total)[2]
-    selections: list[BarInt] = []
+    # each block selects one entry: a barred row or an unbarred valley value
+    bars: list[int] = []
+    values: list[int] = []
     for block in pm(q).blocks:
         best = max(block, key=keys.__getitem__)
-        selections.append(BarInt(total + 1 - best, True) if best > bn else BarInt(best, False))
+        if best > bn:
+            bars.append(total + 1 - best)
+        else:
+            values.append(best)
 
-    barred_rows = {e.value for e in selections if e.barred}
-    if len(barred_rows) != sum(1 for e in selections if e.barred):
+    barred_rows = set(bars)
+    if len(barred_rows) != len(bars):
         raise ValueError(f"selected bars collide for {q}")
     # Valley rows from the bottom up need strictly increasing u - m, that is
     # strictly decreasing values, so the values can only go in descending
     # order: the greedy rebuild is the one candidate.
-    values = sorted((e.value for e in selections if not e.barred), reverse=True)
+    values.sort(reverse=True)
     steps: list[int] = []
     prev, used = 0, 0
     for m in range(1, an + 1):

@@ -23,6 +23,8 @@ class PerfectMatching(NonCrossingPartition):
     """Partition of [1, ground_size] into non-crossing blocks.  A matching
     never equals a partition with the same blocks."""
 
+    __slots__ = ()
+
     @property
     def ground_size(self) -> int:
         return self.n

@@ -25,15 +25,14 @@ scope; ``kre_inverse`` is ``kre`` after ``rot_inverse``, since kre² = rot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .paths import InvariantError, RationalDyckPath, Slope, memo_image
+from .paths import InvariantError, RationalDyckPath, Slope, Value, memo_image
 
 
-@dataclass(frozen=True)
-class NonCrossingPartition:
+class NonCrossingPartition(Value):
+    __slots__ = ("n", "blocks")
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -45,10 +44,20 @@ class NonCrossingPartition:
         "partition crosses: {blocks}",
     )
 
-    def __post_init__(self) -> None:
-        rule = broken_block_rule(self.blocks, self.n)
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        rule = broken_block_rule(blocks, n)
         if rule:
-            raise ValueError(self._rule_messages[rule - 1].format(n=self.n, blocks=self.blocks))
+            raise ValueError(self._rule_messages[rule - 1].format(n=n, blocks=blocks))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.blocks) == (other.n, other.blocks)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
 
     @classmethod
     def canonical(cls, n: int, blocks):
@@ -134,19 +143,29 @@ def parse_ncp(text: str, n: int | None = None) -> NonCrossingPartition:
     return ncp(size, blocks)
 
 
-@dataclass(frozen=True)
-class NonCrossingChain:
+class NonCrossingChain(Value):
+    __slots__ = ("k", "layers")
     k: int
     layers: tuple[NonCrossingPartition, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.layers) != self.k:
-            raise ValueError(f"expected {self.k} layers")
-        if len({layer.n for layer in self.layers}) != 1:
+    def __init__(self, k: int, layers: tuple[NonCrossingPartition, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "layers", layers)
+        if len(layers) != k:
+            raise ValueError(f"expected {k} layers")
+        if len({layer.n for layer in layers}) != 1:
             raise ValueError("layers must share the ground set")
-        for finer, coarser in zip(self.layers[1:], self.layers):
+        for finer, coarser in zip(layers[1:], layers):
             if not finer.refines(coarser):
                 raise ValueError(f"layer {finer} does not refine {coarser}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.layers) == (other.k, other.layers)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.layers))
 
     @property
     def n(self) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Callable, Iterator
@@ -33,17 +32,77 @@ class InvariantError(AssertionError):
     """An internal invariant broke: a defect in the library, not bad input."""
 
 
-@dataclass(frozen=True)
-class Slope:
+class Value:
+    """Base of the immutable value classes.
+
+    The fields are the class's annotated names, in order.  Each subclass
+    declares them in ``__slots__`` and writes its own ``__init__``, which
+    sets them with ``object.__setattr__`` and then validates them: no code
+    is generated, so importing the classes costs next to nothing.  The base
+    forbids assignment and deletion, and gives the repr ``Name(field=value,
+    ...)``, pickling through the constructor, and equality and hashing over
+    the fields, equal only within one class.  Classes compared and hashed
+    in hot loops write their own ``__eq__`` and ``__hash__`` over the same
+    fields, as a field tuple."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class Slope(Value):
     """Coprime slope parameters and path size."""
 
+    # _hash caches the field-tuple hash on first use: memo tables hash the
+    # same slopes and paths over and over.  It stays out of pickles.
+    __slots__ = ("a", "b", "n", "_hash")
     a: int
     b: int
     n: int
 
-    # The dataclass hash, cached on first use: memo tables hash the same
-    # slopes and paths over and over.  The cache stays out of pickles.
-    _hash = None
+    def __init__(self, a: int, b: int, n: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_hash", None)
+        if a < 1 or b < 1:
+            raise ValueError(f"slope parameters must be positive, got ({a},{b})")
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"slope parameters must be coprime, got ({a},{b})")
+        if n < 1:
+            raise ValueError(f"size must be at least 1, got {n}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
@@ -52,16 +111,8 @@ class Slope:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __getstate__(self) -> dict:
-        return {"a": self.a, "b": self.b, "n": self.n}
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"slope parameters must be positive, got ({self.a},{self.b})")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"slope parameters must be coprime, got ({self.a},{self.b})")
-        if self.n < 1:
-            raise ValueError(f"size must be at least 1, got {self.n}")
+    def __str__(self) -> str:
+        return f"({self.a},{self.b}) n={self.n}"
 
     @property
     def total_steps(self) -> int:
@@ -83,14 +134,34 @@ class Slope:
         return Slope(self.b, self.a, self.n)
 
 
-@dataclass(frozen=True)
-class RationalDyckPath:
+class RationalDyckPath(Value):
     """A rational Dyck path, stored as its ascending step sequence."""
 
+    __slots__ = ("slope", "steps", "_hash")  # _hash as on Slope
     slope: Slope
     steps: tuple[int, ...]
 
-    _hash = None  # as on Slope
+    def __init__(self, slope: Slope, steps: tuple[int, ...]) -> None:
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_hash", None)
+        if len(steps) != slope.up_count:
+            raise ValueError(f"expected {slope.up_count} up steps, got {len(steps)}")
+        # The step bound alone decides validity: the step-bound-geometry
+        # identity checks it against the line y = ax/b (word_above_line).
+        # One pass with the bound inlined; _step_error names the first rule
+        # broken, in a fixed order, only when this pass fails.
+        a, b = slope.a, slope.b
+        prev = 0
+        for j, u in enumerate(steps, start=1):
+            if not prev < u <= (j - 1) * b // a + j:
+                raise ValueError(_step_error(slope, steps))
+            prev = u
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.slope, self.steps) == (other.slope, other.steps)
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
@@ -98,25 +169,6 @@ class RationalDyckPath:
             h = hash((self.slope, self.steps))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __getstate__(self) -> dict:
-        return {"slope": self.slope, "steps": self.steps}
-
-    def __post_init__(self) -> None:
-        s = self.slope
-        steps = self.steps
-        if len(steps) != s.up_count:
-            raise ValueError(f"expected {s.up_count} up steps, got {len(steps)}")
-        # The step bound alone decides validity: the step-bound-geometry
-        # identity checks it against the line y = ax/b (word_above_line).
-        # One pass with the bound inlined; _step_error names the first rule
-        # broken, in a fixed order, only when this pass fails.
-        a, b = s.a, s.b
-        prev = 0
-        for j, u in enumerate(steps, start=1):
-            if not prev < u <= (j - 1) * b // a + j:
-                raise ValueError(_step_error(s, steps))
-            prev = u
 
     @property
     def word(self) -> str:
@@ -363,23 +415,26 @@ def is_prime(p: RationalDyckPath) -> bool:
 # Two-row tableau view
 
 
-@dataclass(frozen=True)
-class ABTableau:
+class ABTableau(Value):
     """Two-row tableau of a path: first row the up positions, second the rest."""
 
+    __slots__ = ("slope", "first_row", "second_row")
     slope: Slope
     first_row: tuple[int, ...]
     second_row: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        s = self.slope
-        total = s.total_steps
-        if sorted(self.first_row + self.second_row) != list(range(1, total + 1)):
+    def __init__(self, slope: Slope, first_row: tuple[int, ...],
+                 second_row: tuple[int, ...]) -> None:
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "first_row", first_row)
+        object.__setattr__(self, "second_row", second_row)
+        total = slope.total_steps
+        if sorted(first_row + second_row) != list(range(1, total + 1)):
             raise ValueError("rows must partition the ground set")
-        if len(self.first_row) != s.up_count:
-            raise ValueError(f"first row must have {s.up_count} entries")
+        if len(first_row) != slope.up_count:
+            raise ValueError(f"first row must have {slope.up_count} entries")
         # Row contents must come from a valid path of this slope.
-        RationalDyckPath(s, tuple(sorted(self.first_row)))
+        RationalDyckPath(slope, tuple(sorted(first_row)))
 
 
 def to_tableau(p: RationalDyckPath) -> ABTableau:

@@ -15,24 +15,32 @@ reflected paths are built from the swapped corners of their marks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 
 from .matchings import PerfectMatching, canonical_matching
-from .paths import InvariantError, RationalDyckPath, Slope, memo_image
+from .paths import InvariantError, RationalDyckPath, Slope, Value, memo_image
 
 
-@dataclass(frozen=True)
-class Permutation321:
+class Permutation321(Value):
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of [1,{n}]: {self.values}")
-        if not _is_321_avoiding(self.values):
-            raise ValueError(f"permutation contains a 321 pattern: {self.values}")
+    def __init__(self, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "values", values)
+        n = len(values)
+        if sorted(values) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of [1,{n}]: {values}")
+        if not _is_321_avoiding(values):
+            raise ValueError(f"permutation contains a 321 pattern: {values}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values,) == (other.values,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @property
     def n(self) -> int:

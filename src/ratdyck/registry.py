@@ -604,15 +604,14 @@ def orbit_table(map_name: str, slope: Slope) -> list[list[str]]:
             images.append(rank[q])
         except KeyError:
             raise pa.InvariantError(
-                f"map {map_name!r} sends {p} to {q}, which is not a path of "
-                f"({slope.a},{slope.b}) n={slope.n}"
+                f"map {map_name!r} sends {p} to {q}, which is not a path of {slope}"
             ) from None
     names = [str(p) for p in paths]
     source = [-1] * len(paths)
     for i, j in enumerate(images):
         if source[j] >= 0:
             raise ValueError(
-                f"map {map_name!r} is not bijective on ({slope.a},{slope.b}) n={slope.n}: "
+                f"map {map_name!r} is not bijective on {slope}: "
                 f"{names[source[j]]} and {names[i]} both map to {names[j]}"
             )
         source[j] = i

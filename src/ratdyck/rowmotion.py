@@ -83,12 +83,12 @@ shorter than r; the rank test passes there since A+1 <= h.  QED
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .paths import (
     RationalDyckPath,
     Slope,
+    Value,
     memo_image,
     path_from_young_rows,
     region_rows,
@@ -96,11 +96,15 @@ from .paths import (
 )
 
 
-@dataclass(frozen=True)
-class BoxRegion:
-    """The region's geometry, computed on first use and then kept."""
+class BoxRegion(Value):
+    """The region's geometry, computed on first use and then kept (in the
+    instance ``__dict__``, which only ``cached_property`` writes)."""
 
+    __slots__ = ("slope", "__dict__")
     slope: Slope
+
+    def __init__(self, slope: Slope) -> None:
+        object.__setattr__(self, "slope", slope)
 
     @cached_property
     def row_lengths(self) -> tuple[int, ...]:

@@ -15,12 +15,11 @@ rightmost step index) read on the current lower boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matchings import pm
 from .matching_map import mat
 from .paths import (
     RationalDyckPath,
+    Value,
     iterate,
     memo_image,
     path_from_young_rows,
@@ -30,21 +29,29 @@ from .perms import Permutation321
 from .promotion import dual_promotion, promotion
 
 
-@dataclass(frozen=True)
-class DyckTile:
+class DyckTile(Value):
     """A ribbon tile; cells are (row, col) pairs in inner-path order."""
 
+    __slots__ = ("cells", "size")
     cells: tuple[tuple[int, int], ...]
     size: int
+
+    def __init__(self, cells: tuple[tuple[int, int], ...], size: int) -> None:
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "size", size)
 
     def to_json(self) -> dict:
         return {"cells": [list(c) for c in self.cells], "size": self.size}
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Value):
+    __slots__ = ("base_path", "tiles")
     base_path: RationalDyckPath
     tiles: tuple[DyckTile, ...]  # removal order: lines bottom-up, each from its last tile
+
+    def __init__(self, base_path: RationalDyckPath, tiles: tuple[DyckTile, ...]) -> None:
+        object.__setattr__(self, "base_path", base_path)
+        object.__setattr__(self, "tiles", tiles)
 
     def to_json(self) -> list[dict]:
         return [t.to_json() for t in self.tiles]

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import ratdyck
 from ratdyck import golden, matching_map, promotion, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
@@ -387,3 +391,35 @@ def test_cli_input_must_match_the_slope(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}"
+
+
+def test_cli_message_names_the_slope_as_every_other_does(capsys):
+    code, out, err = run(capsys, "convert", "--a", "2", "--b", "3", "--n", "1",
+                         "--matching", "{1,2},{3,4,5}", "--to", "path")
+    assert code == 2 and out == ""
+    assert err == "error: matching {1,2},{3,4,5} is not the matching of any (2,3) n=1 path"
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("convert", "--ncp", "", "--to", "path"), "ncp"),
+    (("convert", "--perm", "", "--to", "path"), "perm"),
+    (("convert", "--matching", "", "--to", "path"), "matching"),
+    (("convert", "--path", "", "--to", "word"), "path"),
+    (("convert", "--word", "", "--to", "path"), "word"),
+    (("apply", "--map", "kre", "--ncp", ""), "ncp"),
+    (("apply", "--map", "promotion", "--path", ""), "path"),
+])
+def test_cli_empty_literal_is_refused_by_name(capsys, argv, option):
+    # an empty literal used to count as a missing one and ask for a path
+    code, out, err = run(capsys, *argv, "--a", "1", "--b", "1", "--n", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: --{option} is empty"
+
+
+def test_cli_starts_without_the_profiler():
+    # cProfile and pstats are imported by verify --profile alone
+    code = "import ratdyck.cli, sys; print(sorted({'cProfile', 'pstats'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(ratdyck.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
