@@ -1,11 +1,14 @@
 """Non-crossing perfect matchings of rational Dyck paths.
 
-The matching of a path is produced block by block, from the top up step
+The matching of a path is defined block by block, from the top up step
 down: the block of the m-th up step consists of the up-step position
 together with the still-unused right-step positions up to the first return
 of the line of slope a/b drawn from the base of that up step.  The first
 return is found on the integer levels b*y - a*x of the path's vertices, so
-no rational intersection point is ever formed.
+no rational intersection point is ever formed.  One left-to-right scan
+with a stack of open up steps builds every block at once, in O((a+b)n)
+(``_scan_blocks``); the dual matching is the same scan run right to left on
+the path itself, with the roles of up and right steps exchanged (``dpm``).
 
 A matching is a ``NonCrossingPartition`` of [1, (a+b)n]: it shares the
 partition's validation (``noncrossing.broken_block_rule``), canonical
@@ -16,7 +19,7 @@ messages.
 from __future__ import annotations
 
 from .noncrossing import NonCrossingPartition
-from .paths import RationalDyckPath, Slope, memo_image, star_path
+from .paths import InvariantError, RationalDyckPath, Slope, memo_image
 
 
 class PerfectMatching(NonCrossingPartition):
@@ -57,48 +60,79 @@ def parse_matching(text: str, ground: int) -> PerfectMatching:
     return canonical_matching(ground, blocks)
 
 
-def _pm_blocks(p: RationalDyckPath) -> tuple[tuple[int, ...], ...]:
-    """The blocks of the slope-line matching of a path, in canonical order.
+def _scan_blocks(p: RationalDyckPath, dual: bool) -> list[list[int]]:
+    """The blocks of the slope-line matching of ``p``, or with ``dual`` of
+    the matching of its transposed path read back on ``p``, in the order
+    their first steps are scanned, each in scan order.
 
-    Walking on from the m-th up step, the level b*(y - y0) - a*(x - x0)
-    relative to its base (x0, y0) starts at b, rises by b per up step and
-    falls by a per right step.  The line first returns on the first right
-    step that starts at a level d <= a; it meets that step at x0 + d/a, so the
-    step itself belongs to the block exactly when d == a.
+    Walking on from the m-th up step u, the level H = b*y - a*x relative to
+    its base H(u-1) starts at b, rises by b per up step and falls by a per
+    right step.  The line first returns on the first right step that starts
+    at a relative level d <= a; it meets that step at d/a along it, so the
+    step itself belongs to the window exactly when d == a.  Blocks are built
+    from the top up step down, each taking the untaken right steps of its
+    window.
+
+    One left-to-right scan builds them all, on a stack of the up steps whose
+    windows are open, each with its base level:
+
+    - If u1 < u2 are both open at u2, then H(u2-1) > H(u1-1): inside u1's
+      window every vertex before the return lies strictly above u1's base.
+      So the bases rise up the stack, a right step starts at a higher
+      relative level for every entry below the top than for the top, and
+      windows close innermost first.
+    - A right step starting at relative level d lies in the window of an
+      open up step iff d >= a, and is its first return iff d <= a.  Blocks
+      are built from the top up step down, each taking only untaken steps,
+      so the step belongs to the latest up step whose window holds it.
+      That is the top of the stack once the entries it returns to short of
+      their window (d < a) are popped; the top pops too when d == a.
+
+    The transposed path, of slope (b,a), reads ``p`` right to left with up
+    and right steps exchanged.  So the dual scan is this scan of it, run on
+    ``p`` from the last step to the first: a right step opens a window and
+    rises by a, and an up step falls by b and is taken when d >= b.  A
+    closing step left over with the stack empty breaks the construction.
     """
     s = p.slope
-    a, b = s.a, s.b
-    is_up = [False] * (s.total_steps + 1)
+    total = s.total_steps
+    if dual:
+        order, rise, fall = range(total, 0, -1), s.a, s.b
+    else:
+        order, rise, fall = range(1, total + 1), s.b, s.a
+    is_up = [False] * (total + 1)
     for u in p.steps:
         is_up[u] = True
-    taken = is_up[:]  # up positions and right positions already in a block
-
     blocks = []
-    for u in reversed(p.steps):
-        block = [u]
-        level = b
-        k = u + 1
-        while is_up[k] or level > a:
-            if is_up[k]:
-                level += b
-            else:
-                if not taken[k]:
-                    block.append(k)
-                level -= a
-            k += 1
-        if level == a and not taken[k]:
-            block.append(k)
-        for j in block[1:]:
-            taken[j] = True
-        blocks.append(tuple(block))
-    # each block ascends, and the block minima descend
-    return tuple(reversed(blocks))
+    stack = []  # (block, base level) of the open windows
+    level = 0
+    for k in order:
+        if is_up[k] != dual:  # k opens a window
+            block = [k]
+            blocks.append(block)
+            stack.append((block, level))
+            level += rise
+            continue
+        while stack:
+            block, base = stack[-1]
+            d = level - base
+            if d >= fall:
+                block.append(k)
+                if d == fall:
+                    stack.pop()
+                break
+            stack.pop()
+        else:
+            raise InvariantError(f"step {k} of {p.steps} lies in no window")
+        level -= fall
+    return blocks
 
 
 @memo_image
 def pm(p: RationalDyckPath) -> PerfectMatching:
-    """The slope-line matching of a path (see ``_pm_blocks``)."""
-    return PerfectMatching(p.slope.total_steps, _pm_blocks(p))
+    """The slope-line matching of a path (see ``_scan_blocks``); the blocks
+    come ascending, in order of minimum."""
+    return PerfectMatching(p.slope.total_steps, tuple(map(tuple, _scan_blocks(p, False))))
 
 
 def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:
@@ -122,7 +156,8 @@ def rotate(m: PerfectMatching) -> PerfectMatching:
 
 @memo_image
 def dpm(p: RationalDyckPath) -> PerfectMatching:
-    """The dual matching: bar of the matching of the transposed path, built
-    and validated once from the transposed path's blocks."""
-    g = p.slope.total_steps
-    return canonical_matching(g, [[g + 1 - x for x in b] for b in _pm_blocks(star_path(p))])
+    """The dual matching, ``bar(pm(star_path(p)))``, scanned on ``p`` itself
+    (see ``_scan_blocks``).  Each block comes descending; reversed, and the
+    blocks sorted once by minimum, they make the matching, validated once."""
+    blocks = sorted(tuple(b[::-1]) for b in _scan_blocks(p, True))
+    return PerfectMatching(p.slope.total_steps, tuple(blocks))

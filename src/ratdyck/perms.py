@@ -15,7 +15,6 @@ reflected paths are built from the swapped corners of their marks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import pairwise
 
 from .matchings import PerfectMatching, canonical_matching
@@ -236,6 +235,10 @@ def pm_cross(w: Permutation321) -> PerfectMatching:
     left branches and the two right branches, so a strand switches arcs and
     reverses direction at every crossing it meets.
     """
+    # imported here, so that importing the package does not load fractions,
+    # decimal and numbers for this one function
+    from fractions import Fraction
+
     n = w.n
     arcs = sorted((w.values[n - i], n + i) for i in range(1, n + 1))
     crossings: list[list[tuple[Fraction, int]]] = [[] for _ in arcs]

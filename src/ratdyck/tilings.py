@@ -5,12 +5,16 @@ centers trace (1,k)-paths.  The maximal cover-inclusive tiling is built from
 its history lines: processing rows bottom-up, a line sweeps right through
 free cells and climbs one row when blocked, provided the opened ribbon debt
 can still be repaid further along; each line is then cut greedily into the
-longest complete ribbons.  Each line is the rim of the cells still free
-(`_threads`), so a list of row lengths is all the state it needs.  Tiles
-are removed lowest-first (leftmost on ties), which is the lines from the
-bottom start row up, each from its last tile to its first (`max_tiling`).
-Each removal contributes the transposition (south-most step index,
-rightmost step index) read on the current lower boundary.
+longest complete ribbons.  Each line is the rim of the cells still free,
+so a list of row lengths is all the state it needs, and the line itself is
+a list of run lengths: its rights in the start row, then the rights in each
+row it climbs into (`_line_runs`).  `_threads` spells the runs out as cells
+for the tiles, and `kappa` counts the greedy cut on the runs alone
+(`_count_cut`), with no cell built.  Tiles are removed lowest-first
+(leftmost on ties), which is the lines from the bottom start row up, each
+from its last tile to its first (`max_tiling`).  Each removal contributes
+the transposition (south-most step index, rightmost step index) read on
+the current lower boundary.
 """
 
 from __future__ import annotations
@@ -63,8 +67,10 @@ def _require_unit_a(p: RationalDyckPath) -> int:
     return p.slope.b
 
 
-def _threads(p: RationalDyckPath) -> list[list[tuple[int, int]]]:
-    """Cells visited by each history line, indexed by starting row (1 = top).
+def _line_runs(p: RationalDyckPath) -> list[list[int]]:
+    """Each history line as run lengths, indexed by starting row (1 = top):
+    ``[r0, r1, ...]`` is the move word R^r0 U R^r1 U R^r2 ... of the line's
+    cells, and an empty list a line with no cell.
 
     Lines start from the bottom row up.  A line sweeps right through free cells and
     climbs one row when blocked, but only if the climb's opened ribbon debt
@@ -99,17 +105,31 @@ def _threads(p: RationalDyckPath) -> list[list[tuple[int, int]]]:
             r -= 1
         return True
 
-    threads: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    lines: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(n, 0, -1):
         r, c, debt = i, 1, 0
         while rows[r - 1] >= c:
             end = rows[r - 1]
-            threads[i].extend((r, j) for j in range(c, end + 1))
+            lines[i].append(end - c)
             rows[r - 1] = c - 1
             debt = max(debt - (end - c), 0)
             if r == 1 or not (debt or repayable(r - 1, end)):
                 break
             r, c, debt = r - 1, end, debt + k
+    return lines
+
+
+def _threads(p: RationalDyckPath) -> list[list[tuple[int, int]]]:
+    """Cells visited by each history line, indexed by starting row (1 = top):
+    the runs of ``_line_runs``, the first in the start row from column 1,
+    each later one a row up from the column where the one before ended."""
+    threads: list[list[tuple[int, int]]] = []
+    for i, runs in enumerate(_line_runs(p)):
+        cells, c = [], 1
+        for r, run in zip(range(i, 0, -1), runs):
+            cells.extend((r, j) for j in range(c, c + run + 1))
+            c += run
+        threads.append(cells)
     return threads
 
 
@@ -208,12 +228,52 @@ def dt_map(p: RationalDyckPath) -> Permutation321:
     return Permutation321(values)
 
 
+def _count_cut(runs: list[int], k: int) -> int:
+    """The number of tiles ``_cut_thread`` cuts the line of ``runs`` into,
+    with no cell built.
+
+    A tile starts at a cell and grows while the balance k*ups - rights of
+    its moves stays non-negative; it ends at the last zero of that balance,
+    its start if there is no other, and the next tile starts one move on.
+    So a cell followed by R is a one-cell tile: inside a run, every cell
+    but the last is one.  From a run's last cell the balance rises by k at
+    each U and falls by the next run's length, so its zeros are found run
+    by run: the ribbon ends where a run brings the balance below zero, at
+    the zero inside that run, or else at the last zero before the line
+    ends.
+    """
+    if not runs:
+        return 0
+    last = len(runs) - 1
+    tiles = 0
+    t, j = 0, 0  # the next tile starts after j rights of run t
+    while True:
+        tiles += runs[t] - j + 1  # the one-cell tiles of run t, then its last cell's
+        if t == last:
+            return tiles
+        end = t, runs[t]  # the last zero so far: (run, rights into it)
+        balance = 0
+        for s in range(t + 1, last + 1):
+            balance += k
+            if balance <= runs[s]:
+                end = s, balance
+                if balance < runs[s]:
+                    break
+            balance -= runs[s]
+        t, j = end
+        if j < runs[t]:
+            j += 1
+        elif t == last:
+            return tiles
+        else:
+            t, j = t + 1, 0
+
+
 @memo_image
 def kappa(p: RationalDyckPath) -> tuple[int, ...]:
-    """Tile counts of the history lines, top line first."""
-    k = _require_unit_a(p)
-    threads = _threads(p)
-    return tuple(len(_cut_thread(threads[i], k)) for i in range(1, p.slope.n + 1))
+    """Tile counts of the history lines, top line first, counted on the
+    lines' runs (``_count_cut``)."""
+    return tuple(_count_cut(runs, p.slope.b) for runs in _line_runs(p)[1:])
 
 
 def kappa_by_transpositions(p: RationalDyckPath) -> tuple[int, ...]:

@@ -3,19 +3,21 @@
 Each reference is the direct form of the kernel's definition: build the
 swapped path and see whether it is valid, evacuate by one toggle call (and
 one validated path) per factor, search window lengths one by one,
-intersect the slope line with the path in rationals, sum Bizley's formula
-over partitions, grow and scan the matching map's candidates one element
-at a time with a fresh admissibility parse per size that searches every
-sub-window in full, put the whole pool in cyclic order by one sort, search
-every assignment of valley values for the inverse, test every pair of
-blocks for a crossing, walk every set partition and keep the non-crossing
-ones, build chains from the all-pairs refinement table, splice chain paths
-at slot boundaries one block at a time, invert the Kreweras complement by
-applying it 2n - 1 times, validate blocks by four separate checks,
-tabulate orbits with every path keyed by its name, spell grid paths as U/R
-words read back through their vertices and reflect them by swapping
-letters, look for a 321 pattern by scanning the suffix of every value, and
-find each bumped entry of a two-row insertion by scanning its row.
+intersect the slope line with the path in rationals, walk forward from
+each up step to its line's first return, read the dual matching off the
+transposed path, sum Bizley's formula over partitions, grow and scan the
+matching map's candidates one element at a time with a fresh admissibility
+parse per size that searches every sub-window in full, put the whole pool
+in cyclic order by one sort, search every assignment of valley values for
+the inverse, test every pair of blocks for a crossing, walk every set
+partition and keep the non-crossing ones, build chains from the all-pairs
+refinement table, splice chain paths at slot boundaries one block at a
+time, invert the Kreweras complement by applying it 2n - 1 times, validate
+blocks by four separate checks, tabulate orbits with every path keyed by
+its name, spell grid paths as U/R words read back through their vertices
+and reflect them by swapping letters, look for a 321 pattern by scanning
+the suffix of every value, and find each bumped entry of a two-row
+insertion by scanning its row.
 """
 
 import collections
@@ -23,6 +25,7 @@ import functools
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -45,7 +48,15 @@ from ratdyck.matching_map import (
     mat_inverse,
     window_length,
 )
-from ratdyck.matchings import PerfectMatching, canonical_matching, pm, pm_inverse
+from ratdyck.matchings import (
+    PerfectMatching,
+    _scan_blocks,
+    bar,
+    canonical_matching,
+    dpm,
+    pm,
+    pm_inverse,
+)
 from ratdyck.noncrossing import (
     NonCrossingChain,
     NonCrossingPartition,
@@ -67,6 +78,7 @@ from ratdyck.paths import (
     enumerate_words,
     image_scope,
     path_from_word,
+    star_path,
     word_above_line,
 )
 from ratdyck.perms import (
@@ -218,6 +230,78 @@ def test_window_ups_closed_form(a, b, n):
 def test_pm_matches_rational_intersection(a, b, n):
     for p in enumerate_paths(Slope(a, b, n)):
         assert pm(p) == pm_reference(p)
+
+
+def pm_blocks_by_forward_walk(p):
+    """The blocks from the top up step down, each walking forward from its
+    up step to the first return of its line and taking the right steps not
+    yet taken: O(sum of window spans), O(N^2) on the top path."""
+    s = p.slope
+    a, b = s.a, s.b
+    is_up = [False] * (s.total_steps + 1)
+    for u in p.steps:
+        is_up[u] = True
+    taken = is_up[:]
+    blocks = []
+    for u in reversed(p.steps):
+        block = [u]
+        level = b
+        k = u + 1
+        while is_up[k] or level > a:
+            if is_up[k]:
+                level += b
+            else:
+                if not taken[k]:
+                    block.append(k)
+                level -= a
+            k += 1
+        if level == a and not taken[k]:
+            block.append(k)
+        for j in block[1:]:
+            taken[j] = True
+        blocks.append(tuple(block))
+    return tuple(reversed(blocks))
+
+
+# every path of these, and seeded uniform paths up to these
+SCAN_SLOPES = [(1, 1, 8), (1, 2, 5), (1, 3, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2),
+               (2, 1, 4)]
+SCAN_UNIFORM_SLOPES = [(1, 1, 200), (2, 3, 40), (3, 5, 20), (5, 2, 20)]
+
+
+def uniform_paths_up_to(a, b, nmax, per_size=20):
+    """``per_size`` seeded uniform paths at each of ten sizes up to nmax."""
+    rng = random.Random(a * 1000 + b * 100 + nmax)
+    step = nmax // 10
+    for n in range(step, nmax + 1, step):
+        slope = Slope(a, b, n)
+        for _ in range(per_size):
+            yield uniform_path(slope, rng)
+
+
+def assert_scans_match_references(paths):
+    for p in paths:
+        assert pm(p).blocks == pm_blocks_by_forward_walk(p), p
+        assert dpm(p).blocks == bar(pm(star_path(p))).blocks, p
+
+
+@pytest.mark.parametrize("a,b,n", SCAN_SLOPES)
+def test_matching_scans_match_the_references_on_every_path(a, b, n):
+    assert_scans_match_references(enumerate_paths(Slope(a, b, n)))
+
+
+@pytest.mark.parametrize("a,b,nmax", SCAN_UNIFORM_SLOPES)
+def test_matching_scans_match_the_references_on_uniform_paths(a, b, nmax):
+    assert_scans_match_references(uniform_paths_up_to(a, b, nmax))
+
+
+def test_matching_scan_reports_a_step_in_no_window():
+    # RU, which no path is: each scan meets its closing step with no window open
+    bad = types.SimpleNamespace(slope=Slope(1, 1, 1), steps=(2,))
+    with pytest.raises(InvariantError, match="step 1 of \\(2,\\) lies in no window"):
+        _scan_blocks(bad, False)
+    with pytest.raises(InvariantError, match="step 2 of \\(2,\\) lies in no window"):
+        _scan_blocks(bad, True)
 
 
 @pytest.mark.parametrize("a,b,n", [(2, 3, 2), (3, 2, 2)])

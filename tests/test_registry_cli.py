@@ -416,10 +416,20 @@ def test_cli_empty_literal_is_refused_by_name(capsys, argv, option):
     assert err == f"error: --{option} is empty"
 
 
-def test_cli_starts_without_the_profiler():
-    # cProfile and pstats are imported by verify --profile alone
-    code = "import ratdyck.cli, sys; print(sorted({'cProfile', 'pstats'} & set(sys.modules)))"
+def modules_loaded_by_cli_import(names):
+    """Which of ``names`` a fresh interpreter has loaded after ``import ratdyck.cli``."""
+    code = f"import ratdyck.cli, sys; print(sorted({set(names)!r} & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(ratdyck.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_starts_without_fractions():
+    # perms.pm_cross alone imports fractions, which loads decimal and numbers
+    assert modules_loaded_by_cli_import({"fractions", "decimal", "numbers"}) == "[]"
+
+
+def test_cli_starts_without_the_profiler():
+    # cProfile and pstats are imported by verify --profile alone
+    assert modules_loaded_by_cli_import({"cProfile", "pstats"}) == "[]"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ratdyck.matchings import pm
@@ -16,6 +18,7 @@ from ratdyck.rowmotion import rowmotion
 from ratdyck.tilings import (
     Tiling,
     _apply_transpositions,
+    _count_cut,
     _cut_thread,
     _threads,
     dt_map,
@@ -28,6 +31,7 @@ from ratdyck.tilings import (
     rsk_hat_path,
     tile_transpositions,
 )
+from test_kernels import uniform_paths_up_to
 from test_properties import random_paths
 
 
@@ -227,6 +231,44 @@ def test_tilings_match_the_worded_construction():
         reference = Tiling(p, tuple(removal_order_reference(p, cut)))
         assert max_tiling(p) == reference
         assert _apply_transpositions(p) == apply_transpositions_reference(p, reference)
+
+
+def kappa_by_cut_threads(p, threads):
+    """Cut every history line into tiles and count them."""
+    return tuple(len(_cut_thread(threads[i], p.slope.b)) for i in range(1, p.slope.n + 1))
+
+
+@pytest.mark.parametrize("k,n", [(1, 8), (2, 5), (3, 4)])
+def test_kappa_counts_the_cut_on_every_path(k, n):
+    for p in enumerate_paths(Slope(1, k, n)):
+        assert kappa(p) == kappa_by_cut_threads(p, threads_reference(p)), p
+
+
+def test_kappa_counts_the_cut_on_uniform_paths():
+    # the lines walked cell by cell would take seconds at this size; the
+    # test above and the worded construction check ``_threads`` against them
+    for p in uniform_paths_up_to(1, 1, 200, per_size=8):
+        assert kappa(p) == kappa_by_cut_threads(p, _threads(p)), p
+
+
+def cells_of_runs(runs):
+    """A line's cells from its runs, starting low enough to climb them all."""
+    r, c, cells = len(runs), 1, []
+    for run in runs:
+        cells.extend((r, j) for j in range(c, c + run + 1))
+        c += run
+        r -= 1
+    return cells
+
+
+def test_count_cut_matches_the_cut_on_any_runs():
+    # run words no history line has, too: ribbons that never come back to zero
+    rng = random.Random(22)
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        runs = [rng.randint(0, 6) for _ in range(rng.randint(1, 8))]
+        assert _count_cut(runs, k) == len(_cut_thread(cells_of_runs(runs), k)), (runs, k)
+    assert _count_cut([], 1) == 0
 
 
 def test_removal_order_reference_reports_a_stuck_tiling():
