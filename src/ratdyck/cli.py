@@ -6,7 +6,9 @@ whole slope (the paths, or a chain table, which has one chain per path;
 ``lk`` builds the (1,1) table of the chain's size).  They take
 ``--max-domain`` (default 250,000, which admits (1,1) n=12) and refuse a
 slope with more paths (or words, for ``step-bound-geometry``) than that
-before anything is enumerated.  Other chain maps are not limited.
+before anything is enumerated; ``count-enumeration`` counts only the paths
+it enumerates, those of slopes with at most 200,000.  Other chain maps are
+not limited.
 
 Exit codes: 0 all good, 1 verification failure, 2 bad input or a refused
 domain, 3 a broken internal invariant (a library defect).

@@ -196,37 +196,56 @@ def _ident(name, summary, domain, lhs, rhs, **options) -> None:
 # -- counting and encodings -------------------------------------------------
 
 
+# ``_count_check`` enumerates a slope only up to this many paths
+_ENUMERATED = 200_000
+
+
 def _count_check(s: Slope) -> tuple[int, list[str]]:
     formula = pa.count_paths(s)
     dp = pa.count_paths_dp(s)
     bad = []
     if formula != dp:
         bad.append(f"formula={formula} dp={dp}")
-    if dp <= 200_000 and len(pa.enumerate_paths(s)) != dp:
+    if dp <= _ENUMERATED and len(pa.enumerate_paths(s)) != dp:
         bad.append(f"enumeration!={dp}")
     return dp, bad
 
 
+def _enumerated(s: Slope) -> int:
+    """The paths ``_count_check`` materializes: all of them up to
+    ``_ENUMERATED``, else none.  The count is at least the one-block term
+    C((a+b)n, an)/((a+b)n) of Bizley's sum, so past that bound the paths
+    are not counted, and the guard's sweep over the sizes stays cheap."""
+    a, b, n = s.a, s.b, s.n
+    if math.comb((a + b) * n, a * n) > _ENUMERATED * (a + b) * n:
+        return 0
+    count = pa.count_paths(s)
+    return count if count <= _ENUMERATED else 0
+
+
+def _word_count(s: Slope) -> int:
+    return math.comb(s.total_steps, s.up_count)
+
+
 def _bound_check(s: Slope) -> tuple[int, list[str]]:
-    total = 0
     bad = []
     for word in pa.enumerate_words(s):
-        total += 1
         if pa.steps_within_bound(s, word) != pa.word_above_line(s, word):
             bad.append(str(word))
             if len(bad) >= 10:
                 break
-    return total, bad
+    return _word_count(s), bad
 
 
 IDENTITIES["count-enumeration"] = Identity(
     "count-enumeration", "Bizley-recurrence count equals the lattice DP count "
-    "and the materialized enumeration on moderate domains", _count_check)
+    "and the materialized enumeration on moderate domains", _count_check,
+    walks=("paths", _enumerated))
 IDENTITIES["step-bound-geometry"] = Identity(
     "step-bound-geometry", "the step-position bound and the geometric "
     "above-the-line test agree on every candidate word", _bound_check,
     max_n=lambda s: 3 if s.a * s.b == 1 else 2,
-    walks=("words", lambda s: math.comb(s.total_steps, s.up_count)))
+    walks=("words", _word_count))
 
 _ident("young-roundtrip", "region rows determine the path and vice versa", _paths,
        lambda p: pa.path_from_young_rows(p.slope, pa.young_rows(p)), lambda p: p)

@@ -67,13 +67,24 @@ def test_admissible_worked_examples():
     assert not admissible(slope, [10, 1])
     assert admissible(slope, [10, 1, 2])
     assert not admissible(slope, [10, 1, 2, 3])
-    built = [(1, 2, 10)]
-    assert admissible(slope, [5, 4], built)
-    assert not admissible(slope, [5, 4, 3], built)
-    built2 = [(1, 2, 10), (4, 5)]
-    assert not admissible(slope, [6, 3], built2)
-    assert admissible(slope, [6, 3, 9], built2)
-    assert not admissible(slope, [6, 3, 9, 8], built2)
+    # the up steps of the blocks built: (1, 2, 10), then (4, 5)
+    assert admissible(slope, [5, 4], [1])
+    assert not admissible(slope, [5, 4, 3], [1])
+    assert not admissible(slope, [6, 3], [1, 4])
+    assert admissible(slope, [6, 3, 9], [1, 4])
+    assert not admissible(slope, [6, 3, 9, 8], [1, 4])
+
+
+def test_admissible_closure_count():
+    # [1, 4] spans a complete (1,1) window of two up steps, rooted at 1, so
+    # it needs exactly one more up step inside: a built one, or a later
+    # block's while one is left to come
+    slope = Slope(1, 1, 3)
+    assert admissible(slope, [1, 4])
+    assert admissible(slope, [1, 4], [2])
+    assert not admissible(slope, [1, 4], [2, 3])  # two built up steps inside
+    assert admissible(slope, [1, 4], [5])
+    assert not admissible(slope, [1, 4], [5, 6])  # no later block left
 
 
 def test_admissible_single_up_run():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import ratdyck
-from ratdyck import golden, matching_map, promotion, registry
+from ratdyck import golden, matching_map, paths, promotion, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
 from ratdyck.matchings import pm
@@ -270,6 +270,34 @@ def test_cli_domain_guard_counts_words(capsys):
                          "--max-domain", "19")
     assert code == 2 and out == ""
     assert err == "error: (1,1) n=3 has more than 19 words; raise --max-domain to enumerate it"
+
+
+def test_failing_word_check_reports_every_word(monkeypatch):
+    # the check stops collecting at the tenth bad word, but its domain is
+    # still every word of the slope, C(6, 3) = 20 at (1,1) n=3, as a row
+    # over paths reports all of its paths
+    geometric = paths.word_above_line
+    monkeypatch.setattr(paths, "word_above_line", lambda s, word: not geometric(s, word))
+    report = verify("step-bound-geometry", Slope(1, 1, 3))
+    assert report.status == "fail" and len(report.counterexamples) == 10
+    assert report.domain_size == 20
+
+
+def test_cli_domain_guard_counts_enumerated_paths(capsys):
+    # count-enumeration enumerates a slope only up to 200,000 paths: past
+    # that it only counts, in milliseconds, so the guard lets it run; below
+    # it the enumerated paths are limited as on any other row
+    code, out, err = run(capsys, "verify", "--identity", "count-enumeration",
+                         "--a", "2", "--b", "3", "--n", "36")
+    assert code == 0 and err == ""
+    assert out.startswith("PASS count-enumeration (2,3) n=36 over ")
+    code, out, err = run(capsys, "verify", "--identity", "count-enumeration",
+                         "--a", "1", "--b", "1", "--n", "8", "--max-domain", "1429")
+    assert code == 2 and out == ""
+    assert err == "error: (1,1) n=8 has more than 1429 paths; raise --max-domain to enumerate it"
+    code, out, err = run(capsys, "verify", "--identity", "count-enumeration",
+                         "--a", "1", "--b", "1", "--n", "8", "--max-domain", "1430")
+    assert code == 0 and out.startswith("PASS count-enumeration (1,1) n=8 over 1430 objects")
 
 
 def test_cli_domain_guard_on_chains(capsys):
