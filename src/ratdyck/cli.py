@@ -1,14 +1,13 @@
 """Command-line interface: count, enum, apply, orbit, verify, golden, convert.
 
-``enum``, ``orbit``, ``verify --identity``, ``convert --to ncp``, ``apply``
-of a chain map to a path and ``apply --map lk`` to a chain materialize a
-whole slope (the paths, or a chain table, which has one chain per path;
-``lk`` builds the (1,1) table of the chain's size).  They take
-``--max-domain`` (default 250,000, which admits (1,1) n=12) and refuse a
-slope with more paths (or words, for ``step-bound-geometry``) than that
-before anything is enumerated; ``count-enumeration`` counts only the paths
-it enumerates, those of slopes with at most 200,000.  Other chain maps are
-not limited.
+``enum``, ``orbit``, ``verify --identity``, ``convert --to ncp`` and
+``apply`` of a chain map to a path materialize a whole slope (the paths, or
+a chain table, which has one chain per path).  They take ``--max-domain``
+(default 250,000, which admits (1,1) n=12) and refuse a slope with more
+paths (or words, for ``step-bound-geometry``) than that before anything is
+enumerated; ``count-enumeration`` counts only the paths it enumerates,
+those of slopes with at most 200,000, and the (bn+1)(an+1) lattice points
+of its DP count.  Chain maps applied to a chain are not limited.
 
 Exit codes: 0 all good, 1 verification failure, 2 bad input or a refused
 domain, 3 a broken internal invariant (a library defect).
@@ -113,8 +112,6 @@ def cmd_apply(args) -> int:
     slope = _slope(args)
     if _given(args, "ncp"):
         chain = _read_chain(args, slope)
-        if args.map == "lk":  # each layer goes through the (1,1) chain table
-            _check_domain(args, Slope(1, 1, slope.n))
         chain = apply_map(args.map, slope, chain, args.power)
         _emit(args, [str(chain)], {"chain": str(chain)})
         return 0
@@ -147,7 +144,8 @@ def cmd_verify(args) -> int:
     with profiler or contextlib.nullcontext():
         if args.identity:
             slope = _slope(args)
-            _check_domain(args, slope, *identity(args.identity).walks)
+            for what, size in identity(args.identity).walks:
+                _check_domain(args, slope, what, size)
             reports = [verify(args.identity, slope)]
         else:
             reports = default_suite(max_n=args.max_n)

@@ -21,12 +21,25 @@ is a subclass), is validated in full when built, by one linear pass
 sorted and ordered by minimum, and do not cross, and reports the first rule
 broken.  The chain maps act layer by layer and share images inside an image
 scope; ``kre_inverse`` is ``kre`` after ``rot_inverse``, since kre² = rot.
+
+The other maps are products of permutations.  A partition x is the
+permutation sigma_x whose cycles are its blocks, each read in increasing
+order; c = (1 2 ... n) is the permutation of the one-block partition.
+Products compose right to left: in sigma_x^-1 c, c is applied first.  The
+Kreweras complement is the partition of sigma_x^-1 c, the boundary
+involution ``su`` is reflection after it, and the grid involution ``lk`` is
+rotation after ``su``.  ``lift`` is Armstrong's backward shift of delta
+sequences (Armstrong, *Generalized noncrossing partitions and combinatorics
+of Coxeter groups*, Mem. AMS 2009): with the layers finest first and c on
+top, layer i of the image is the partition of sigma_{pi_1}^-1
+sigma_{pi_{i+1}}; carried to paths through the chain bijection it is
+promotion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .paths import InvariantError, RationalDyckPath, Slope, Value, memo_image
 
@@ -309,31 +322,49 @@ def ref_partition(p: NonCrossingPartition) -> NonCrossingPartition:
     return p.relabel(lambda x: p.n + 1 - x)
 
 
+def _perm(x: NonCrossingPartition) -> list[int]:
+    """sigma_x as a list s, s[y] the image of y and s[0] = 0: each block of
+    ``x`` is one cycle, read in increasing order."""
+    s = list(range(x.n + 1))
+    for b in x.blocks:
+        for y, z in zip(b, b[1:] + b[:1]):
+            s[y] = z
+    return s
+
+
+def _partition(s: list[int]) -> NonCrossingPartition:
+    """The partition whose blocks are the cycles of the permutation ``s``,
+    given as ``_perm`` gives it."""
+    seen = [False] * len(s)
+    blocks = []
+    for start in range(1, len(s)):
+        if not seen[start]:
+            blocks.append([])
+            y = start
+            while not seen[y]:
+                seen[y] = True
+                blocks[-1].append(y)
+                y = s[y]
+    return ncp(len(s) - 1, blocks)
+
+
+def _delta(x: NonCrossingPartition, y: NonCrossingPartition) -> NonCrossingPartition:
+    """The partition of sigma_x^-1 sigma_y, sigma_y applied first."""
+    back = [0] * (x.n + 1)
+    for u, v in enumerate(_perm(x)):
+        back[v] = u
+    return _partition([back[v] for v in _perm(y)])
+
+
+def _top(n: int) -> NonCrossingPartition:
+    """The one-block partition of [1, n]; its permutation is c = (1 2 ... n)."""
+    return NonCrossingPartition(n, (tuple(range(1, n + 1)),))
+
+
 @memo_image
 def kre_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    """Complement by cycle composition: blocks of sigma^-1 followed by the
-    long cycle, each block read as an increasing cycle."""
-    n = p.n
-    nxt = {}
-    for b in p.blocks:
-        for i, x in enumerate(b):
-            nxt[x] = b[(i + 1) % len(b)]
-    prev = {v: u for u, v in nxt.items()}
-    tau = {i: prev[i % n + 1] for i in range(1, n + 1)}
-    blocks = []
-    seen: set[int] = set()
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = tau[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = tau[x]
-        blocks.append(cyc)
-    return ncp(n, blocks)
+    """The Kreweras complement, the partition of sigma_p^-1 c."""
+    return _delta(p, _top(p.n))
 
 
 @memo_image
@@ -343,16 +374,8 @@ def su_partition(p: NonCrossingPartition) -> NonCrossingPartition:
 
 @memo_image
 def lk_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    """Conjugate of the two-row involution through the chain and RSK maps."""
-    from .perms import dyck2, e_p, e_p_inverse, rsk_hat
-    from .tilings import dt_map
-
-    chain = NonCrossingChain(1, (p,))
-    path = ncp_to_dyck(chain)
-    path = e_p(dt_map(path))
-    path = dyck2(path)
-    path = rsk_hat(e_p_inverse(path))
-    return dyck_to_ncp(path).layers[0]
+    """The grid involution: rotation after the boundary involution."""
+    return rot_partition(su_partition(p))
 
 
 def rank(p: NonCrossingPartition) -> int:
@@ -407,85 +430,11 @@ def lk(chain: NonCrossingChain) -> NonCrossingChain:
 # Lift
 
 
-def _pair_weights(chain: NonCrossingChain) -> dict[tuple[int, int], int]:
-    n = chain.n
-    weights: dict[tuple[int, int], int] = {}
-    for layer in chain.layers:
-        for b in layer.blocks:
-            for pair in combinations(b, 2):
-                weights[pair] = weights.get(pair, 0) + 1
-    return weights
-
-
-def _chain_from_weights(n: int, k: int, weights: dict[tuple[int, int], int]) -> NonCrossingChain:
-    layers = []
-    for t in range(1, k + 1):
-        parent = list(range(n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, j), w in weights.items():
-            if w >= t:
-                parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            groups.setdefault(find(x), []).append(x)
-        layers.append(ncp(n, list(groups.values())))
-    chain = NonCrossingChain(k, tuple(layers))
-    if _pair_weights(chain) != {p: w for p, w in weights.items() if w > 0}:
-        raise ValueError("weights are not closure-consistent")
-    return chain
-
-
 def lift(chain: NonCrossingChain) -> NonCrossingChain:
-    """Raise every pair weight by one (absent chords enter at weight one)
-    and resolve the overweight edges by the local triangle rules, then drop
-    edges incompatible with the rest."""
-    k = chain.k
-    n = chain.n
-    old = _pair_weights(chain)
-    weights = {
-        pair: old.get(pair, 0) + 1 for pair in combinations(range(1, n + 1), 2)
-    }
-    overweight = {pair for pair, w in weights.items() if w == k + 1}
-
-    # triangle rules: around each overweight edge, every third point with two
-    # ordinary edges forces one side deletion, by the relative position
-    deletions: set[tuple[int, int]] = set()
-    for (x, y) in overweight:
-        for z in range(1, n + 1):
-            if z in (x, y):
-                continue
-            e1 = (min(x, z), max(x, z))
-            e2 = (min(y, z), max(y, z))
-            if e1 in overweight or e2 in overweight:
-                continue
-            a, b, c = sorted((x, y, z))
-            if (x, y) == (a, b):
-                deletions.add((a, c))
-            elif {x, y} == {b, c}:
-                deletions.add((a, b))
-            else:
-                deletions.add((b, c))
-
-    def crosses(e1, e2) -> bool:
-        i, k1 = e1
-        j, l = e2
-        return i < j < k1 < l or j < i < l < k1
-
-    for pair in list(weights):
-        if pair in deletions or pair in overweight:
-            weights.pop(pair)
-        elif any(crosses(pair, e) for e in overweight):
-            weights.pop(pair)
-
-    # The remaining edges must be closure-consistent; a failure here is a
-    # finding about the resolution rules, not something to patch silently.
-    try:
-        return _chain_from_weights(n, k, weights)
-    except ValueError as exc:
-        raise InvariantError(f"lift cleanup failed for {chain}: {exc}") from exc
+    """The backward delta shift: with the layers finest first, pi_1 <= ...
+    <= pi_k, and pi_{k+1} the one-block partition, layer i of the image,
+    finest first, is the partition of sigma_{pi_1}^-1 sigma_{pi_{i+1}}.
+    lift^(k+1) = ``rot``."""
+    finest = chain.layers[-1]
+    above = (_top(chain.n),) + chain.layers[:-1]
+    return NonCrossingChain(chain.k, tuple(_delta(finest, y) for y in above))

@@ -152,7 +152,8 @@ class Identity:
     expected_pass: Callable[[Slope], bool] = lambda s: True
     max_n: Callable[[Slope], int] = lambda s: 99
     # what ``check`` walks, for the CLI's domain guard: a noun and a count
-    walks: tuple[str, Callable[[Slope], int]] = ("paths", pa.count_paths)
+    # for each kind of object
+    walks: tuple[tuple[str, Callable[[Slope], int]], ...] = (("paths", pa.count_paths),)
 
 
 IDENTITIES: dict[str, Identity] = {}
@@ -223,6 +224,12 @@ def _enumerated(s: Slope) -> int:
     return count if count <= _ENUMERATED else 0
 
 
+def _lattice_points(s: Slope) -> int:
+    """The points of the (bn+1) x (an+1) grid that ``count_paths_dp`` fills,
+    each with an integer of up to about (a+b)n bits."""
+    return (s.b * s.n + 1) * (s.a * s.n + 1)
+
+
 def _word_count(s: Slope) -> int:
     return math.comb(s.total_steps, s.up_count)
 
@@ -240,12 +247,12 @@ def _bound_check(s: Slope) -> tuple[int, list[str]]:
 IDENTITIES["count-enumeration"] = Identity(
     "count-enumeration", "Bizley-recurrence count equals the lattice DP count "
     "and the materialized enumeration on moderate domains", _count_check,
-    walks=("paths", _enumerated))
+    walks=(("lattice points", _lattice_points), ("paths", _enumerated)))
 IDENTITIES["step-bound-geometry"] = Identity(
     "step-bound-geometry", "the step-position bound and the geometric "
     "above-the-line test agree on every candidate word", _bound_check,
     max_n=lambda s: 3 if s.a * s.b == 1 else 2,
-    walks=("words", _word_count))
+    walks=(("words", _word_count),))
 
 _ident("young-roundtrip", "region rows determine the path and vice versa", _paths,
        lambda p: pa.path_from_young_rows(p.slope, pa.young_rows(p)), lambda p: p)
@@ -493,6 +500,15 @@ _ident("kre-squared-rowmotion", "the squared complement matches a rowmotion powe
 # -- non-crossing chains ------------------------------------------------------
 
 
+@pa.memo_image
+def _grid_conjugation(x: nc.NonCrossingPartition) -> nc.NonCrossingPartition:
+    """The two-row grid involution ``dyck2`` carried to one partition through
+    the chain bijection, the Rothe map and the tiling map: the oracle of
+    ``nc.lk_partition``, which is rotation after the boundary involution."""
+    path = pe.e_p(ti.dt_map(nc.ncp_to_dyck(nc.NonCrossingChain(1, (x,)))))
+    return nc.dyck_to_ncp(pe.rsk_hat(pe.e_p_inverse(pe.dyck2(path)))).layers[0]
+
+
 _ident("chain-roundtrip", "the chain-path bijection round-trips", _chains,
        lambda c: nc.dyck_to_ncp(nc.ncp_to_dyck(c)), lambda c: c, applies=_unit_a)
 _ident("kre-squared-rotation", "the complement squares to rotation", _chains,
@@ -511,8 +527,10 @@ _ident("su-rot-conjugate", "rotation conjugates through the boundary involution"
 _ident("lk-rot-conjugate", "rotation conjugates through the grid involution", _chains,
        lambda c: nc.lk(nc.rot(c)), lambda c: pa.iterate(nc.rot, None, nc.lk(c), c.n - 1),
        applies=_unit_a)
-_ident("lk-su-rotation", "the two involutions compose to rotation", _chains,
-       lambda c: nc.lk(nc.su(c)), lambda c: nc.rot(c), applies=_unit_a)
+_ident("lk-su-rotation", "the grid involution, conjugated through the chain, Rothe and "
+       "tiling maps, and the boundary involution compose to rotation", _chains,
+       lambda c: nc.NonCrossingChain(c.k, tuple(map(_grid_conjugation, nc.su(c).layers[::-1]))),
+       lambda c: nc.rot(c), applies=_unit_a)
 _ident("kre-ref-su", "the complement is reflection after the boundary involution "
        "(definitional: su_partition is ref_partition after kre_partition)", _chains,
        lambda c: nc.kre(c), lambda c: nc.ref(nc.su(c)), applies=_unit_a)
@@ -541,7 +559,7 @@ _ident("lk-ev-promotion", "the grid involution matches evacuation after inverse 
        "promotion powers, transported", _paths, lambda p: nc.transport(nc.lk, p),
        lambda p: pr.evacuation_fast(pa.iterate(pr.promotion, pr.dual_promotion, p, -p.slope.b)),
        applies=_unit_a)
-_ident("lift-promotion", "the weight lift matches promotion through the chain "
+_ident("lift-promotion", "the delta shift matches promotion through the chain "
        "bijection", _paths, lambda p: nc.transport(nc.lift, p), lambda p: pr.promotion(p),
        applies=_unit_a, max_n=lambda s: 4)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ratdyck.noncrossing import (
@@ -27,7 +29,32 @@ from ratdyck.noncrossing import (
 )
 from ratdyck.paths import Slope, enumerate_paths, iterate, path_from_steps
 from ratdyck.promotion import dual_promotion, evacuation_fast, promotion
-from ratdyck.registry import CHAIN_MAPS
+from ratdyck.registry import CHAIN_MAPS, _grid_conjugation
+
+
+def random_blocks(elements, rng):
+    """A random non-crossing partition of the sorted ``elements``, as lists:
+    each element joins the block on top of a stack of open blocks or opens a
+    new one, and open blocks close at random.  Not uniform."""
+    blocks, stack = [], []
+    for x in elements:
+        while stack and rng.random() < 0.3:
+            stack.pop()
+        if stack and rng.random() < 0.5:
+            stack[-1].append(x)
+        else:
+            blocks.append([x])
+            stack.append(blocks[-1])
+    return blocks
+
+
+def random_chain(n, k, rng):
+    """A random k-chain of [1, n]: a random coarsest layer, and each next
+    layer splits every block by a random non-crossing partition of it."""
+    layers = [ncp(n, random_blocks(range(1, n + 1), rng))]
+    for _ in range(k - 1):
+        layers.append(ncp(n, [c for b in layers[-1].blocks for c in random_blocks(b, rng)]))
+    return NonCrossingChain(k, tuple(layers))
 
 
 def test_partition_validation():
@@ -129,6 +156,24 @@ def test_lift_worked_examples():
     assert ncp_to_dyck(lifted).steps == (1, 2, 4, 5)
     singles = parse_chain("1/2/3;1/2/3;1/2/3")
     assert str(lift(singles)) == "1.2.3;1/2/3;1/2/3"
+
+
+def test_lift_to_the_k_plus_first_is_rotation():
+    # a law of the delta shift alone, independent of promotion and of the
+    # chain table, at sizes the table cannot reach
+    rng = random.Random(24)
+    for _ in range(50):
+        n, k = rng.randint(100, 200), rng.randint(1, 4)
+        chain = random_chain(n, k, rng)
+        assert iterate(lift, None, chain, k + 1) == rot(chain), chain
+
+
+def test_grid_conjugation_is_rotation_after_su():
+    # the registry's oracle carries the two-row grid involution through the
+    # chain bijection, the Rothe map and the tiling map
+    for n in range(1, 9):
+        for x in enumerate_ncps(n):
+            assert _grid_conjugation(x) == lk_partition(x) == rot_partition(su_partition(x)), x
 
 
 @pytest.mark.parametrize("k,nmax", [(1, 6), (2, 5), (3, 4)])

@@ -216,7 +216,7 @@ def test_orbit_image_outside_the_slope_is_an_invariant_error(capsys, monkeypatch
     ("verify", "--identity", "mat-rowmotion"),
     ("apply", "--map", "rot", "--path", "1,2,3,4,5"),
     ("apply", "--map", "lk", "--path", "1,2,3,4,5"),
-    ("apply", "--map", "lk", "--ncp", "1.2/3/4.5"),
+    ("apply", "--map", "su", "--path", "1,2,3,4,5"),
 ])
 def test_cli_domain_guard(capsys, argv):
     # (1,1) n=5 has 42 paths, and its chain table 42 chains
@@ -298,18 +298,19 @@ def test_cli_domain_guard_counts_enumerated_paths(capsys):
     code, out, err = run(capsys, "verify", "--identity", "count-enumeration",
                          "--a", "1", "--b", "1", "--n", "8", "--max-domain", "1430")
     assert code == 0 and out.startswith("PASS count-enumeration (1,1) n=8 over 1430 objects")
+    # the exact counts fill (bn+1)(an+1) lattice points, 4001^2 at (1,1)
+    # n=4000, so a huge n is refused at once
+    code, out, err = run(capsys, "verify", "--identity", "count-enumeration",
+                         "--a", "1", "--b", "1", "--n", "4000")
+    assert code == 2 and out == ""
+    assert err == ("error: (1,1) n=4000 has more than 250000 lattice points; "
+                   "raise --max-domain to enumerate it")
 
 
 def test_cli_domain_guard_on_chains(capsys):
-    # lk sends each layer through the (1,1) chain table of the chain's size,
-    # whatever the chain's slope; the other chain maps act on the chain
-    # itself and run past any --max-domain
+    # every chain map acts on the chain itself and runs past any --max-domain
     chain = "1.2.3.4.5;1.2/3.4.5"
-    code, out, err = run(capsys, "apply", "--map", "lk", "--a", "1", "--b", "2", "--n", "5",
-                         "--ncp", chain, "--max-domain", "41")
-    assert code == 2 and out == ""
-    assert err == "error: (1,1) n=5 has more than 41 paths; raise --max-domain to enumerate it"
-    for name in ("rot", "ref", "kre", "su", "lift"):
+    for name in ("rot", "ref", "kre", "su", "lk", "lift"):
         code, out, err = run(capsys, "apply", "--map", name, "--a", "1", "--b", "2", "--n", "5",
                              "--ncp", chain, "--max-domain", "1")
         assert code == 0 and out and err == "", name
