@@ -184,6 +184,44 @@ def cmd_golden(args) -> int:
     return 0 if ok else 1
 
 
+def _shown(x) -> tuple[str, object]:
+    return str(x), x.to_json()
+
+
+def _named(key: str, text: str) -> tuple[str, dict]:
+    return text, {key: text}
+
+
+def _tableau(p: RationalDyckPath) -> tuple[str, dict]:
+    t = to_tableau(p)
+    first, second = list(t.first_row), list(t.second_row)
+    return f"{first} / {second}", {"first_row": first, "second_row": second}
+
+
+def _young(p: RationalDyckPath) -> tuple[str, dict]:
+    rows = list(young_rows(p))
+    return ",".join(map(str, rows)), {"rows": rows}
+
+
+def _perm(p: RationalDyckPath) -> tuple[str, dict]:
+    w = e_p_inverse(p)
+    return str(w), {"values": list(w.values)}
+
+
+# each ``convert --to`` target: a path's text line and its JSON payload
+CONVERSIONS = {
+    "path": _shown,
+    "word": lambda p: _named("word", p.word),
+    "tableau": _tableau,
+    "young": _young,
+    "matching": lambda p: _shown(pm(p)),
+    "dual-matching": lambda p: _shown(dpm(p)),
+    "ksequence": lambda p: _named("entries", str(k_sequence(p))),
+    "ncp": lambda p: _named("chain", str(nc.dyck_to_ncp(p))),
+    "perm": _perm,
+}
+
+
 def cmd_convert(args) -> int:
     slope = _slope(args)
     if _given(args, "perm"):
@@ -198,37 +236,10 @@ def cmd_convert(args) -> int:
     else:
         p = _read_path(args, slope)
 
-    target = args.to
-    if target == "path":
-        out_text, payload = p.steps_str(), p.to_json()
-    elif target == "word":
-        out_text, payload = p.word, {"word": p.word}
-    elif target == "tableau":
-        t = to_tableau(p)
-        out_text = f"{list(t.first_row)} / {list(t.second_row)}"
-        payload = {"first_row": list(t.first_row), "second_row": list(t.second_row)}
-    elif target == "young":
-        rows = young_rows(p)
-        out_text, payload = ",".join(map(str, rows)), {"rows": list(rows)}
-    elif target == "matching":
-        m = pm(p)
-        out_text, payload = str(m), m.to_json()
-    elif target == "dual-matching":
-        m = dpm(p)
-        out_text, payload = str(m), m.to_json()
-    elif target == "ksequence":
-        ks = k_sequence(p)
-        out_text, payload = str(ks), {"entries": str(ks)}
-    elif target == "ncp":
+    if args.to == "ncp":  # the chain table holds one chain per path
         _check_domain(args, slope)
-        chain = nc.dyck_to_ncp(p)
-        out_text, payload = str(chain), {"chain": str(chain)}
-    elif target == "perm":
-        w = e_p_inverse(p)
-        out_text, payload = str(w), {"values": list(w.values)}
-    else:
-        raise ValueError(f"unknown conversion target {target!r}")
-    _emit(args, [out_text], payload)
+    text, payload = CONVERSIONS[args.to](p)
+    _emit(args, [text], payload)
     return 0
 
 
@@ -295,14 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ncp")
     sp.add_argument("--perm")
     sp.add_argument("--matching")
-    sp.add_argument(
-        "--to",
-        required=True,
-        choices=(
-            "path", "word", "tableau", "young", "matching",
-            "dual-matching", "ksequence", "ncp", "perm",
-        ),
-    )
+    sp.add_argument("--to", required=True, choices=tuple(CONVERSIONS))
     sp.set_defaults(fn=cmd_convert)
 
     return parser

@@ -672,7 +672,11 @@ def apply_map(
     map_name: str, slope: Slope, x: RationalDyckPath | nc.NonCrossingChain, power: int = 1
 ) -> RationalDyckPath | nc.NonCrossingChain:
     """A registered map to the ``power`` on a path, or on a chain when ``x``
-    is a ``NonCrossingChain``; a negative power iterates the inverse."""
+    is a ``NonCrossingChain``; a negative power iterates the inverse.
+
+    Every registered map is a bijection, so once the orbit of ``x`` comes
+    back to ``x`` after L steps only ``|power| mod L`` more are taken: at
+    most 2L steps, whatever the power."""
     if isinstance(x, nc.NonCrossingChain):
         if map_name not in CHAIN_MAPS:
             raise ValueError(f"map {map_name!r} does not act on chains")
@@ -682,4 +686,10 @@ def apply_map(
         fn, inverse = m.fn, m.inverse
     if power < 0 and inverse is None:
         raise ValueError(f"map {map_name!r} has no registered inverse")
-    return pa.iterate(fn, inverse, x, power)
+    step = fn if power >= 0 else inverse
+    y = x
+    for done in range(1, abs(power) + 1):
+        y = step(y)
+        if y == x:
+            return pa.iterate(step, None, x, abs(power) % done)
+    return y

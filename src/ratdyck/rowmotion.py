@@ -83,7 +83,7 @@ shorter than r; the rank test passes there since A+1 <= h.  QED
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .paths import (
     RationalDyckPath,
@@ -97,33 +97,25 @@ from .paths import (
 
 
 class BoxRegion(Value):
-    """The region's geometry, computed on first use and then kept (in the
-    instance ``__dict__``, which only ``cached_property`` writes)."""
+    """The region's geometry, computed once when the region is built.
 
-    __slots__ = ("slope", "__dict__")
+    ``row_lengths``, ``max_rank`` and ``min_rank`` are slots but not
+    fields: equality, hashing and pickling go by the slope alone.
+    ``min_rank`` is the lowest cell rank, that of the last cell of some
+    row; for a > b it can be below 0, and it is ``max_rank`` in an empty
+    region."""
+
+    __slots__ = ("slope", "row_lengths", "max_rank", "min_rank")
     slope: Slope
 
     def __init__(self, slope: Slope) -> None:
         object.__setattr__(self, "slope", slope)
-
-    @cached_property
-    def row_lengths(self) -> tuple[int, ...]:
-        return region_rows(self.slope)
-
-    @cached_property
-    def max_rank(self) -> int:
-        s = self.slope
-        return (s.up_count - 1) * s.b // s.a - 1
-
-    @cached_property
-    def min_rank(self) -> int:
-        """The lowest cell rank, that of the last cell of some row; for
-        a > b it can be below 0, and it is ``max_rank`` in an empty region."""
-        top = self.max_rank
-        return min(
-            (top - k - cap + 1 for k, cap in enumerate(self.row_lengths) if cap),
-            default=top,
-        )
+        rows = region_rows(slope)
+        top = (slope.up_count - 1) * slope.b // slope.a - 1
+        bottom = min((top - k - cap + 1 for k, cap in enumerate(rows) if cap), default=top)
+        object.__setattr__(self, "row_lengths", rows)
+        object.__setattr__(self, "max_rank", top)
+        object.__setattr__(self, "min_rank", bottom)
 
     def rank(self, i: int, j: int) -> int:
         return self.max_rank - (i - 1) - (j - 1)

@@ -8,16 +8,18 @@ can still be repaid further along; each line is then cut greedily into the
 longest complete ribbons.  Each line is the rim of the cells still free,
 so a list of row lengths is all the state it needs, and the line itself is
 a list of run lengths: its rights in the start row, then the rights in each
-row it climbs into (`_line_runs`).  `_threads` spells the runs out as cells
-for the tiles, and `kappa` counts the greedy cut on the runs alone
-(`_count_cut`), with no cell built.  Tiles are removed lowest-first
-(leftmost on ties), which is the lines from the bottom start row up, each
-from its last tile to its first (`max_tiling`).  Each removal contributes
-the transposition (south-most step index, rightmost step index) read on
-the current lower boundary.
+row it climbs into (`_line_runs`).  The greedy cut is read off the runs
+once, one entry per ribbon (`_cut`): `max_tiling` spells its tiles out as
+cells, and `kappa` counts them with no cell built.  Tiles are removed
+lowest-first (leftmost on ties), which is the lines from the bottom start
+row up, each from its last tile to its first (`max_tiling`).  Each removal
+contributes the transposition (south-most step index, rightmost step
+index) read on the current lower boundary.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .matchings import pm
 from .matching_map import mat
@@ -119,47 +121,52 @@ def _line_runs(p: RationalDyckPath) -> list[list[int]]:
     return lines
 
 
-def _threads(p: RationalDyckPath) -> list[list[tuple[int, int]]]:
-    """Cells visited by each history line, indexed by starting row (1 = top):
-    the runs of ``_line_runs``, the first in the start row from column 1,
-    each later one a row up from the column where the one before ended."""
-    threads: list[list[tuple[int, int]]] = []
-    for i, runs in enumerate(_line_runs(p)):
-        cells, c = [], 1
-        for r, run in zip(range(i, 0, -1), runs):
-            cells.extend((r, j) for j in range(c, c + run + 1))
-            c += run
-        threads.append(cells)
-    return threads
+def _cut(runs: list[int], k: int) -> list[tuple[int, int, int, int]]:
+    """The greedy cut of the line of ``runs`` into its longest complete
+    ribbons, one entry ``(t, j, s, e)`` per ribbon: the one-cell tiles of
+    run t from j rights into it up to its last cell, then the ribbon from
+    that cell to e rights into run s (a one-cell ribbon if s == t), with
+    s - t ups.
 
-
-def _cut_thread(cells: list[tuple[int, int]], k: int) -> list[DyckTile]:
-    """Greedy longest complete ribbons along one history line."""
-    tiles = []
-    start = 0
-    while start < len(cells):
-        ups = rights = 0
-        best_len = 1
-        best_size = 0
-        for idx in range(start + 1, len(cells)):
-            prev, cur = cells[idx - 1], cells[idx]
-            if cur[0] == prev[0] - 1:
-                ups += 1
-            else:
-                rights += 1
-                if rights > k * ups:
+    A tile starts at a cell and grows while the balance k*ups - rights of
+    its moves stays non-negative; it ends at the last zero of that balance,
+    its start if there is no other, and the next tile starts one move on.
+    So a cell followed by R is a one-cell tile: inside a run, every cell
+    but the last is one.  From a run's last cell the balance rises by k at
+    each U and falls by the next run's length, so its zeros are found run
+    by run: the ribbon ends where a run brings the balance below zero, at
+    the zero inside that run, or else at the last zero before the line
+    ends.
+    """
+    cut: list[tuple[int, int, int, int]] = []
+    last = len(runs) - 1
+    t = j = 0  # the next tile starts after j rights of run t
+    while t <= last:
+        s, e = t, runs[t]  # the last zero so far: (run, rights into it)
+        balance = 0
+        for u in range(t + 1, last + 1):
+            balance += k
+            run = runs[u]
+            if balance <= run:
+                s, e = u, balance
+                if balance < run:
                     break
-            if rights == k * ups:
-                best_len = idx - start + 1
-                best_size = ups
-        tiles.append(DyckTile(tuple(cells[start : start + best_len]), best_size))
-        start += best_len
-    return tiles
+            balance -= run
+        cut.append((t, j, s, e))
+        if e < runs[s]:
+            t, j = s, e + 1
+        else:
+            t, j = s + 1, 0
+    return cut
 
 
 @memo_image
 def max_tiling(p: RationalDyckPath) -> Tiling:
     """The maximal cover-inclusive tiling, tiles listed in removal order.
+
+    Each entry ``(t, j, s, e)`` of ``_cut`` is spelled out as cells, the
+    ribbon first and then the one-cell tiles before it, right to left: run
+    t of line i lies in row i - t, from the column where run t - 1 ended.
 
     Removal takes, among the tiles whose cells are the right ends of their
     rows and whose removal leaves rows weakly decreasing, the lowest first
@@ -167,25 +174,36 @@ def max_tiling(p: RationalDyckPath) -> Tiling:
     row up, each line's tiles from the last cut to the first:
 
     - Two tiles of one line meet at a right step.  After an up step the
-      line's debt is at least k > 0, and by the lookahead of `_threads` the
-      line repays it at a later right step.  The running balance
+      line's debt is at least k > 0, and by the lookahead of `_line_runs`
+      the line repays it at a later right step.  The running balance
       k*ups - rights of the tile being cut is at most that debt, and it
       falls by one per right step, so it reaches 0 again by then without
       going negative; a cut that stopped just before an up step would not
       have been the longest.
-    - By the rim lemma of `_threads`, the cells left after the outer lines
-      and the tail tiles of the current line are the inner lines' Young
-      diagram plus a head of the current line, cut after a tile.  That head
-      ends before a right step or at the line's end, so its union with the
-      inner diagram is a Young diagram, and the tail tile is removable.
+    - By the rim lemma of `_line_runs`, the cells left after the outer
+      lines and the tail tiles of the current line are the inner lines'
+      Young diagram plus a head of the current line, cut after a tile.  That
+      head ends before a right step or at the line's end, so its union with
+      the inner diagram is a Young diagram, and the tail tile is removable.
     - The current line holds the right end of every row from its start row
       up to the tail tile's top row.  Any other removable tile lies in rows
       strictly above, so its first cell is higher than the tail tile's.
     """
     k = _require_unit_a(p)
-    return Tiling(
-        p, tuple(t for thread in reversed(_threads(p)) for t in reversed(_cut_thread(thread, k)))
-    )
+    lines = _line_runs(p)
+    tiles = []
+    for i in range(len(lines) - 1, 0, -1):
+        runs = lines[i]
+        cols = list(accumulate(runs, initial=1))  # run t from column cols[t] to cols[t + 1]
+        for t, j, s, e in reversed(_cut(runs, k)):
+            cells = [(i - t, cols[t + 1])]
+            for u in range(t + 1, s + 1):
+                stop = cols[u] + (e if u == s else runs[u])
+                cells.extend((i - u, c) for c in range(cols[u], stop + 1))
+            tiles.append(DyckTile(tuple(cells), s - t))
+            for c in range(cols[t + 1] - 1, cols[t] + j - 1, -1):
+                tiles.append(DyckTile(((i - t, c),), 0))
+    return Tiling(p, tuple(tiles))
 
 
 def tile_transpositions(t: Tiling) -> list[tuple[int, int]]:
@@ -228,52 +246,19 @@ def dt_map(p: RationalDyckPath) -> Permutation321:
     return Permutation321(values)
 
 
-def _count_cut(runs: list[int], k: int) -> int:
-    """The number of tiles ``_cut_thread`` cuts the line of ``runs`` into,
-    with no cell built.
-
-    A tile starts at a cell and grows while the balance k*ups - rights of
-    its moves stays non-negative; it ends at the last zero of that balance,
-    its start if there is no other, and the next tile starts one move on.
-    So a cell followed by R is a one-cell tile: inside a run, every cell
-    but the last is one.  From a run's last cell the balance rises by k at
-    each U and falls by the next run's length, so its zeros are found run
-    by run: the ribbon ends where a run brings the balance below zero, at
-    the zero inside that run, or else at the last zero before the line
-    ends.
-    """
-    if not runs:
-        return 0
-    last = len(runs) - 1
-    tiles = 0
-    t, j = 0, 0  # the next tile starts after j rights of run t
-    while True:
-        tiles += runs[t] - j + 1  # the one-cell tiles of run t, then its last cell's
-        if t == last:
-            return tiles
-        end = t, runs[t]  # the last zero so far: (run, rights into it)
-        balance = 0
-        for s in range(t + 1, last + 1):
-            balance += k
-            if balance <= runs[s]:
-                end = s, balance
-                if balance < runs[s]:
-                    break
-            balance -= runs[s]
-        t, j = end
-        if j < runs[t]:
-            j += 1
-        elif t == last:
-            return tiles
-        else:
-            t, j = t + 1, 0
-
-
 @memo_image
 def kappa(p: RationalDyckPath) -> tuple[int, ...]:
     """Tile counts of the history lines, top line first, counted on the
-    lines' runs (``_count_cut``)."""
-    return tuple(_count_cut(runs, p.slope.b) for runs in _line_runs(p)[1:])
+    ribbons of ``_cut``."""
+    k = p.slope.b
+    counts = []
+    for runs in _line_runs(p)[1:]:
+        tiles = 0
+        if runs:  # half the lines or so have no cell
+            for t, j, _, _ in _cut(runs, k):
+                tiles += runs[t] - j + 1
+        counts.append(tiles)
+    return tuple(counts)
 
 
 def kappa_by_transpositions(p: RationalDyckPath) -> tuple[int, ...]:

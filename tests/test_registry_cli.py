@@ -11,6 +11,7 @@ from ratdyck import golden, matching_map, paths, promotion, registry
 from ratdyck.cli import main
 from ratdyck.golden import golden_suite
 from ratdyck.matchings import pm
+from ratdyck.noncrossing import parse_chain
 from ratdyck.paths import InvariantError, Slope, count_paths_dp, path_from_steps, top_path
 from ratdyck.registry import IDENTITIES, apply_map, orbit_table, verify
 
@@ -76,6 +77,25 @@ def test_apply_map_powers():
     assert apply_map("promotion", slope, p, 1).steps == (1, 3, 5)
     assert apply_map("promotion", slope, p, -1).steps == (1, 2, 7)
     assert apply_map("toggle:3", slope, path_from_steps(slope, (1, 4, 7)), 1).steps == (1, 3, 7)
+
+
+def test_apply_map_power_past_the_orbit_length():
+    # promotion has order 8 on (1,1,4), and rot order 7 on a 7-element chain
+    slope = Slope(1, 1, 4)
+    p = path_from_steps(slope, (1, 2, 3, 4))
+    q = path_from_steps(slope, (1, 3, 4, 6))
+    assert apply_map("promotion", slope, p, 10**12) == p
+    assert apply_map("promotion", slope, q, 10**12 + 3) == apply_map("promotion", slope, q, 3)
+    assert apply_map("promotion", slope, q, -(10**12) - 3) == apply_map("promotion", slope, q, 5)
+    chain = parse_chain("1.4/2.3/5/6.7", 7)
+    assert apply_map("rot", Slope(1, 1, 7), chain, 10**12) == apply_map(
+        "rot", Slope(1, 1, 7), chain, 10**12 % 7)
+
+
+def test_cli_apply_huge_power(capsys):
+    code, out, _ = run(capsys, "apply", "--map", "promotion", "--power", "1000000000000",
+                       "--a", "1", "--b", "1", "--n", "4", "--path", "1,2,3,4")
+    assert code == 0 and out == "1,2,3,4"
 
 
 def test_golden_suite_passes():
@@ -383,6 +403,37 @@ def test_cli_convert(capsys):
     code, out, _ = run(capsys, "convert", "--a", "1", "--b", "1", "--n", "3",
                        "--matching", "{1,4},{2,3},{5,6}", "--to", "path")
     assert code == 0 and out == "1,2,5"
+
+
+# every --to target on the (1,2,3) path 1,3,5: the text line and the JSON
+# payload; perm needs a classical path, so it is pinned on (1,1,3) 1,2,4
+CONVERT_TARGETS = {
+    "path": ("1,3,5", {"a": 1, "b": 2, "n": 3, "steps": [1, 3, 5]}),
+    "word": ("URURURRRR", {"word": "URURURRRR"}),
+    "tableau": ("[1, 3, 5] / [2, 4, 6, 7, 8, 9]",
+                {"first_row": [1, 3, 5], "second_row": [2, 4, 6, 7, 8, 9]}),
+    "young": ("2,1,0", {"rows": [2, 1, 0]}),
+    "matching": ("{1,2,9},{3,4,8},{5,6,7}", [[1, 2, 9], [3, 4, 8], [5, 6, 7]]),
+    "dual-matching": ("{1,9},{2},{3,8},{4},{5,7},{6}", [[1, 9], [2], [3, 8], [4], [5, 7], [6]]),
+    "ksequence": ("5,6,~3", {"entries": "5,6,~3"}),
+    "ncp": ("1.2.3;1/2.3", {"chain": "1.2.3;1/2.3"}),
+    "perm": ("231", {"values": [2, 3, 1]}),
+}
+
+
+@pytest.mark.parametrize("target", CONVERT_TARGETS)
+def test_cli_convert_every_target(capsys, target):
+    text, payload = CONVERT_TARGETS[target]
+    path = ("--b", "1", "--path", "1,2,4") if target == "perm" else ("--b", "2", "--path", "1,3,5")
+    argv = ("convert", "--a", "1", "--n", "3", *path, "--to", target)
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(payload, indent=2), "")
+
+
+def test_cli_convert_to_perm_needs_a_classical_path(capsys):
+    code, out, err = run(capsys, "convert", "--a", "1", "--b", "2", "--n", "3",
+                         "--path", "1,3,5", "--to", "perm")
+    assert (code, out) == (2, "") and err == "error: the grid construction needs a classical path"
 
 
 @pytest.mark.parametrize("literal,message", [

@@ -16,11 +16,11 @@ from ratdyck.perms import enumerate_321_avoiding, rsk_hat, rsk_path
 from ratdyck.promotion import dual_promotion
 from ratdyck.rowmotion import rowmotion
 from ratdyck.tilings import (
+    DyckTile,
     Tiling,
     _apply_transpositions,
-    _count_cut,
-    _cut_thread,
-    _threads,
+    _cut,
+    _line_runs,
     dt_map,
     is_cover_inclusive,
     is_maximal,
@@ -214,6 +214,41 @@ def apply_transpositions_reference(p, tiling):
     return [tuple(sorted(b)) for b in blocks]
 
 
+def cells_of_runs(runs, row=None):
+    """A line's cells from its runs, starting in ``row`` (by default low
+    enough to climb them all) from column 1."""
+    r, c, cells = len(runs) if row is None else row, 1, []
+    for run in runs:
+        cells.extend((r, j) for j in range(c, c + run + 1))
+        c += run
+        r -= 1
+    return cells
+
+
+def cut_reference(cells, k):
+    """Greedy longest complete ribbons along one history line, cell by cell."""
+    tiles = []
+    start = 0
+    while start < len(cells):
+        ups = rights = 0
+        best_len = 1
+        best_size = 0
+        for idx in range(start + 1, len(cells)):
+            prev, cur = cells[idx - 1], cells[idx]
+            if cur[0] == prev[0] - 1:
+                ups += 1
+            else:
+                rights += 1
+                if rights > k * ups:
+                    break
+            if rights == k * ups:
+                best_len = idx - start + 1
+                best_size = ups
+        tiles.append(DyckTile(tuple(cells[start : start + best_len]), best_size))
+        start += best_len
+    return tiles
+
+
 def tiling_oracle_paths():
     for k, nmax in [(1, 8), (2, 5), (3, 4)]:
         for n in range(1, nmax + 1):
@@ -226,8 +261,8 @@ def test_tilings_match_the_worded_construction():
     for p in tiling_oracle_paths():
         k = p.slope.b
         threads = threads_reference(p)
-        assert _threads(p) == threads
-        cut = [t for thread in threads for t in _cut_thread(thread, k)]
+        assert [cells_of_runs(runs, i) for i, runs in enumerate(_line_runs(p))] == threads
+        cut = [t for thread in threads for t in cut_reference(thread, k)]
         reference = Tiling(p, tuple(removal_order_reference(p, cut)))
         assert max_tiling(p) == reference
         assert _apply_transpositions(p) == apply_transpositions_reference(p, reference)
@@ -235,7 +270,7 @@ def test_tilings_match_the_worded_construction():
 
 def kappa_by_cut_threads(p, threads):
     """Cut every history line into tiles and count them."""
-    return tuple(len(_cut_thread(threads[i], p.slope.b)) for i in range(1, p.slope.n + 1))
+    return tuple(len(cut_reference(threads[i], p.slope.b)) for i in range(1, p.slope.n + 1))
 
 
 @pytest.mark.parametrize("k,n", [(1, 8), (2, 5), (3, 4)])
@@ -246,19 +281,38 @@ def test_kappa_counts_the_cut_on_every_path(k, n):
 
 def test_kappa_counts_the_cut_on_uniform_paths():
     # the lines walked cell by cell would take seconds at this size; the
-    # test above and the worded construction check ``_threads`` against them
+    # test above and the worded construction check ``_line_runs`` against them
     for p in uniform_paths_up_to(1, 1, 200, per_size=8):
-        assert kappa(p) == kappa_by_cut_threads(p, _threads(p)), p
+        threads = [cells_of_runs(runs) for runs in _line_runs(p)]
+        assert kappa(p) == kappa_by_cut_threads(p, threads), p
 
 
-def cells_of_runs(runs):
-    """A line's cells from its runs, starting low enough to climb them all."""
-    r, c, cells = len(runs), 1, []
-    for run in runs:
-        cells.extend((r, j) for j in range(c, c + run + 1))
-        c += run
-        r -= 1
-    return cells
+@pytest.mark.parametrize("k,nmax", [(1, 200), (3, 60)])
+def test_max_tiling_is_the_cut_on_uniform_paths(k, nmax):
+    # the lines bottom-up, each cut cell by cell and read from its last tile
+    for p in uniform_paths_up_to(1, k, nmax, per_size=4):
+        lines = _line_runs(p)
+        tiles = [
+            tile
+            for i in range(p.slope.n, 0, -1)
+            for tile in reversed(cut_reference(cells_of_runs(lines[i], i), k))
+        ]
+        assert max_tiling(p) == Tiling(p, tuple(tiles)), p
+
+
+def tiles_of_cut(runs, k):
+    """The tiles of ``_cut``, sliced in line order out of the line's cells:
+    the cell j rights into run t is cell number sum(runs[:t]) + t + j."""
+    cells = cells_of_runs(runs)
+
+    def at(t, j):
+        return sum(runs[:t]) + t + j
+
+    tiles = []
+    for t, j, s, e in _cut(runs, k):
+        tiles.extend(DyckTile((c,), 0) for c in cells[at(t, j) : at(t, runs[t])])
+        tiles.append(DyckTile(tuple(cells[at(t, runs[t]) : at(s, e) + 1]), s - t))
+    return tiles
 
 
 def test_count_cut_matches_the_cut_on_any_runs():
@@ -267,8 +321,8 @@ def test_count_cut_matches_the_cut_on_any_runs():
     for _ in range(3000):
         k = rng.randint(1, 4)
         runs = [rng.randint(0, 6) for _ in range(rng.randint(1, 8))]
-        assert _count_cut(runs, k) == len(_cut_thread(cells_of_runs(runs), k)), (runs, k)
-    assert _count_cut([], 1) == 0
+        assert tiles_of_cut(runs, k) == cut_reference(cells_of_runs(runs), k), (runs, k)
+    assert _cut([], 1) == []
 
 
 def test_removal_order_reference_reports_a_stuck_tiling():
