@@ -10,6 +10,13 @@ path) is a derived view.
 All comparisons against the boundary line use exact integer
 cross-multiplication, and counting is exact integer arithmetic.
 
+A path is built either by its constructor, which validates the steps, or
+by ``RationalDyckPath._caller_checked``, which does not.  Parsing, the
+public constructors and every other map validate.  Only a kernel whose own
+runtime tests imply each condition of the constructor, stated as a lemma
+in its docstring, may build its images unchecked: the toggle kernels of
+``promotion`` and the row sweep of ``rowmotion``.
+
 ``image_scope`` shares map images across a run: while one is open, every
 map decorated with ``memo_image`` computes its image of each argument once
 and hands back the stored result afterwards, ``enumerate_paths`` returns the
@@ -135,7 +142,17 @@ class Slope(Value):
 
 
 class RationalDyckPath(Value):
-    """A rational Dyck path, stored as its ascending step sequence."""
+    """A rational Dyck path, stored as its ascending step sequence.
+
+    There are two ways to build one.  The constructor checks the steps in
+    one pass and raises ``ValueError`` naming the first rule broken.
+    ``_caller_checked`` sets the fields without a check, for a kernel whose
+    own runtime tests already imply every condition the constructor checks:
+    the length a*n, strictly increasing steps in [1, (a+b)n], and each
+    u_j <= step_bound(j).  A caller is added only with that implication
+    written as a lemma in its docstring; the allowed callers are listed in
+    the tests, and the images they build are checked against the
+    constructor there."""
 
     __slots__ = ("slope", "steps", "_hash")  # _hash as on Slope
     slope: Slope
@@ -157,6 +174,15 @@ class RationalDyckPath(Value):
             if not prev < u <= (j - 1) * b // a + j:
                 raise ValueError(_step_error(slope, steps))
             prev = u
+
+    @classmethod
+    def _caller_checked(cls, slope: Slope, steps: tuple[int, ...]) -> "RationalDyckPath":
+        """The path with these steps, which the caller has proven valid."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "slope", slope)
+        object.__setattr__(p, "steps", steps)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

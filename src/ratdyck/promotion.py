@@ -7,6 +7,11 @@ first; this convention is pinned by the worked promotion of the (2,3)-path
 
 ``toggle`` is the single-toggle API, and promotion and dual promotion are its
 products; evacuation and dual evacuation run on one up-step mask instead.
+Both toggle kernels build their images unchecked
+(``RationalDyckPath._caller_checked``): the swap test each makes is the
+constructor's bound for the one step it moves, and the rest of the path is
+the argument's, validated when that was built.  The matching formulas
+build validated paths.
 """
 
 from __future__ import annotations
@@ -23,6 +28,12 @@ def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
     Moving an up step earlier always keeps a path; moving one later keeps a
     path iff it stays within its step bound.  Returns ``p`` itself when
     nothing swaps.
+
+    Lemma: the image passes the constructor.  One up step moves, between
+    positions i and i+1 of [1, (a+b)n], and the other letter there is a
+    right step, so the steps keep their number and strict order.  An up
+    step moved left only lowers its position; the (j+1)-th moved right to
+    i+1 is tested against step_bound(j+1) here.
     """
     s = p.slope
     if not 1 <= i <= s.total_steps - 1:
@@ -37,8 +48,8 @@ def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
     if up_here:
         if i + 1 > s.step_bound(j + 1):
             return p
-        return RationalDyckPath(s, steps[:j] + (i + 1,) + steps[j + 1 :])
-    return RationalDyckPath(s, steps[:j] + (i,) + steps[j + 1 :])
+        return RationalDyckPath._caller_checked(s, steps[:j] + (i + 1,) + steps[j + 1 :])
+    return RationalDyckPath._caller_checked(s, steps[:j] + (i,) + steps[j + 1 :])
 
 
 @memo_image
@@ -59,7 +70,13 @@ def _toggle_runs(p: RationalDyckPath, runs) -> RationalDyckPath:
     """Apply t_i for i in each run in turn (a range of step 1 or -1) to one
     up-step mask of ``p``, then build one path.  The swaps are ``toggle``'s:
     an up step moves left always, and the (j+1)-th moves right iff
-    a(i-j) <= bj, where j (the up steps before i) is kept as i moves."""
+    a(i-j) <= bj, where j (the up steps before i) is kept as i moves.
+
+    Lemma: the image passes the constructor.  Every run lies in
+    [1, (a+b)n - 1], so swaps keep the a*n up steps inside [1, (a+b)n], and
+    read off a mask they are strictly increasing.  An up step moved left
+    only lowers its position; the (j+1)-th moves right to i+1 only if
+    a(i-j) <= bj, i.e. i+1 <= step_bound(j+1)."""
     a, b = p.slope.a, p.slope.b
     up = [False] * (p.slope.total_steps + 1)  # up[i]: position i holds an up step
     for u in p.steps:
@@ -71,7 +88,7 @@ def _toggle_runs(p: RationalDyckPath, runs) -> RationalDyckPath:
             if up[i] != up[i + 1] and (up[i + 1] or a * (i - j) <= b * j):
                 up[i], up[i + 1] = up[i + 1], up[i]
             j += up[i] if ascending else -up[i - 1]
-    return RationalDyckPath(p.slope, tuple(i for i, x in enumerate(up) if x))
+    return RationalDyckPath._caller_checked(p.slope, tuple(i for i, x in enumerate(up) if x))
 
 
 @memo_image

@@ -92,13 +92,14 @@ _register_path_maps()
 
 
 def resolve_path_map(name: str, slope: Slope) -> PathMap:
-    if name.startswith("toggle:"):
-        i = int(name.split(":", 1)[1])
-        fn = lambda p: pr.toggle(i, p)
-        return PathMap(name, fn, fn)
-    if name.startswith("rank-toggle:"):
-        r = int(name.split(":", 1)[1])
-        fn = lambda p: rw.rank_toggle(r, p)
+    kind, colon, index = name.partition(":")
+    if colon and kind in ("toggle", "rank-toggle"):
+        try:
+            i = int(index)
+        except ValueError:
+            raise ValueError(f"map {name!r} needs an integer index, got {index!r}") from None
+        kernel = pr.toggle if kind == "toggle" else rw.rank_toggle
+        fn = lambda p: kernel(i, p)
         return PathMap(name, fn, fn)
     try:
         m = PATH_MAPS[name]

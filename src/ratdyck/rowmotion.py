@@ -14,7 +14,10 @@ one descending window over all ranks, its inverse one ascending window,
 rowvacuation the descending windows [m, R_max] for m from the lowest rank
 up, and dual rowvacuation the ascending windows [R_min, t] for t from R_max
 down.  By the lemma below a window is one pass over the rows, so a sweep
-costs O(an) and a rowvacuation O(an) per rank.
+costs O(an) and a rowvacuation O(an) per rank.  The sweep builds its image
+unchecked (``RationalDyckPath._caller_checked``): its writes keep the rows
+weakly decreasing inside the region, which is all the constructor checks
+(see ``_sweep``).  The structural oracle builds a validated path.
 
 Let r be the length of row i, cap its length in the full region and
 A = R_max - (i-1) - r the rank of its addable cell (column r+1).  Its last
@@ -131,14 +134,21 @@ def _sweep(p: RationalDyckPath, region: BoxRegion, windows, descending: bool) ->
     """Toggle the ranks of each window [m, h] in turn, from h down to m if
     ``descending``, else from m up to h: one pass over the rows per window,
     by the lemma in the module docstring.  ``p`` itself comes back when no
-    row changes."""
+    row changes.
+
+    Lemma: the image passes the constructor.  Each write clamps row i
+    between the row below and the row above (new or old, as the branch
+    reads them) and keeps it at most its cap; a row shrinks only to the
+    row below and grows only up to the row above, so the rows stay weakly
+    decreasing in [0, cap].  Such rows are the steps u_j = r_(an+1-j) + j
+    of a path: strictly increasing from 1, each within step_bound(j),
+    since the cap of row an+1-j is floor((j-1)b/a)."""
     caps = region.row_lengths
     an = len(caps)
     # rows[1..an] are the Young rows; rows[0] is a full row above the first
     # and rows[an + 1] an empty row below the last
     rows = [caps[0], *young_rows(p), 0]
     base = region.max_rank + 1  # the addable cell of row i has rank base - i - rows[i]
-    changed = False
     for m, h in windows:
         # below row base - m + 1 every addable cell has rank under m - 1
         last = min(an, base - m + 1)
@@ -149,10 +159,8 @@ def _sweep(p: RationalDyckPath, region: BoxRegion, windows, descending: bool) ->
                 a = base - i - r
                 if m <= a + 1 <= h and rows[i + 1] < r:
                     rows[i] = r - 1
-                    changed = True
                 elif m <= a <= h and r < caps[i - 1] and r < rows[i - 1]:
                     rows[i] = min(caps[i - 1], rows[i - 1], r + a - m + 1)
-                    changed = True
         else:
             # rows[i + 1] is already new, rows[i - 1] still old
             for i in range(last, 0, -1):
@@ -160,11 +168,10 @@ def _sweep(p: RationalDyckPath, region: BoxRegion, windows, descending: bool) ->
                 a = base - i - r
                 if m <= a <= h and r < caps[i - 1] and r < rows[i - 1]:
                     rows[i] = r + 1
-                    changed = True
                 elif m <= a + 1 <= h and rows[i + 1] < r:
                     rows[i] = max(rows[i + 1], r - (h - a))
-                    changed = True
-    return path_from_young_rows(p.slope, rows[1:-1]) if changed else p
+    steps = tuple(r + j for j, r in enumerate(rows[an:0:-1], start=1))
+    return p if steps == p.steps else RationalDyckPath._caller_checked(p.slope, steps)
 
 
 def rank_toggle(r: int, p: RationalDyckPath) -> RationalDyckPath:

@@ -2,7 +2,8 @@
 
 Each reference is the direct form of the kernel's definition: build the
 swapped path and see whether it is valid, evacuate by one toggle call (and
-one validated path) per factor, search window lengths one by one,
+one validated path) per factor, route unchecked images through the
+validating constructor, search window lengths one by one,
 intersect the slope line with the path in rationals, walk forward from
 each up step to its line's first return, read the dual matching off the
 transposed path, sum Bizley's formula over partitions, grow and scan the
@@ -31,6 +32,7 @@ from fractions import Fraction
 import pytest
 
 from ratdyck import matching_map, registry
+from ratdyck import rowmotion as rowmotion_module
 from ratdyck.cli import main
 from ratdyck.matching_map import (
     _cyclic_prefix,
@@ -96,6 +98,16 @@ from ratdyck.promotion import (
     evacuation,
     promotion,
     toggle,
+)
+from ratdyck.rowmotion import (
+    BoxRegion,
+    box_region,
+    dual_rowvacuation,
+    partial_rowvacuation,
+    rank_toggle,
+    rowmotion,
+    rowmotion_inverse,
+    rowvacuation,
 )
 
 SLOPES = [(1, 1, 6), (1, 2, 4), (2, 3, 3), (3, 2, 3), (3, 5, 2), (5, 3, 2)]
@@ -204,6 +216,69 @@ def test_toggle_evacuations_on_random_paths(a, b, n):
         assert evacuation(p) == evacuation_reference(p)
         assert dual_evacuation(p) == dual_evacuation_reference(p)
         assert_mask_kernel(p)
+
+
+def unchecked_images(p):
+    """Every image of ``p`` that a kernel builds unchecked: each toggle, the
+    toggle products, the row sweeps and each rank toggle."""
+    region = box_region(p.slope)
+    maps = [promotion, dual_promotion, evacuation, dual_evacuation, rowmotion,
+            rowmotion_inverse, rowvacuation, dual_rowvacuation, partial_rowvacuation]
+    return ([toggle(i, p) for i in range(1, p.slope.total_steps)]
+            + [f(p) for f in maps]
+            + [rank_toggle(r, p) for r in range(region.min_rank, region.max_rank + 1)])
+
+
+def routed_images(paths, monkeypatch):
+    """``unchecked_images`` with every image routed through the validating
+    constructor, which raises on an invalid one."""
+    with monkeypatch.context() as patched:
+        patched.setattr(RationalDyckPath, "_caller_checked", RationalDyckPath)
+        return [unchecked_images(p) for p in paths]
+
+
+def routed_paths(a, b, n, uniform):
+    slope = Slope(a, b, n)
+    if not uniform:
+        return enumerate_paths(slope)
+    rng = random.Random(a * 1000 + b * 100 + n)
+    return [uniform_path(slope, rng) for _ in range(uniform)]
+
+
+@pytest.mark.parametrize("a,b,n,uniform", [
+    *((a, b, n, 0) for a, b, n in registry.DEFAULT_DOMAINS),
+    (1, 1, 9, 0), (1, 2, 6, 0), (1, 1, 200, 3), (3, 5, 20, 5),
+])
+def test_unchecked_images_pass_the_constructor(a, b, n, uniform, monkeypatch):
+    paths = routed_paths(a, b, n, uniform)
+    assert routed_images(paths, monkeypatch) == [unchecked_images(p) for p in paths]
+
+
+def loose_step_bound(slope, j):
+    return (j - 1) * slope.b // slope.a + j + 1
+
+
+def loose_region(slope):
+    region = BoxRegion(slope)
+    object.__setattr__(region, "row_lengths", tuple(cap + 1 for cap in region.row_lengths))
+    return region
+
+
+@pytest.mark.parametrize("target,name,broken", [
+    (Slope, "step_bound", loose_step_bound),
+    (rowmotion_module, "box_region", loose_region),
+])
+def test_routed_images_catch_a_loose_kernel_bound(target, name, broken, monkeypatch):
+    # toggle reads step_bound, which the constructor inlines, and the sweep
+    # clamps by the region's caps: either one too loose builds paths that
+    # only the routed run refuses (the constructor's message looks for the
+    # step past the loosened bound, finds none and stops iterating)
+    paths = [*enumerate_paths(Slope(1, 1, 6)), *enumerate_paths(Slope(1, 2, 4))]
+    monkeypatch.setattr(target, name, broken)
+    for p in paths:
+        unchecked_images(p)
+    with pytest.raises((ValueError, StopIteration)):
+        routed_images(paths, monkeypatch)
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)

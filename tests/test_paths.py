@@ -1,8 +1,11 @@
+import ast
 import itertools
+import pathlib
 import pickle
 
 import pytest
 
+import ratdyck
 from ratdyck.paths import (
     RationalDyckPath,
     Slope,
@@ -206,3 +209,37 @@ def test_cached_hash_changes_no_value_repr_or_pickle():
     q = pickle.loads(fresh)
     assert q == p and hash(q) == hash(p)
     assert repr(q) == "RationalDyckPath(slope=Slope(a=2, b=3, n=2), steps=(1, 2, 5, 7))"
+
+
+# the kernels whose docstrings prove their images valid: each may build them
+# unchecked, and nothing else may
+CALLER_CHECKED = {("promotion.py", "toggle"), ("promotion.py", "_toggle_runs"),
+                  ("rowmotion.py", "_sweep")}
+
+
+def unchecked_uses(tree):
+    return {id(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_caller_checked"}
+
+
+def test_only_the_proven_kernels_build_unchecked_paths():
+    callers = set()
+    for f in pathlib.Path(ratdyck.__file__).parent.rglob("*.py"):
+        tree = ast.parse(f.read_text())
+        inside = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and unchecked_uses(fn):
+                callers.add((f.name, fn.name))
+                inside |= unchecked_uses(fn)
+        assert inside == unchecked_uses(tree), f"{f.name} uses it outside a function"
+    assert callers == CALLER_CHECKED
+
+
+def test_an_unchecked_path_is_validated_when_unpickled():
+    slope = Slope(1, 1, 2)
+    p = RationalDyckPath._caller_checked(slope, (1, 3))
+    assert p == path_from_steps(slope, [1, 3]) and hash(p) == hash(path_from_steps(slope, [1, 3]))
+    assert pickle.loads(pickle.dumps(p)) == p
+    bad = RationalDyckPath._caller_checked(slope, (3, 4))
+    with pytest.raises(ValueError, match="step 1 at position 3 exceeds bound 1"):
+        pickle.loads(pickle.dumps(bad))

@@ -464,10 +464,21 @@ def test_cli_empty_block_in_matching(capsys, literal, message):
      "permutation of length 3 needs slope (1,1) n=3, got (1,1) n=5"),
     (("convert", "--a", "1", "--b", "2", "--n", "3", "--perm", "2,1,3", "--to", "path"),
      "permutation of length 3 needs slope (1,1) n=3, got (1,2) n=3"),
+    (("apply", "--map", "toggle:abc", "--a", "1", "--b", "1", "--n", "3", "--path", "1,2,4"),
+     "map 'toggle:abc' needs an integer index, got 'abc'"),
+    (("apply", "--map", "toggle:", "--a", "1", "--b", "1", "--n", "3", "--path", "1,2,4"),
+     "map 'toggle:' needs an integer index, got ''"),
+    (("apply", "--map", "rank-toggle:", "--a", "1", "--b", "1", "--n", "3", "--path", "1,2,4"),
+     "map 'rank-toggle:' needs an integer index, got ''"),
+    (("orbit", "--map", "toggle:abc", "--a", "1", "--b", "1", "--n", "3"),
+     "map 'toggle:abc' needs an integer index, got 'abc'"),
+    (("orbit", "--map", "rank-toggle:x", "--a", "1", "--b", "1", "--n", "3"),
+     "map 'rank-toggle:x' needs an integer index, got 'x'"),
 ])
 def test_cli_input_must_match_the_slope(capsys, argv, message):
     # a chain or permutation read against other slope flags used to convert
-    # to the path of its own slope and exit 0
+    # to the path of its own slope and exit 0; a toggle index that is no
+    # integer used to print int()'s own message
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}"
