@@ -165,7 +165,8 @@ class RationalDyckPath(Value):
         if len(steps) != slope.up_count:
             raise ValueError(f"expected {slope.up_count} up steps, got {len(steps)}")
         # The step bound alone decides validity: the step-bound-geometry
-        # identity checks it against the line y = ax/b (word_above_line).
+        # identity checks this constructor against the line y = ax/b
+        # (word_above_line).
         # One pass with the bound inlined; _step_error names the first rule
         # broken, in a fixed order, only when this pass fails.
         a, b = slope.a, slope.b
@@ -226,12 +227,18 @@ class RationalDyckPath(Value):
 
 
 def _step_error(s: Slope, steps: tuple[int, ...]) -> str:
-    """The message for a step sequence of the right length that is invalid."""
+    """The message for a step sequence of the right length that is invalid.
+    Raises ``InvariantError`` if ``Slope.step_bound`` allows every step,
+    since then the constructor's inline bound disagrees with it."""
     if any(y <= x for x, y in zip(steps, steps[1:])):
         return f"step sequence must be strictly increasing: {steps}"
     if steps[0] < 1 or steps[-1] > s.total_steps:
         return f"step positions must lie in [1,{s.total_steps}]: {steps}"
-    j, u = next((j, u) for j, u in enumerate(steps, start=1) if u > s.step_bound(j))
+    bad = next(((j, u) for j, u in enumerate(steps, start=1) if u > s.step_bound(j)), None)
+    if bad is None:
+        raise InvariantError(f"the constructor's inline step bound refuses {steps}, "
+                             "which Slope.step_bound allows")
+    j, u = bad
     return f"step {j} at position {u} exceeds bound {s.step_bound(j)}"
 
 
@@ -304,23 +311,10 @@ def iterate(fn: Callable, inverse: Callable | None, x, power: int):
     return x
 
 
-def _is_word(slope: Slope, steps: tuple[int, ...]) -> bool:
-    """Right length, strictly increasing and inside [1, (a+b)n]."""
-    if len(steps) != slope.up_count or any(y <= x for x, y in zip(steps, steps[1:])):
-        return False
-    return not steps or (steps[0] >= 1 and steps[-1] <= slope.total_steps)
-
-
-def steps_within_bound(slope: Slope, steps: tuple[int, ...]) -> bool:
-    """The arithmetic bound u_j <= floor((j-1)b/a) + j, without geometry."""
-    return _is_word(slope, steps) and all(
-        u <= slope.step_bound(j) for j, u in enumerate(steps, start=1))
-
-
 def word_above_line(slope: Slope, steps: tuple[int, ...]) -> bool:
-    """The geometric condition alone, on an arbitrary step set."""
-    if not _is_word(slope, steps):
-        return False
+    """The geometric condition alone, on any word of the slope: a*n
+    ascending up-step positions in [1, (a+b)n], as `enumerate_words`
+    yields them."""
     x = y = 0
     up = set(steps)
     for i in range(1, slope.total_steps + 1):

@@ -238,7 +238,12 @@ def _word_count(s: Slope) -> int:
 def _bound_check(s: Slope) -> tuple[int, list[str]]:
     bad = []
     for word in pa.enumerate_words(s):
-        if pa.steps_within_bound(s, word) != pa.word_above_line(s, word):
+        try:
+            pa.RationalDyckPath(s, word)
+            accepted = True
+        except ValueError:
+            accepted = False
+        if accepted != pa.word_above_line(s, word):
             bad.append(str(word))
             if len(bad) >= 10:
                 break

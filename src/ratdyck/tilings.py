@@ -8,13 +8,15 @@ can still be repaid further along; each line is then cut greedily into the
 longest complete ribbons.  Each line is the rim of the cells still free,
 so a list of row lengths is all the state it needs, and the line itself is
 a list of run lengths: its rights in the start row, then the rights in each
-row it climbs into (`_line_runs`).  The greedy cut is read off the runs
-once, one entry per ribbon (`_cut`): `max_tiling` spells its tiles out as
-cells, and `kappa` counts them with no cell built.  Tiles are removed
-lowest-first (leftmost on ties), which is the lines from the bottom start
-row up, each from its last tile to its first (`max_tiling`).  Each removal
-contributes the transposition (south-most step index, rightmost step
-index) read on the current lower boundary.
+row it climbs into.  Its debt is a running sum of k less each row's run,
+clipped at zero, so the line stops where that sum is last least
+(`_line_runs`).  `max_tiling` reads the greedy cut off the runs, one entry
+per ribbon (`_cut`), and spells its tiles out as cells; `kappa` counts the
+tiles from the runs alone, since every up step lies inside a ribbon.
+Tiles are removed lowest-first (leftmost on ties), which is the lines from
+the bottom start row up, each from its last tile to its first
+(`max_tiling`).  Each removal contributes the transposition (south-most
+step index, rightmost step index) read on the current lower boundary.
 """
 
 from __future__ import annotations
@@ -82,42 +84,44 @@ def _line_runs(p: RationalDyckPath) -> list[list[int]]:
     diagram with no cell below row i: each earlier line took its whole start
     row and, in every row it climbed into, a right end.  So line i runs row i
     to its end, and the cell above is free there because rows weakly
-    decrease.  In each row it climbs into, it enters at the end of the row
-    below and runs to the row's end, which leaves that row one cell shorter
-    than the row below was: rows still weakly decrease.  The row lengths are
-    therefore the whole state, and the lookahead pays a row's rights off
-    against the debt at once, adding k at each row end it climbs.
+    decrease.  In each row r it climbs into, it enters at the end of the row
+    below and runs to the row's end, ``rows[r - 1] - rows[r]`` rights, which
+    leaves that row one cell shorter than the row below was: rows still
+    weakly decrease.  The row lengths are therefore the whole state.
 
-    The lookahead climbs at every row end, as the line does while it owes.
-    So the line follows the lookahead that allowed its last climb from zero
-    debt until that debt is repaid, and a climb with debt still owed needs
-    no lookahead of its own.
+    Last-minimum lemma: put x_t = k - (the run in row i - t), the debt a
+    climb into the t-th row above opens less the rights it pays there, and
+    S_t = x_1 + ... + x_t with S_0 = 0.  Line i climbs exactly m rows, m the
+    last index in 0..i-1 at which S is least.
+
+    - The debt after t climbs (k opened per climb, one repaid per right
+      step, never below 0) is the Lindley recursion
+      d_t = max(d_{t-1} + x_t, 0), d_0 = 0, which is S_t - min_{s<=t} S_s.
+    - A line that owes climbs.  From zero debt at t it climbs only if the
+      lookahead repays: a climb's debt k, then a climb at every row end
+      while it owes, so its debt after t' climbs is S_t' - S_t.  That is
+      exactly when some later S_t' is at most S_t.
+    - Zero debt at t means S_t is the least of S_0..S_t.  So the line stops
+      at the first t where S_t is least so far and below every later S: at
+      the last least S.  Row 1 has no row above, and m <= i - 1.
     """
     k = _require_unit_a(p)
     n = p.slope.n
     rows = list(young_rows(p))  # free cells per row, rows[r - 1] for row r
 
-    def repayable(r: int, c: int) -> bool:
-        debt = k
-        while rows[r - 1] - c < debt:
-            if r == 1:
-                return False
-            debt += k - (rows[r - 1] - c)
-            c = rows[r - 1]
-            r -= 1
-        return True
-
     lines: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(n, 0, -1):
-        r, c, debt = i, 1, 0
-        while rows[r - 1] >= c:
-            end = rows[r - 1]
-            lines[i].append(end - c)
-            rows[r - 1] = c - 1
-            debt = max(debt - (end - c), 0)
-            if r == 1 or not (debt or repayable(r - 1, end)):
-                break
-            r, c, debt = r - 1, end, debt + k
+        if not rows[i - 1]:
+            continue
+        s = low = 0
+        top = i  # row i - m, the row the line ends in
+        for r in range(i - 1, 0, -1):
+            s += k - (rows[r - 1] - rows[r])
+            if s <= low:
+                low, top = s, r
+        lines[i] = [rows[i - 1] - 1] + [rows[r - 1] - rows[r] for r in range(i - 1, top - 1, -1)]
+        rows[top - 1 : i - 1] = [x - 1 for x in rows[top:i]]
+        rows[i - 1] = 0
     return lines
 
 
@@ -174,8 +178,9 @@ def max_tiling(p: RationalDyckPath) -> Tiling:
     row up, each line's tiles from the last cut to the first:
 
     - Two tiles of one line meet at a right step.  After an up step the
-      line's debt is at least k > 0, and by the lookahead of `_line_runs`
-      the line repays it at a later right step.  The running balance
+      line's debt is at least k > 0, and by the last-minimum lemma of
+      `_line_runs` it is 0 again where the line ends, so the line repays it
+      at a later right step.  The running balance
       k*ups - rights of the tile being cut is at most that debt, and it
       falls by one per right step, so it reaches 0 again by then without
       going negative; a cut that stopped just before an up step would not
@@ -248,17 +253,16 @@ def dt_map(p: RationalDyckPath) -> Permutation321:
 
 @memo_image
 def kappa(p: RationalDyckPath) -> tuple[int, ...]:
-    """Tile counts of the history lines, top line first, counted on the
-    ribbons of ``_cut``."""
+    """Tile counts of the history lines, top line first.
+
+    A line of ``runs`` has u = len(runs) - 1 up steps and sum(runs) + u + 1
+    cells, and every up step lies inside a ribbon (the first bullet of
+    `max_tiling`).  A ribbon with v ups has (k + 1)v + 1 cells, so the line
+    has sum(runs) - k*u + 1 tiles: rows[i - 1] - min S in the terms of
+    `_line_runs`, with the rows as line i starts."""
     k = p.slope.b
-    counts = []
-    for runs in _line_runs(p)[1:]:
-        tiles = 0
-        if runs:  # half the lines or so have no cell
-            for t, j, _, _ in _cut(runs, k):
-                tiles += runs[t] - j + 1
-        counts.append(tiles)
-    return tuple(counts)
+    return tuple(
+        sum(runs) - k * (len(runs) - 1) + 1 if runs else 0 for runs in _line_runs(p)[1:])
 
 
 def kappa_by_transpositions(p: RationalDyckPath) -> tuple[int, ...]:

@@ -271,13 +271,13 @@ def loose_region(slope):
 def test_routed_images_catch_a_loose_kernel_bound(target, name, broken, monkeypatch):
     # toggle reads step_bound, which the constructor inlines, and the sweep
     # clamps by the region's caps: either one too loose builds paths that
-    # only the routed run refuses (the constructor's message looks for the
-    # step past the loosened bound, finds none and stops iterating)
+    # only the routed run refuses (with step_bound loosened, the constructor
+    # finds no step past it and reports the two bounds disagreeing)
     paths = [*enumerate_paths(Slope(1, 1, 6)), *enumerate_paths(Slope(1, 2, 4))]
     monkeypatch.setattr(target, name, broken)
     for p in paths:
         unchecked_images(p)
-    with pytest.raises((ValueError, StopIteration)):
+    with pytest.raises((ValueError, InvariantError)):
         routed_images(paths, monkeypatch)
 
 

@@ -22,7 +22,6 @@ from ratdyck.paths import (
     region_rows,
     star,
     star_path,
-    steps_within_bound,
     to_tableau,
     top_path,
     word_above_line,
@@ -189,9 +188,15 @@ def test_is_prime_examples():
 
 @pytest.mark.parametrize("a,b,n", [(1, 1, 3), (1, 2, 2), (2, 3, 1), (2, 1, 2), (3, 2, 1)])
 def test_step_bound_equals_geometry(a, b, n):
+    # the constructor's own verdict, not a copy of its bound
     slope = Slope(a, b, n)
     for word in enumerate_words(slope):
-        assert steps_within_bound(slope, word) == word_above_line(slope, word)
+        try:
+            RationalDyckPath(slope, word)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == word_above_line(slope, word), word
 
 
 def test_word_roundtrip():

@@ -21,6 +21,7 @@ from ratdyck.tilings import (
     _apply_transpositions,
     _cut,
     _line_runs,
+    _require_unit_a,
     dt_map,
     is_cover_inclusive,
     is_maximal,
@@ -174,6 +175,38 @@ def threads_reference(p):
     return threads
 
 
+def line_runs_reference(p):
+    """The history lines as run lengths, by the debt walk: each line pays
+    its runs off against its debt, and from zero debt climbs only if a
+    lookahead along the rows above repays a fresh climb's debt."""
+    k = _require_unit_a(p)
+    n = p.slope.n
+    rows = list(young_rows(p))  # free cells per row, rows[r - 1] for row r
+
+    def repayable(r: int, c: int) -> bool:
+        debt = k
+        while rows[r - 1] - c < debt:
+            if r == 1:
+                return False
+            debt += k - (rows[r - 1] - c)
+            c = rows[r - 1]
+            r -= 1
+        return True
+
+    lines: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(n, 0, -1):
+        r, c, debt = i, 1, 0
+        while rows[r - 1] >= c:
+            end = rows[r - 1]
+            lines[i].append(end - c)
+            rows[r - 1] = c - 1
+            debt = max(debt - (end - c), 0)
+            if r == 1 or not (debt or repayable(r - 1, end)):
+                break
+            r, c, debt = r - 1, end, debt + k
+    return lines
+
+
 def removable_reference(rows, tile):
     """The tile is the right end of each row it meets, and removing it
     leaves the rows weakly decreasing."""
@@ -268,6 +301,18 @@ def test_tilings_match_the_worded_construction():
         assert _apply_transpositions(p) == apply_transpositions_reference(p, reference)
 
 
+def test_lines_stop_at_the_last_least_sum():
+    # the closed rule of ``_line_runs`` against the debt walk it replaced
+    paths = [
+        *(p for k, n in [(1, 9), (2, 6), (3, 5), (5, 3)]
+          for p in enumerate_paths(Slope(1, k, n))),
+        *uniform_paths_up_to(1, 1, 800, per_size=1),
+        *uniform_paths_up_to(1, 3, 100, per_size=4),
+    ]
+    for p in paths:
+        assert _line_runs(p) == line_runs_reference(p), p
+
+
 def kappa_by_cut_threads(p, threads):
     """Cut every history line into tiles and count them."""
     return tuple(len(cut_reference(threads[i], p.slope.b)) for i in range(1, p.slope.n + 1))
@@ -280,10 +325,10 @@ def test_kappa_counts_the_cut_on_every_path(k, n):
 
 
 def test_kappa_counts_the_cut_on_uniform_paths():
-    # the lines walked cell by cell would take seconds at this size; the
-    # test above and the worded construction check ``_line_runs`` against them
+    # the lines walked cell by cell would take seconds at this size, so they
+    # come from the debt walk, which shares no code with ``_line_runs``
     for p in uniform_paths_up_to(1, 1, 200, per_size=8):
-        threads = [cells_of_runs(runs) for runs in _line_runs(p)]
+        threads = [cells_of_runs(runs) for runs in line_runs_reference(p)]
         assert kappa(p) == kappa_by_cut_threads(p, threads), p
 
 
@@ -291,7 +336,7 @@ def test_kappa_counts_the_cut_on_uniform_paths():
 def test_max_tiling_is_the_cut_on_uniform_paths(k, nmax):
     # the lines bottom-up, each cut cell by cell and read from its last tile
     for p in uniform_paths_up_to(1, k, nmax, per_size=4):
-        lines = _line_runs(p)
+        lines = line_runs_reference(p)
         tiles = [
             tile
             for i in range(p.slope.n, 0, -1)
