@@ -11,12 +11,17 @@ with a stack of open up steps builds every block at once, in O((a+b)n)
 the path itself, with the roles of up and right steps exchanged (``dpm``).
 
 A matching is a ``NonCrossingPartition`` of [1, (a+b)n]: it shares the
-partition's validation (``noncrossing.broken_block_rule``), canonical
-constructor and relabelling, and keeps only its own text form and
-messages.
+partition's canonical constructor, unchecked builder and dihedral
+relabelling, and keeps only its own text form and messages.  Parsed,
+constructed and unpickled matchings are validated as partitions are
+(``noncrossing.broken_block_rule``); ``pm``, ``dpm``, ``bar`` and ``rotate``
+build theirs unchecked, by the lemma of ``_scan_blocks`` and of
+``NonCrossingPartition._relabel``.
 """
 
 from __future__ import annotations
+
+import re
 
 from .noncrossing import NonCrossingPartition
 from .paths import InvariantError, RationalDyckPath, Slope, memo_image
@@ -51,19 +56,16 @@ canonical_matching = PerfectMatching.canonical
 
 def parse_matching(text: str, ground: int) -> PerfectMatching:
     text = text.replace(" ", "")
-    if not (text.startswith("{") and text.endswith("}")):
+    if not re.fullmatch(r"\{[\d,]*\}(,\{[\d,]*\})*", text):
         raise ValueError(f"bad matching literal: {text!r}")
-    blocks = [
-        tuple(int(x) for x in part.split(",") if x)
-        for part in text[1:-1].split("},{")
-    ]
+    blocks = [tuple(int(x) for x in part.split(",") if x) for part in text[1:-1].split("},{")]
     return canonical_matching(ground, blocks)
 
 
-def _scan_blocks(p: RationalDyckPath, dual: bool) -> list[list[int]]:
+def _scan_blocks(p: RationalDyckPath, dual: bool) -> tuple[tuple[int, ...], ...]:
     """The blocks of the slope-line matching of ``p``, or with ``dual`` of
-    the matching of its transposed path read back on ``p``, in the order
-    their first steps are scanned, each in scan order.
+    the matching of its transposed path read back on ``p``, each ascending
+    and ordered by minimum.
 
     Walking on from the m-th up step u, the level H = b*y - a*x relative to
     its base H(u-1) starts at b, rises by b per up step and falls by a per
@@ -93,6 +95,15 @@ def _scan_blocks(p: RationalDyckPath, dual: bool) -> list[list[int]]:
     ``p`` from the last step to the first: a right step opens a window and
     rises by a, and an up step falls by b and is taken when d >= b.  A
     closing step left over with the stack empty breaks the construction.
+    The dual scan's blocks come descending, in order of maximum; reversed,
+    and sorted once by minimum, they are in the matching's order.
+
+    Lemma (the blocks need no check): every position either opens a block
+    or is taken by the top window, and otherwise the scan raises
+    ``InvariantError``, so the blocks partition [1, (a+b)n].  Blocks open in
+    scan order, and each grows in scan order.  A block grows only while its
+    window is on top of the stack and never after it is popped: windows
+    close innermost first, so no two blocks cross, read in either direction.
     """
     s = p.slope
     total = s.total_steps
@@ -125,14 +136,14 @@ def _scan_blocks(p: RationalDyckPath, dual: bool) -> list[list[int]]:
         else:
             raise InvariantError(f"step {k} of {p.steps} lies in no window")
         level -= fall
-    return blocks
+    return tuple(sorted(tuple(b[::-1]) for b in blocks)) if dual else tuple(map(tuple, blocks))
 
 
 @memo_image
 def pm(p: RationalDyckPath) -> PerfectMatching:
-    """The slope-line matching of a path (see ``_scan_blocks``); the blocks
-    come ascending, in order of minimum."""
-    return PerfectMatching(p.slope.total_steps, tuple(map(tuple, _scan_blocks(p, False))))
+    """The slope-line matching of a path, built unchecked by the lemma of
+    ``_scan_blocks``."""
+    return PerfectMatching._caller_checked(p.slope.total_steps, _scan_blocks(p, False))
 
 
 def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:
@@ -146,18 +157,17 @@ def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:
 
 def bar(m: PerfectMatching) -> PerfectMatching:
     """Relabel i -> ground+1-i; an involution preserving non-crossingness."""
-    return m.relabel(lambda x: m.n + 1 - x)
+    return m._relabel(lambda x: m.n + 1 - x)
 
 
 def rotate(m: PerfectMatching) -> PerfectMatching:
     """Shift every element down by one cyclically (1 -> ground)."""
-    return m.relabel(lambda x: (x - 2) % m.n + 1)
+    return m._relabel(lambda x: (x - 2) % m.n + 1)
 
 
 @memo_image
 def dpm(p: RationalDyckPath) -> PerfectMatching:
     """The dual matching, ``bar(pm(star_path(p)))``, scanned on ``p`` itself
-    (see ``_scan_blocks``).  Each block comes descending; reversed, and the
-    blocks sorted once by minimum, they make the matching, validated once."""
-    blocks = sorted(tuple(b[::-1]) for b in _scan_blocks(p, True))
-    return PerfectMatching(p.slope.total_steps, tuple(blocks))
+    (see ``_scan_blocks``), built unchecked by the scan's lemma read right to
+    left."""
+    return PerfectMatching._caller_checked(p.slope.total_steps, _scan_blocks(p, True))

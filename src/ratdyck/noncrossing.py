@@ -15,12 +15,17 @@ cross, so each sub-block is contiguous among the elements placed so far,
 its splice lands where its chunks already are, and every chunk stays with
 its element.  One pass per layer costs O(kn) letters.
 
-Every partition, perfect matchings included (``matchings.PerfectMatching``
-is a subclass), is validated in full when built, by one linear pass
-(``broken_block_rule``): it checks that the blocks partition [1, n], are
-sorted and ordered by minimum, and do not cross, and reports the first rule
-broken.  The chain maps act layer by layer and share images inside an image
-scope; ``kre_inverse`` is ``kre`` after ``rot_inverse``, since kre² = rot.
+A partition, perfect matchings included (``matchings.PerfectMatching`` is
+a subclass), built by the constructor, ``canonical``, parsing or unpickling
+is validated in full, by one linear pass (``broken_block_rule``): it checks
+that the blocks partition [1, n], are sorted and ordered by minimum, and do
+not cross, and reports the first rule broken.  So are the images of the
+permutation products (``_partition``) and of the chain enumeration.  Only
+the builders valid by a lemma in their docstring skip it, through
+``_caller_checked``: the rotations and reflections (``_relabel``) and the
+matching scans ``matchings.pm`` and ``matchings.dpm``.  The chain maps act
+layer by layer and share images inside an image scope; ``kre_inverse`` is
+``kre`` after ``rot_inverse``, since kre² = rot.
 
 The other maps are products of permutations.  A partition x is the
 permutation sigma_x whose cycles are its blocks, each read in increasing
@@ -38,6 +43,7 @@ promotion.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -73,15 +79,30 @@ class NonCrossingPartition(Value):
         return hash((self.n, self.blocks))
 
     @classmethod
+    def _caller_checked(cls, n: int, blocks: tuple[tuple[int, ...], ...]):
+        """The partition with these blocks, which the caller has proven valid:
+        they partition [1, n], each sorted ascending, ordered by minimum and
+        not crossing."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "blocks", blocks)
+        return x
+
+    @classmethod
     def canonical(cls, n: int, blocks):
         """The partition of ``blocks`` given in any order, each in any order.
         An empty block sorts first and breaks the ordering rule."""
-        return cls(n, tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1])))
+        return cls(n, _sorted_blocks(blocks))
 
-    def relabel(self, f):
-        """The partition of the same kind with each element x renamed f(x);
-        ``f`` must permute [1, n]."""
-        return self.canonical(self.n, [[f(x) for x in b] for b in self.blocks])
+    def _relabel(self, f):
+        """The partition of the same kind with each element x renamed f(x),
+        for a rotation or reflection f of the n-gon, built unchecked.
+
+        Lemma: a dihedral symmetry of the n-gon permutes [1, n] and keeps
+        chords non-crossing (Kreweras 1972), so the renamed blocks partition
+        [1, n] and do not cross; sorting them as ``canonical`` does settles
+        the two order rules."""
+        return self._caller_checked(self.n, _sorted_blocks([f(x) for x in b] for b in self.blocks))
 
     def block_index(self) -> dict[int, int]:
         return {x: i for i, b in enumerate(self.blocks) for x in b}
@@ -147,10 +168,17 @@ def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
     return 0
 
 
+def _sorted_blocks(blocks) -> tuple[tuple[int, ...], ...]:
+    """Each block sorted, and the blocks ordered by minimum."""
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
+
+
 ncp = NonCrossingPartition.canonical
 
 
 def parse_ncp(text: str, n: int | None = None) -> NonCrossingPartition:
+    if not re.fullmatch(r"\d+(\.\d+)*(/\d+(\.\d+)*)*", text.strip()):
+        raise ValueError(f"bad partition literal: {text!r}")
     blocks = [tuple(int(x) for x in part.split(".")) for part in text.strip().split("/")]
     size = n if n is not None else max(x for b in blocks for x in b)
     return ncp(size, blocks)
@@ -314,12 +342,12 @@ def transport(f, p: RationalDyckPath) -> RationalDyckPath:
 
 @memo_image
 def rot_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    return p.relabel(lambda x: (x - 2) % p.n + 1)
+    return p._relabel(lambda x: (x - 2) % p.n + 1)
 
 
 @memo_image
 def ref_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    return p.relabel(lambda x: p.n + 1 - x)
+    return p._relabel(lambda x: p.n + 1 - x)
 
 
 def _perm(x: NonCrossingPartition) -> list[int]:
@@ -397,7 +425,7 @@ def rot(chain: NonCrossingChain) -> NonCrossingChain:
 @memo_image
 def rot_inverse(chain: NonCrossingChain) -> NonCrossingChain:
     n = chain.n
-    return _layerwise(chain, lambda p: p.relabel(lambda x: x % n + 1), reverse=False)
+    return _layerwise(chain, lambda p: p._relabel(lambda x: x % n + 1), reverse=False)
 
 
 @memo_image

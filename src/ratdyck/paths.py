@@ -11,11 +11,14 @@ All comparisons against the boundary line use exact integer
 cross-multiplication, and counting is exact integer arithmetic.
 
 A path is built either by its constructor, which validates the steps, or
-by ``RationalDyckPath._caller_checked``, which does not.  Parsing, the
-public constructors and every other map validate.  Only a kernel whose own
-runtime tests imply each condition of the constructor, stated as a lemma
-in its docstring, may build its images unchecked: the toggle kernels of
-``promotion`` and the row sweep of ``rowmotion``.
+by ``RationalDyckPath._caller_checked``, which does not; partitions and
+matchings likewise have ``NonCrossingPartition._caller_checked``.  Parsing,
+the public constructors, unpickling and every other map validate.  Only a
+kernel whose output is valid by how it is built, stated as a lemma in its
+docstring, may build it unchecked: ``enumerate_paths``, the toggle kernels
+of ``promotion`` and the row sweep of ``rowmotion`` for paths, and
+``matchings.pm``, ``matchings.dpm`` and the dihedral relabel
+``NonCrossingPartition._relabel`` for matchings and partitions.
 
 ``image_scope`` shares map images across a run: while one is open, every
 map decorated with ``memo_image`` computes its image of each argument once
@@ -147,12 +150,13 @@ class RationalDyckPath(Value):
     There are two ways to build one.  The constructor checks the steps in
     one pass and raises ``ValueError`` naming the first rule broken.
     ``_caller_checked`` sets the fields without a check, for a kernel whose
-    own runtime tests already imply every condition the constructor checks:
+    construction already implies every condition the constructor checks:
     the length a*n, strictly increasing steps in [1, (a+b)n], and each
     u_j <= step_bound(j).  A caller is added only with that implication
-    written as a lemma in its docstring; the allowed callers are listed in
-    the tests, and the images they build are checked against the
-    constructor there."""
+    written as a lemma in its docstring, and the same rule holds for
+    ``NonCrossingPartition._caller_checked``; the allowed callers of both
+    are listed in the tests, and the values they build are checked against
+    the constructors there."""
 
     __slots__ = ("slope", "steps", "_hash")  # _hash as on Slope
     slope: Slope
@@ -353,17 +357,21 @@ def lowest_path(slope: Slope) -> RationalDyckPath:
 
 
 def enumerate_paths(slope: Slope) -> list[RationalDyckPath]:
-    """All paths of the slope in lexicographic order on step sequences.
+    """All paths of the slope in lexicographic order on step sequences,
+    built unchecked.
+
+    Lemma: ``iter_step_sequences`` yields exactly a*n steps, each above the
+    one before it, from 1 up to ``step_bound(j)`` for the j-th, which is at
+    most (a+b)n; so every sequence passes the constructor.
 
     Inside an image scope, a new list of the scope's canonical paths."""
     scope = _images
-    if scope is None:
-        return [RationalDyckPath(slope, s) for s in _step_sequences(slope)]
-    paths = scope.enumerated.get(slope)
-    if paths is None:
-        paths = tuple(scope.intern(RationalDyckPath(slope, s)) for s in _step_sequences(slope))
-        scope.enumerated[slope] = paths
-    return list(paths)
+    if scope is not None and slope in scope.enumerated:
+        return list(scope.enumerated[slope])
+    paths = [RationalDyckPath._caller_checked(slope, s) for s in _step_sequences(slope)]
+    if scope is not None:
+        paths = list(scope.enumerated.setdefault(slope, tuple(map(scope.intern, paths))))
+    return paths
 
 
 def iter_step_sequences(slope: Slope) -> Iterator[tuple[int, ...]]:

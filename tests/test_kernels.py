@@ -2,8 +2,9 @@
 
 Each reference is the direct form of the kernel's definition: build the
 swapped path and see whether it is valid, evacuate by one toggle call (and
-one validated path) per factor, route unchecked images through the
-validating constructor, search window lengths one by one,
+one validated path) per factor, route unchecked paths, partitions and
+matchings through the validating constructors, search window lengths one
+by one,
 intersect the slope line with the path in rationals, walk forward from
 each up step to its line's first return, read the dual matching off the
 transposed path, sum Bizley's formula over partitions, grow and scan the
@@ -32,6 +33,8 @@ from fractions import Fraction
 import pytest
 
 from ratdyck import matching_map, registry
+from ratdyck import matchings as matchings_module
+from ratdyck import paths as paths_module
 from ratdyck import rowmotion as rowmotion_module
 from ratdyck.cli import main
 from ratdyck.matching_map import (
@@ -53,17 +56,22 @@ from ratdyck.matchings import (
     dpm,
     pm,
     pm_inverse,
+    rotate,
 )
 from ratdyck.noncrossing import (
     NonCrossingChain,
     NonCrossingPartition,
     broken_block_rule,
+    dyck_to_ncp,
     enumerate_chains,
     enumerate_ncps,
     kre,
     kre_inverse,
     ncp,
     ncp_to_dyck,
+    ref,
+    rot,
+    rot_inverse,
 )
 from ratdyck.paths import (
     InvariantError,
@@ -218,23 +226,45 @@ def test_toggle_evacuations_on_random_paths(a, b, n):
         assert_mask_kernel(p)
 
 
-def unchecked_images(p):
+def unchecked_images(p, chains=True):
     """Every image of ``p`` that a kernel builds unchecked: each toggle, the
-    toggle products, the row sweeps and each rank toggle."""
+    toggle products, the row sweeps, each rank toggle, both matchings with
+    the reflected and rotated matching, and, with ``chains``, both rotations
+    and the reflection of the chain of a (1,k) path."""
     region = box_region(p.slope)
     maps = [promotion, dual_promotion, evacuation, dual_evacuation, rowmotion,
             rowmotion_inverse, rowvacuation, dual_rowvacuation, partial_rowvacuation]
-    return ([toggle(i, p) for i in range(1, p.slope.total_steps)]
-            + [f(p) for f in maps]
-            + [rank_toggle(r, p) for r in range(region.min_rank, region.max_rank + 1)])
+    m = pm(p)
+    images = ([toggle(i, p) for i in range(1, p.slope.total_steps)]
+              + [f(p) for f in maps]
+              + [rank_toggle(r, p) for r in range(region.min_rank, region.max_rank + 1)]
+              + [m, dpm(p), bar(m), rotate(m)])
+    if chains and p.slope.a == 1:
+        chain = dyck_to_ncp(p)
+        images += [rot(chain), ref(chain), rot_inverse(chain)]
+    return images
 
 
-def routed_images(paths, monkeypatch):
-    """``unchecked_images`` with every image routed through the validating
-    constructor, which raises on an invalid one."""
+def routed(monkeypatch, fn, *args):
+    """``fn(*args)`` with every path, partition and matching that a kernel
+    builds unchecked routed through its validating constructor, which raises
+    on an invalid one."""
     with monkeypatch.context() as patched:
         patched.setattr(RationalDyckPath, "_caller_checked", RationalDyckPath)
-        return [unchecked_images(p) for p in paths]
+        patched.setattr(NonCrossingPartition, "_caller_checked",
+                        classmethod(lambda cls, n, blocks: cls(n, blocks)))
+        return fn(*args)
+
+
+def routed_images(paths, monkeypatch, chains=True):
+    return routed(monkeypatch, lambda: [unchecked_images(p, chains) for p in paths])
+
+
+def enumerated(slope):
+    """``enumerate_paths`` outside an image scope and inside one."""
+    with image_scope():
+        scoped = enumerate_paths(slope)
+    return [enumerate_paths(slope), scoped]
 
 
 def routed_paths(a, b, n, uniform):
@@ -250,8 +280,14 @@ def routed_paths(a, b, n, uniform):
     (1, 1, 9, 0), (1, 2, 6, 0), (1, 1, 200, 3), (3, 5, 20, 5),
 ])
 def test_unchecked_images_pass_the_constructor(a, b, n, uniform, monkeypatch):
+    # the enumeration is routed, and the chain maps run, only on domains
+    # small enough to enumerate: dyck_to_ncp reads the whole chain table
+    if not uniform:
+        slope = Slope(a, b, n)
+        assert routed(monkeypatch, enumerated, slope) == enumerated(slope)
     paths = routed_paths(a, b, n, uniform)
-    assert routed_images(paths, monkeypatch) == [unchecked_images(p) for p in paths]
+    chains = not uniform
+    assert routed_images(paths, monkeypatch, chains) == [unchecked_images(p, chains) for p in paths]
 
 
 def loose_step_bound(slope, j):
@@ -264,21 +300,59 @@ def loose_region(slope):
     return region
 
 
+def scan_giving_a_step_below_the_top(p, dual):
+    """``_scan_blocks`` with one right step of a nested block given to a
+    window below the top, one whose block encloses it."""
+    blocks = [list(b) for b in _scan_blocks(p, dual)]
+    for outer, inner in itertools.permutations(blocks, 2):
+        if len(inner) > 2 and outer[0] < inner[0] and inner[-1] < outer[-1]:
+            outer.append(inner.pop(1))
+            outer.sort()
+            break
+    return tuple(map(tuple, blocks))
+
+
+RELABEL = NonCrossingPartition._relabel
+
+
+def relabel_with_a_transposition(self, f):
+    """``_relabel`` with 2 and 3 exchanged after ``f``: no dihedral map."""
+    swap = {2: 3, 3: 2}
+    return RELABEL(self, lambda x: swap.get(f(x), f(x)))
+
+
 @pytest.mark.parametrize("target,name,broken", [
     (Slope, "step_bound", loose_step_bound),
     (rowmotion_module, "box_region", loose_region),
+    (matchings_module, "_scan_blocks", scan_giving_a_step_below_the_top),
+    (NonCrossingPartition, "_relabel", relabel_with_a_transposition),
 ])
 def test_routed_images_catch_a_loose_kernel_bound(target, name, broken, monkeypatch):
     # toggle reads step_bound, which the constructor inlines, and the sweep
     # clamps by the region's caps: either one too loose builds paths that
     # only the routed run refuses (with step_bound loosened, the constructor
-    # finds no step past it and reports the two bounds disagreeing)
+    # finds no step past it and reports the two bounds disagreeing); a scan
+    # or a relabel that breaks its lemma builds crossing matchings and
+    # partitions that only the routed run refuses
     paths = [*enumerate_paths(Slope(1, 1, 6)), *enumerate_paths(Slope(1, 2, 4))]
     monkeypatch.setattr(target, name, broken)
     for p in paths:
         unchecked_images(p)
     with pytest.raises((ValueError, InvariantError)):
         routed_images(paths, monkeypatch)
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 1, 6), (1, 2, 4), (2, 3, 2)])
+def test_routed_enumeration_catches_a_loose_enumerator_bound(a, b, n, monkeypatch):
+    # a fresh sequence cache, dropped with the patch, so that no sequence
+    # enumerated under the loose bound outlives the test
+    monkeypatch.setattr(paths_module, "_step_sequences",
+                        functools.lru_cache(paths_module._step_sequences.__wrapped__))
+    monkeypatch.setattr(Slope, "step_bound", loose_step_bound)
+    slope = Slope(a, b, n)
+    enumerated(slope)
+    with pytest.raises((ValueError, InvariantError)):
+        routed(monkeypatch, enumerated, slope)
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)

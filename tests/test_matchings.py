@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ratdyck import noncrossing
@@ -136,12 +138,25 @@ def test_matching_is_a_partition_but_never_equals_one():
 
 
 def test_dpm_validates_one_matching(monkeypatch):
+    # the matching kernels and the dihedral relabels build their matchings
+    # unchecked, by the lemmas in their docstrings (tests/test_kernels.py
+    # routes them through the validator); parsing still validates once
     calls = []
     rule = noncrossing.broken_block_rule
     monkeypatch.setattr(noncrossing, "broken_block_rule",
                         lambda blocks, n: calls.append(n) or rule(blocks, n))
     p = path_from_steps(Slope(2, 3, 2), [1, 2, 5, 7])
-    assert dpm(p) == bar(pm(star_path(p)))
-    calls.clear()
-    dpm(p)
+    m = pm(p)
+    assert dpm(p) == bar(pm(star_path(p))) and rotate(m) != m
+    assert calls == []
+    parse_matching("{1,4,10},{2,3},{5,6,9},{7,8}", 10)
     assert calls == [10]
+
+
+def test_an_unchecked_matching_is_validated_when_unpickled():
+    m = PerfectMatching._caller_checked(4, ((1, 2), (3, 4)))
+    assert m == parse_matching("{1,2},{3,4}", 4) and hash(m) == hash(parse_matching("{1,2},{3,4}", 4))
+    assert pickle.loads(pickle.dumps(m)) == m
+    crossing = PerfectMatching._caller_checked(4, ((1, 3), (2, 4)))
+    with pytest.raises(ValueError, match="blocks are crossing"):
+        pickle.loads(pickle.dumps(crossing))

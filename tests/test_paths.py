@@ -217,9 +217,12 @@ def test_cached_hash_changes_no_value_repr_or_pickle():
 
 
 # the kernels whose docstrings prove their images valid: each may build them
-# unchecked, and nothing else may
+# unchecked, through either _caller_checked (of paths, or of partitions and
+# matchings), and nothing else may
 CALLER_CHECKED = {("promotion.py", "toggle"), ("promotion.py", "_toggle_runs"),
-                  ("rowmotion.py", "_sweep")}
+                  ("rowmotion.py", "_sweep"), ("paths.py", "enumerate_paths"),
+                  ("matchings.py", "pm"), ("matchings.py", "dpm"),
+                  ("noncrossing.py", "_relabel")}
 
 
 def unchecked_uses(tree):

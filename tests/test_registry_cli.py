@@ -484,6 +484,19 @@ def test_cli_input_must_match_the_slope(capsys, argv, message):
     assert err == f"error: {message}"
 
 
+@pytest.mark.parametrize("option,literal,kind", [
+    ("--ncp", "1./2/3", "partition"),
+    ("--ncp", "x", "partition"),
+    ("--matching", "{1,x},{3,4}", "matching"),
+])
+def test_cli_bad_literal_names_itself(capsys, option, literal, kind):
+    # an element that is no integer used to print int()'s own message
+    code, out, err = run(capsys, "convert", "--a", "1", "--b", "1", "--n", "3",
+                         option, literal, "--to", "path")
+    assert code == 2 and out == ""
+    assert err == f"error: bad {kind} literal: {literal!r}"
+
+
 def test_cli_message_names_the_slope_as_every_other_does(capsys):
     code, out, err = run(capsys, "convert", "--a", "2", "--b", "3", "--n", "1",
                          "--matching", "{1,2},{3,4,5}", "--to", "path")
