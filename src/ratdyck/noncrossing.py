@@ -64,8 +64,8 @@ class NonCrossingPartition(Value):
     )
 
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
+        _set_n(self, n)
+        _set_blocks(self, blocks)
         rule = broken_block_rule(blocks, n)
         if rule:
             raise ValueError(self._rule_messages[rule - 1].format(n=n, blocks=blocks))
@@ -84,8 +84,8 @@ class NonCrossingPartition(Value):
         they partition [1, n], each sorted ascending, ordered by minimum and
         not crossing."""
         x = object.__new__(cls)
-        object.__setattr__(x, "n", n)
-        object.__setattr__(x, "blocks", blocks)
+        _set_n(x, n)
+        _set_blocks(x, blocks)
         return x
 
     @classmethod
@@ -113,6 +113,12 @@ class NonCrossingPartition(Value):
 
     def __str__(self) -> str:
         return "/".join(".".join(str(x) for x in b) for b in self.blocks)
+
+
+# The slot setters of the two builders above, as for paths: for matchings
+# too, which inherit the slots.  Nothing else may call them.
+_set_n = NonCrossingPartition.n.__set__
+_set_blocks = NonCrossingPartition.blocks.__set__
 
 
 def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:

@@ -12,7 +12,9 @@ cross-multiplication, and counting is exact integer arithmetic.
 
 A path is built either by its constructor, which validates the steps, or
 by ``RationalDyckPath._caller_checked``, which does not; partitions and
-matchings likewise have ``NonCrossingPartition._caller_checked``.  Parsing,
+matchings likewise have ``NonCrossingPartition._caller_checked``.  Both
+builders of each class set its slots through bound slot descriptors, and
+no other code may call those setters.  Parsing,
 the public constructors, unpickling and every other map validate.  Only a
 kernel whose output is valid by how it is built, stated as a lemma in its
 docstring, may build it unchecked: ``enumerate_paths``, the toggle kernels
@@ -47,13 +49,17 @@ class Value:
 
     The fields are the class's annotated names, in order.  Each subclass
     declares them in ``__slots__`` and writes its own ``__init__``, which
-    sets them with ``object.__setattr__`` and then validates them: no code
-    is generated, so importing the classes costs next to nothing.  The base
+    sets them past the base's guard and then validates them: no code is
+    generated, so importing the classes costs next to nothing.  The base
     forbids assignment and deletion, and gives the repr ``Name(field=value,
     ...)``, pickling through the constructor, and equality and hashing over
     the fields, equal only within one class.  Classes compared and hashed
     in hot loops write their own ``__eq__`` and ``__hash__`` over the same
-    fields, as a field tuple."""
+    fields, as a field tuple.  Classes built in hot loops (paths,
+    partitions, matchings) likewise set their slots through module-level
+    bound slot descriptors, such as ``RationalDyckPath.steps.__set__``,
+    called only by their own builders; the others use
+    ``object.__setattr__``."""
 
     __slots__ = ()
     _fields = ()
@@ -163,9 +169,9 @@ class RationalDyckPath(Value):
     steps: tuple[int, ...]
 
     def __init__(self, slope: Slope, steps: tuple[int, ...]) -> None:
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "_hash", None)
+        _set_slope(self, slope)
+        _set_steps(self, steps)
+        _set_hash(self, None)
         if len(steps) != slope.up_count:
             raise ValueError(f"expected {slope.up_count} up steps, got {len(steps)}")
         # The step bound alone decides validity: the step-bound-geometry
@@ -184,9 +190,9 @@ class RationalDyckPath(Value):
     def _caller_checked(cls, slope: Slope, steps: tuple[int, ...]) -> "RationalDyckPath":
         """The path with these steps, which the caller has proven valid."""
         p = object.__new__(cls)
-        object.__setattr__(p, "slope", slope)
-        object.__setattr__(p, "steps", steps)
-        object.__setattr__(p, "_hash", None)
+        _set_slope(p, slope)
+        _set_steps(p, steps)
+        _set_hash(p, None)
         return p
 
     def __eq__(self, other):
@@ -228,6 +234,15 @@ class RationalDyckPath(Value):
 
     def __str__(self) -> str:
         return self.steps_str()
+
+
+# The slot setters the two builders above set a path's fields with: one
+# descriptor call each, where object.__setattr__ looks the name up first.
+# Nothing else may call them (pinned in the tests): on a live path they would
+# rewrite a frozen, hashed and interned value.
+_set_slope = RationalDyckPath.slope.__set__
+_set_steps = RationalDyckPath.steps.__set__
+_set_hash = RationalDyckPath._hash.__set__
 
 
 def _step_error(s: Slope, steps: tuple[int, ...]) -> str:

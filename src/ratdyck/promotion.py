@@ -36,7 +36,7 @@ def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
     i+1 is tested against step_bound(j+1) here.
     """
     s = p.slope
-    if not 1 <= i <= s.total_steps - 1:
+    if not 0 < i < (s.a + s.b) * s.n:
         raise ValueError(f"toggle index {i} outside [1,{s.total_steps - 1}]")
     steps = p.steps
     j = bisect_left(steps, i)  # up steps before position i
@@ -46,6 +46,8 @@ def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
     if up_here == up_next:
         return p
     if up_here:
+        # a call, not inlined: the kernel tests loosen Slope.step_bound to
+        # show that the routed images catch a loose toggle bound
         if i + 1 > s.step_bound(j + 1):
             return p
         return RationalDyckPath._caller_checked(s, steps[:j] + (i + 1,) + steps[j + 1 :])

@@ -243,6 +243,50 @@ def test_only_the_proven_kernels_build_unchecked_paths():
     assert callers == CALLER_CHECKED
 
 
+# the bound slot setters, by module and class: each sets one slot past the
+# immutability guard, so only that class's two builders may call it
+SLOT_SETTERS = {("paths.py", "RationalDyckPath"): {"_set_slope", "_set_steps", "_set_hash"},
+                ("noncrossing.py", "NonCrossingPartition"): {"_set_n", "_set_blocks"}}
+
+
+def test_slot_setters_are_called_only_by_their_own_builders():
+    found = {}
+    for f in pathlib.Path(ratdyck.__file__).parent.rglob("*.py"):
+        tree = ast.parse(f.read_text())
+        # the setters, each bound at top level as _set_x = Class.x.__set__
+        owner, allowed = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id.startswith("_set_") for t in node.targets):
+                [target], value = node.targets, node.value
+                assert (isinstance(value, ast.Attribute) and value.attr == "__set__"
+                        and isinstance(value.value, ast.Attribute)
+                        and isinstance(value.value.value, ast.Name)
+                        and target.id == "_set_" + value.value.attr.lstrip("_")), ast.unparse(node)
+                owner[target.id] = value.value.value.id
+                found.setdefault((f.name, owner[target.id]), set()).add(target.id)
+                allowed |= {id(n) for n in ast.walk(node)}
+        # the uses allowed: each class's setters in its __init__ and
+        # _caller_checked, and each of the two sets every one of them
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            own = {name for name, c in owner.items() if c == cls.name}
+            builders = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                        and fn.name in ("__init__", "_caller_checked")]
+            for fn in builders:
+                uses = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in own]
+                assert {n.id for n in uses} == own, f"{cls.name}.{fn.name}"
+                allowed |= {id(n) for n in uses}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else "")
+            if name.startswith("_set_") or name == "__set__":
+                assert id(node) in allowed, f"{f.name}:{getattr(node, 'lineno', '?')} uses {name}"
+    assert found == SLOT_SETTERS
+
+
 def test_an_unchecked_path_is_validated_when_unpickled():
     slope = Slope(1, 1, 2)
     p = RationalDyckPath._caller_checked(slope, (1, 3))

@@ -80,3 +80,30 @@ def test_hot_classes_hash_as_their_field_tuples():
     assert hash(A) == hash((3, ((1, 2), (3,))))
     assert hash(Permutation321((2, 1, 3))) == hash(((2, 1, 3),))
 
+
+# a path, a partition and a matching, each built by its constructor and by
+# the unchecked builder, which sets the same slots through bound descriptors
+BUILDS = [
+    (RationalDyckPath, (S, (1, 2, 5, 7))),
+    (NonCrossingPartition, (3, ((1, 2), (3,)))),
+    (PerfectMatching, (4, ((1, 4), (2, 3)))),
+]
+
+
+@pytest.mark.parametrize("cls,values", BUILDS, ids=[c[0].__name__ for c in BUILDS])
+def test_unchecked_builds_keep_the_value_contract(cls, values):
+    x, y = cls(*values), cls._caller_checked(*values)
+    assert type(y) is cls and y == x
+    slots = [s for klass in cls.__mro__ for s in getattr(klass, "__slots__", ())]
+    for v in (x, y):
+        for name in slots:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+    if "_hash" in slots:  # computed on first use, never at build time
+        assert x._hash is None and y._hash is None
+        assert hash(y) == y._hash
+    assert hash(y) == hash(x)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(y, protocol) == pickle.dumps(x, protocol)
