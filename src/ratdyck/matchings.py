@@ -11,12 +11,16 @@ with a stack of open up steps builds every block at once, in O((a+b)n)
 the path itself, with the roles of up and right steps exchanged (``dpm``).
 
 A matching is a ``NonCrossingPartition`` of [1, (a+b)n]: it shares the
-partition's canonical constructor, unchecked builder and dihedral
-relabelling, and keeps only its own text form and messages.  Parsed,
+partition's canonical constructor, unchecked builder, cached hash and
+dihedral relabels, and keeps only its own text form and messages.  Parsed,
 constructed and unpickled matchings are validated as partitions are
-(``noncrossing.broken_block_rule``); ``pm``, ``dpm``, ``bar`` and ``rotate``
-build theirs unchecked, by the lemma of ``_scan_blocks`` and of
-``NonCrossingPartition._relabel``.
+(``noncrossing.broken_block_rule``); ``pm`` and ``dpm`` build theirs
+unchecked by the lemma of ``_scan_blocks``, and ``bar`` and ``rotate`` by
+the lemmas of ``NonCrossingPartition._reflected`` and
+``NonCrossingPartition._rotated``: a reflection or rotation of the polygon
+keeps each block sorted (all but the one wrapped block, which is rebuilt),
+keeps the chords non-crossing and the blocks in order by minimum after one
+sort or one insertion.
 """
 
 from __future__ import annotations
@@ -157,12 +161,12 @@ def pm_inverse(m: PerfectMatching, slope: Slope) -> RationalDyckPath:
 
 def bar(m: PerfectMatching) -> PerfectMatching:
     """Relabel i -> ground+1-i; an involution preserving non-crossingness."""
-    return m._relabel(lambda x: m.n + 1 - x)
+    return m._reflected()
 
 
 def rotate(m: PerfectMatching) -> PerfectMatching:
     """Shift every element down by one cyclically (1 -> ground)."""
-    return m._relabel(lambda x: (x - 2) % m.n + 1)
+    return m._rotated(-1)
 
 
 @memo_image

@@ -22,8 +22,14 @@ that the blocks partition [1, n], are sorted and ordered by minimum, and do
 not cross, and reports the first rule broken.  So are the images of the
 permutation products (``_partition``) and of the chain enumeration.  Only
 the builders valid by a lemma in their docstring skip it, through
-``_caller_checked``: the rotations and reflections (``_relabel``) and the
-matching scans ``matchings.pm`` and ``matchings.dpm``.  The chain maps act
+``_caller_checked``: the rotation ``_rotated`` and the reflection
+``_reflected``, and the matching scans ``matchings.pm`` and
+``matchings.dpm``.  The lemma of the two dihedral relabels: a rotation or
+reflection of the n-gon keeps every block sorted once it is renamed (the
+reflection reading it backwards, the rotation except in the one block
+that wraps), keeps the chords non-crossing, and puts the blocks in order
+by minimum after one insertion (rotation) or one sort (reflection).
+Partitions and chains cache their hash, as paths do.  The chain maps act
 layer by layer and share images inside an image scope; ``kre_inverse`` is
 ``kre`` after ``rot_inverse``, since kre² = rot.
 
@@ -43,6 +49,7 @@ promotion.
 
 from __future__ import annotations
 
+import bisect
 import re
 from functools import lru_cache
 from itertools import product
@@ -51,7 +58,7 @@ from .paths import InvariantError, RationalDyckPath, Slope, Value, memo_image
 
 
 class NonCrossingPartition(Value):
-    __slots__ = ("n", "blocks")
+    __slots__ = ("n", "blocks", "_hash")  # _hash as on paths.Slope
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -66,6 +73,7 @@ class NonCrossingPartition(Value):
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
         _set_n(self, n)
         _set_blocks(self, blocks)
+        _set_hash(self, None)
         rule = broken_block_rule(blocks, n)
         if rule:
             raise ValueError(self._rule_messages[rule - 1].format(n=n, blocks=blocks))
@@ -76,7 +84,11 @@ class NonCrossingPartition(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.blocks))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def _caller_checked(cls, n: int, blocks: tuple[tuple[int, ...], ...]):
@@ -86,6 +98,7 @@ class NonCrossingPartition(Value):
         x = object.__new__(cls)
         _set_n(x, n)
         _set_blocks(x, blocks)
+        _set_hash(x, None)
         return x
 
     @classmethod
@@ -94,15 +107,43 @@ class NonCrossingPartition(Value):
         An empty block sorts first and breaks the ordering rule."""
         return cls(n, _sorted_blocks(blocks))
 
-    def _relabel(self, f):
-        """The partition of the same kind with each element x renamed f(x),
-        for a rotation or reflection f of the n-gon, built unchecked.
+    def _rotated(self, step: int):
+        """The partition of the same kind with each element x renamed x + step
+        cyclically, for step -1 (1 -> n) or +1 (n -> 1), built unchecked.
 
-        Lemma: a dihedral symmetry of the n-gon permutes [1, n] and keeps
-        chords non-crossing (Kreweras 1972), so the renamed blocks partition
-        [1, n] and do not cross; sorting them as ``canonical`` does settles
-        the two order rules."""
-        return self._caller_checked(self.n, _sorted_blocks([f(x) for x in b] for b in self.blocks))
+        Lemma: a rotation of the n-gon permutes [1, n] and keeps chords
+        non-crossing (Kreweras 1972), so the renamed blocks partition [1, n]
+        and do not cross.  Every block but the one holding the wrap point
+        (for -1 the first, which holds 1; for +1 the one ending in n) is
+        shifted whole, so it stays sorted and the shifted blocks keep their
+        order by minimum.  The wrapped block, rebuilt sorted, goes where its
+        minimum puts it: for +1 first, since it now holds 1; for -1 by
+        bisection, since distinct minima order the tuples."""
+        n, blocks = self.n, self.blocks
+        if not blocks:
+            return self
+        shift = step.__add__
+        if step < 0:
+            out = [tuple(map(shift, b)) for b in blocks[1:]]
+            bisect.insort(out, tuple(map(shift, blocks[0][1:])) + (n,))
+        else:
+            i = [b[-1] for b in blocks].index(n)
+            out = [(1,) + tuple(map(shift, blocks[i][:-1]))]
+            out += [tuple(map(shift, b)) for b in blocks[:i] + blocks[i + 1:]]
+        return self._caller_checked(n, tuple(out))
+
+    def _reflected(self):
+        """The partition of the same kind with each element x renamed
+        n + 1 - x, built unchecked.
+
+        Lemma: the reflection of the n-gon permutes [1, n] and keeps chords
+        non-crossing (Kreweras 1972), so the renamed blocks partition [1, n]
+        and do not cross.  Each block, renamed in reverse, comes out sorted,
+        and one sort of the blocks, whose minima are distinct, orders them by
+        minimum."""
+        flip = (self.n + 1).__sub__
+        return self._caller_checked(
+            self.n, tuple(sorted([tuple(map(flip, reversed(b))) for b in self.blocks])))
 
     def block_index(self) -> dict[int, int]:
         return {x: i for i, b in enumerate(self.blocks) for x in b}
@@ -119,6 +160,7 @@ class NonCrossingPartition(Value):
 # too, which inherit the slots.  Nothing else may call them.
 _set_n = NonCrossingPartition.n.__set__
 _set_blocks = NonCrossingPartition.blocks.__set__
+_set_hash = NonCrossingPartition._hash.__set__
 
 
 def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
@@ -175,8 +217,10 @@ def broken_block_rule(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
 
 
 def _sorted_blocks(blocks) -> tuple[tuple[int, ...], ...]:
-    """Each block sorted, and the blocks ordered by minimum."""
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
+    """Each block sorted, and the blocks ordered by minimum.  An empty block
+    sorts first; blocks that share a minimum break rule 1 of
+    ``broken_block_rule`` in any order."""
+    return tuple(sorted([tuple(sorted(b)) for b in blocks]))
 
 
 ncp = NonCrossingPartition.canonical
@@ -191,13 +235,14 @@ def parse_ncp(text: str, n: int | None = None) -> NonCrossingPartition:
 
 
 class NonCrossingChain(Value):
-    __slots__ = ("k", "layers")
+    __slots__ = ("k", "layers", "_hash")  # _hash as on paths.Slope
     k: int
     layers: tuple[NonCrossingPartition, ...]
 
     def __init__(self, k: int, layers: tuple[NonCrossingPartition, ...]) -> None:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_hash", None)
         if len(layers) != k:
             raise ValueError(f"expected {k} layers")
         if len({layer.n for layer in layers}) != 1:
@@ -212,7 +257,11 @@ class NonCrossingChain(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.k, self.layers))
+        h = self._hash
+        if h is None:
+            h = hash((self.k, self.layers))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def n(self) -> int:
@@ -348,12 +397,12 @@ def transport(f, p: RationalDyckPath) -> RationalDyckPath:
 
 @memo_image
 def rot_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    return p._relabel(lambda x: (x - 2) % p.n + 1)
+    return p._rotated(-1)
 
 
 @memo_image
 def ref_partition(p: NonCrossingPartition) -> NonCrossingPartition:
-    return p._relabel(lambda x: p.n + 1 - x)
+    return p._reflected()
 
 
 def _perm(x: NonCrossingPartition) -> list[int]:
@@ -430,8 +479,7 @@ def rot(chain: NonCrossingChain) -> NonCrossingChain:
 
 @memo_image
 def rot_inverse(chain: NonCrossingChain) -> NonCrossingChain:
-    n = chain.n
-    return _layerwise(chain, lambda p: p._relabel(lambda x: x % n + 1), reverse=False)
+    return _layerwise(chain, lambda p: p._rotated(1), reverse=False)
 
 
 @memo_image

@@ -19,8 +19,12 @@ the public constructors, unpickling and every other map validate.  Only a
 kernel whose output is valid by how it is built, stated as a lemma in its
 docstring, may build it unchecked: ``enumerate_paths``, the toggle kernels
 of ``promotion`` and the row sweep of ``rowmotion`` for paths, and
-``matchings.pm``, ``matchings.dpm`` and the dihedral relabel
-``NonCrossingPartition._relabel`` for matchings and partitions.
+``matchings.pm``, ``matchings.dpm`` and the dihedral relabels
+``NonCrossingPartition._rotated`` and ``NonCrossingPartition._reflected``
+for matchings and partitions, whose lemma is that a rotation or reflection
+of the polygon keeps each block sorted, the chords non-crossing and the
+blocks in order by minimum once the one wrapped block is placed (rotation)
+or the blocks are sorted once (reflection).
 
 ``image_scope`` shares map images across a run: while one is open, every
 map decorated with ``memo_image`` computes its image of each argument once
@@ -55,11 +59,13 @@ class Value:
     ...)``, pickling through the constructor, and equality and hashing over
     the fields, equal only within one class.  Classes compared and hashed
     in hot loops write their own ``__eq__`` and ``__hash__`` over the same
-    fields, as a field tuple.  Classes built in hot loops (paths,
-    partitions, matchings) likewise set their slots through module-level
-    bound slot descriptors, such as ``RationalDyckPath.steps.__set__``,
-    called only by their own builders; the others use
-    ``object.__setattr__``."""
+    fields, as a field tuple, and those used as memo keys (slopes, paths,
+    partitions, matchings and chains) cache that hash in a ``_hash`` slot on
+    first use, kept out of equality and pickles.  Classes built in hot loops
+    (paths, partitions, matchings) likewise set their slots through
+    module-level bound slot descriptors, such as
+    ``RationalDyckPath.steps.__set__``, called only by their own builders;
+    the others use ``object.__setattr__``."""
 
     __slots__ = ()
     _fields = ()
@@ -375,9 +381,11 @@ def enumerate_paths(slope: Slope) -> list[RationalDyckPath]:
     """All paths of the slope in lexicographic order on step sequences,
     built unchecked.
 
-    Lemma: ``iter_step_sequences`` yields exactly a*n steps, each above the
-    one before it, from 1 up to ``step_bound(j)`` for the j-th, which is at
-    most (a+b)n; so every sequence passes the constructor.
+    Lemma: ``_step_sequences`` extends each sequence of j - 1 steps by every
+    j-th step from one past its last (from 1 for the first) up to
+    ``step_bound(j)``, which is at most (a+b)n, until there are a*n; so
+    every sequence is strictly increasing, within its bounds, of the right
+    length, and passes the constructor.
 
     Inside an image scope, a new list of the scope's canonical paths."""
     scope = _images
@@ -389,26 +397,19 @@ def enumerate_paths(slope: Slope) -> list[RationalDyckPath]:
     return paths
 
 
-def iter_step_sequences(slope: Slope) -> Iterator[tuple[int, ...]]:
-    an = slope.up_count
-
-    def extend(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        j = len(prefix)
-        if j == an:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] + 1 if prefix else 1
-        for u in range(lo, slope.step_bound(j + 1) + 1):
-            prefix.append(u)
-            yield from extend(prefix)
-            prefix.pop()
-
-    yield from extend([])
-
-
 @lru_cache(maxsize=128)
 def _step_sequences(slope: Slope) -> tuple[tuple[int, ...], ...]:
-    return tuple(iter_step_sequences(slope))
+    """Every step sequence of the slope, built one up step at a time, with
+    no recursion: each level extends the sequences of the one before it, in
+    order, by each allowed next step in increasing order, so the last level
+    is in lexicographic order."""
+    level = [()]
+    for j in range(1, slope.up_count + 1):
+        # a call, not inlined: the kernel tests loosen Slope.step_bound to
+        # show that the routed enumeration catches a loose bound
+        stop = slope.step_bound(j) + 1
+        level = [s + (u,) for s in level for u in range(s[-1] + 1 if s else 1, stop)]
+    return tuple(level)
 
 
 def count_paths(slope: Slope) -> int:

@@ -15,6 +15,7 @@ reflected paths are built from the swapped corners of their marks.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cmp_to_key
 from itertools import pairwise
 
 from .matchings import PerfectMatching, canonical_matching
@@ -227,39 +228,45 @@ def rsk_hat(w: Permutation321) -> RationalDyckPath:
     return RationalDyckPath(classical_slope(n), tuple(steps))
 
 
+def _crossing_order(x: tuple[int, int, int], y: tuple[int, int, int]) -> int:
+    """The order of two crossings on one arc, each (numerator, positive
+    denominator, other arc): by position, then by the other arc."""
+    return x[0] * y[1] - y[0] * x[1] or x[2] - y[2]
+
+
 def pm_cross(w: Permutation321) -> PerfectMatching:
     """Resolve every crossing of the strand diagram of w planarly.
 
-    Arcs are drawn as semicircles; two interleaved arcs (a,c), (b,d) cross
-    once at x = (ac-bd)/((a+c)-(b+d)).  Smoothing a crossing joins the two
-    left branches and the two right branches, so a strand switches arcs and
-    reverses direction at every crossing it meets.
+    Arcs are drawn as semicircles; two interleaved arcs (a,c), (b,d) with
+    a < b < c < d cross once at x = (bd-ac)/((b+d)-(a+c)), whose
+    denominator is positive.  Smoothing a crossing joins the two left
+    branches and the two right branches, so a strand switches arcs and
+    reverses direction at every crossing it meets.  The crossings along an
+    arc are ordered by integer cross-multiplication, ties broken by the
+    other arc's index.
     """
-    # imported here, so that importing the package does not load fractions,
-    # decimal and numbers for this one function
-    from fractions import Fraction
-
     n = w.n
     arcs = sorted((w.values[n - i], n + i) for i in range(1, n + 1))
-    crossings: list[list[tuple[Fraction, int]]] = [[] for _ in arcs]
+    # each crossing as (numerator, denominator, the other arc)
+    crossings: list[list[tuple[int, int, int]]] = [[] for _ in arcs]
     for i1, (a, c) in enumerate(arcs):
         for i2, (b, d) in enumerate(arcs):
             if i1 < i2 and a < b < c < d:
-                x = Fraction(a * c - b * d, (a + c) - (b + d))
-                crossings[i1].append((x, i2))
-                crossings[i2].append((x, i1))
+                num, den = b * d - a * c, (b + d) - (a + c)
+                crossings[i1].append((num, den, i2))
+                crossings[i2].append((num, den, i1))
     for lst in crossings:
-        lst.sort()
+        lst.sort(key=cmp_to_key(_crossing_order))
 
     def trace(start: int) -> int:
         arc = next(i for i, (a, c) in enumerate(arcs) if start in (a, c))
         going_right = arcs[arc][0] == start
         idx = 0 if going_right else len(crossings[arc]) - 1
         while 0 <= idx < len(crossings[arc]):
-            x, other = crossings[arc][idx]
+            num, den, other = crossings[arc][idx]
             previous = arc
             arc, going_right = other, not going_right
-            at = crossings[arc].index((x, previous))
+            at = crossings[arc].index((num, den, previous))
             idx = at + 1 if going_right else at - 1
         return arcs[arc][1] if going_right else arcs[arc][0]
 

@@ -18,8 +18,9 @@ time, invert the Kreweras complement by applying it 2n - 1 times, validate
 blocks by four separate checks, tabulate orbits with every path keyed by
 its name, spell grid paths as U/R words read back through their vertices
 and reflect them by swapping letters, look for a 321 pattern by scanning
-the suffix of every value, and find each bumped entry of a two-row
-insertion by scanning its row.
+the suffix of every value, find each bumped entry of a two-row
+insertion by scanning its row, rename a partition's elements one call at
+a time and re-sort its blocks, and enumerate step sequences by recursion.
 """
 
 import collections
@@ -61,6 +62,7 @@ from ratdyck.matchings import (
 from ratdyck.noncrossing import (
     NonCrossingChain,
     NonCrossingPartition,
+    _sorted_blocks,
     broken_block_rule,
     dyck_to_ncp,
     enumerate_chains,
@@ -312,28 +314,42 @@ def scan_giving_a_step_below_the_top(p, dual):
     return tuple(map(tuple, blocks))
 
 
-RELABEL = NonCrossingPartition._relabel
+def relabel_reference(x, f):
+    """``x`` with each element renamed f(x), one call per element, each
+    block sorted and the blocks ordered by minimum afterwards; built
+    through the unchecked builder, which the routed run validates."""
+    return x._caller_checked(x.n, _sorted_blocks([f(y) for y in b] for b in x.blocks))
 
 
-def relabel_with_a_transposition(self, f):
-    """``_relabel`` with 2 and 3 exchanged after ``f``: no dihedral map."""
-    swap = {2: 3, 3: 2}
-    return RELABEL(self, lambda x: swap.get(f(x), f(x)))
+ROTATED = NonCrossingPartition._rotated
+REFLECTED = NonCrossingPartition._reflected
+SWAP_2_3 = {2: 3, 3: 2}
+
+
+def rotated_with_a_transposition(self, step):
+    """``_rotated`` with 2 and 3 exchanged after it: no dihedral map."""
+    return relabel_reference(ROTATED(self, step), lambda x: SWAP_2_3.get(x, x))
+
+
+def reflected_with_a_transposition(self):
+    """``_reflected`` with 2 and 3 exchanged after it: no dihedral map."""
+    return relabel_reference(REFLECTED(self), lambda x: SWAP_2_3.get(x, x))
 
 
 @pytest.mark.parametrize("target,name,broken", [
     (Slope, "step_bound", loose_step_bound),
     (rowmotion_module, "box_region", loose_region),
     (matchings_module, "_scan_blocks", scan_giving_a_step_below_the_top),
-    (NonCrossingPartition, "_relabel", relabel_with_a_transposition),
+    (NonCrossingPartition, "_rotated", rotated_with_a_transposition),
+    (NonCrossingPartition, "_reflected", reflected_with_a_transposition),
 ])
 def test_routed_images_catch_a_loose_kernel_bound(target, name, broken, monkeypatch):
     # toggle reads step_bound, which the constructor inlines, and the sweep
     # clamps by the region's caps: either one too loose builds paths that
     # only the routed run refuses (with step_bound loosened, the constructor
     # finds no step past it and reports the two bounds disagreeing); a scan
-    # or a relabel that breaks its lemma builds crossing matchings and
-    # partitions that only the routed run refuses
+    # or a rotation or reflection that breaks its lemma builds crossing
+    # matchings and partitions that only the routed run refuses
     paths = [*enumerate_paths(Slope(1, 1, 6)), *enumerate_paths(Slope(1, 2, 4))]
     monkeypatch.setattr(target, name, broken)
     for p in paths:
@@ -353,6 +369,54 @@ def test_routed_enumeration_catches_a_loose_enumerator_bound(a, b, n, monkeypatc
     enumerated(slope)
     with pytest.raises((ValueError, InvariantError)):
         routed(monkeypatch, enumerated, slope)
+
+
+def step_sequences_reference(slope):
+    """The step sequences by depth-first recursion, one level per up step,
+    each step from one past the last up to its bound."""
+    an = slope.up_count
+
+    def extend(prefix):
+        j = len(prefix)
+        if j == an:
+            yield tuple(prefix)
+            return
+        lo = prefix[-1] + 1 if prefix else 1
+        for u in range(lo, slope.step_bound(j + 1) + 1):
+            prefix.append(u)
+            yield from extend(prefix)
+            prefix.pop()
+
+    return tuple(extend([]))
+
+
+@pytest.mark.parametrize("a,b,n", [*SLOPES, (1, 1, 9), (2, 1, 5), (1, 4, 3)])
+def test_step_sequences_match_the_recursive_walk(a, b, n):
+    slope = Slope(a, b, n)
+    assert paths_module._step_sequences.__wrapped__(slope) == step_sequences_reference(slope)
+
+
+# every matching of these slopes, and every partition of [1, n] for n <= 8,
+# singletons at 1 and at n, the one partition of [1, 1] and the empty
+# partition of [1, 0] among them
+RELABEL_SLOPES = [(1, 1, 6), (1, 2, 4), (2, 3, 2), (2, 5, 2)]
+
+
+@pytest.mark.parametrize("kind,size", [*(("matchings", s) for s in RELABEL_SLOPES),
+                                       *(("partitions", n) for n in range(0, 9))])
+def test_dihedral_relabels_match_the_per_element_relabel(kind, size):
+    if kind == "matchings":
+        values = [pm(p) for p in enumerate_paths(Slope(*size))]
+    else:
+        values = enumerate_ncps(size)
+    for x in values:
+        n = x.n
+        down, up = ROTATED(x, -1), ROTATED(x, 1)
+        assert down == relabel_reference(x, lambda y: (y - 2) % n + 1), x
+        assert up == relabel_reference(x, lambda y: y % n + 1), x
+        assert REFLECTED(x) == relabel_reference(x, lambda y: n + 1 - y), x
+        for image in (down, up, REFLECTED(x)):
+            assert type(image) is type(x) and broken_block_rule(image.blocks, n) == 0, x
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)

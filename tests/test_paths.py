@@ -222,7 +222,7 @@ def test_cached_hash_changes_no_value_repr_or_pickle():
 CALLER_CHECKED = {("promotion.py", "toggle"), ("promotion.py", "_toggle_runs"),
                   ("rowmotion.py", "_sweep"), ("paths.py", "enumerate_paths"),
                   ("matchings.py", "pm"), ("matchings.py", "dpm"),
-                  ("noncrossing.py", "_relabel")}
+                  ("noncrossing.py", "_rotated"), ("noncrossing.py", "_reflected")}
 
 
 def unchecked_uses(tree):
@@ -246,7 +246,8 @@ def test_only_the_proven_kernels_build_unchecked_paths():
 # the bound slot setters, by module and class: each sets one slot past the
 # immutability guard, so only that class's two builders may call it
 SLOT_SETTERS = {("paths.py", "RationalDyckPath"): {"_set_slope", "_set_steps", "_set_hash"},
-                ("noncrossing.py", "NonCrossingPartition"): {"_set_n", "_set_blocks"}}
+                ("noncrossing.py", "NonCrossingPartition"): {"_set_n", "_set_blocks",
+                                                             "_set_hash"}}
 
 
 def test_slot_setters_are_called_only_by_their_own_builders():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ratdyck.matchings import canonical_matching, pm
@@ -102,10 +104,48 @@ def test_pm_cross_examples():
     assert pm_cross(unit) == canonical_matching(2, [(1, 2)])
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def pm_cross_reference(w):
+    """``pm_cross`` with each crossing point an exact ``Fraction``,
+    x = (ac-bd)/((a+c)-(b+d)), ordered along each arc by (x, other arc)."""
+    n = w.n
+    arcs = sorted((w.values[n - i], n + i) for i in range(1, n + 1))
+    crossings = [[] for _ in arcs]
+    for i1, (a, c) in enumerate(arcs):
+        for i2, (b, d) in enumerate(arcs):
+            if i1 < i2 and a < b < c < d:
+                x = Fraction(a * c - b * d, (a + c) - (b + d))
+                crossings[i1].append((x, i2))
+                crossings[i2].append((x, i1))
+    for lst in crossings:
+        lst.sort()
+
+    def trace(start):
+        arc = next(i for i, (a, c) in enumerate(arcs) if start in (a, c))
+        going_right = arcs[arc][0] == start
+        idx = 0 if going_right else len(crossings[arc]) - 1
+        while 0 <= idx < len(crossings[arc]):
+            x, other = crossings[arc][idx]
+            previous = arc
+            arc, going_right = other, not going_right
+            at = crossings[arc].index((x, previous))
+            idx = at + 1 if going_right else at - 1
+        return arcs[arc][1] if going_right else arcs[arc][0]
+
+    pairs, seen = [], set()
+    for p in range(1, 2 * n + 1):
+        if p not in seen:
+            q = trace(p)
+            seen.update((p, q))
+            pairs.append((p, q))
+    return canonical_matching(2 * n, pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_rsk_hat_equals_pm_cross(n):
+    # and pm_cross, ordering crossings by integer cross-multiplication,
+    # equals its Fraction form
     for w in enumerate_321_avoiding(n):
-        assert pm(rsk_hat(w)) == pm_cross(w)
+        assert pm(rsk_hat(w)) == pm_cross(w) == pm_cross_reference(w)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -119,6 +119,19 @@ def test_cli_count_and_enum(capsys):
     assert code == 0 and json.loads(out)["count"] == 42
 
 
+@pytest.mark.parametrize("a,n,paths", [(1000, 1, 1), (499, 2, 500)])
+def test_cli_enumerates_slopes_deeper_than_the_recursion_limit(capsys, a, n, paths):
+    # a*n up steps, one enumeration level each: enumeration builds the
+    # sequences level by level, where one recursion per up step overflowed
+    slope = ("--a", str(a), "--b", "1", "--n", str(n))
+    code, out, _ = run(capsys, "enum", *slope)
+    assert code == 0 and len(out.splitlines()) == paths == count_paths_dp(Slope(a, 1, n))
+    code, out, _ = run(capsys, "orbit", "--map", "promotion", *slope, "--format", "json")
+    assert code == 0 and sum(map(len, json.loads(out)["cycles"])) == paths
+    code, out, _ = run(capsys, "verify", "--identity", "young-roundtrip", *slope)
+    assert code == 0 and out.startswith(f"PASS young-roundtrip ({a},1) n={n} over {paths} objects")
+
+
 def test_cli_count_beyond_partition_scale(capsys):
     code, out, _ = run(capsys, "count", "--a", "2", "--b", "3", "--n", "60")
     assert code == 0 and out == str(count_paths_dp(Slope(2, 3, 60)))
@@ -530,7 +543,8 @@ def modules_loaded_by_cli_import(names):
 
 
 def test_cli_starts_without_fractions():
-    # perms.pm_cross alone imports fractions, which loads decimal and numbers
+    # no library path imports fractions, which loads decimal and numbers:
+    # perms.pm_cross orders its crossing points by integer cross-multiplication
     assert modules_loaded_by_cli_import({"fractions", "decimal", "numbers"}) == "[]"
 
 

@@ -78,6 +78,8 @@ def test_hot_classes_hash_as_their_field_tuples():
     assert hash(S) == hash((2, 3, 2))
     assert hash(P) == hash((S, (1, 2, 5, 7)))
     assert hash(A) == hash((3, ((1, 2), (3,))))
+    assert hash(PerfectMatching(4, ((1, 4), (2, 3)))) == hash((4, ((1, 4), (2, 3))))
+    assert hash(NonCrossingChain(2, (A, A))) == hash((2, (A, A)))
     assert hash(Permutation321((2, 1, 3))) == hash(((2, 1, 3),))
 
 
@@ -107,3 +109,30 @@ def test_unchecked_builds_keep_the_value_contract(cls, values):
     assert hash(y) == hash(x)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.dumps(y, protocol) == pickle.dumps(x, protocol)
+
+
+def unchecked_chain(k, layers):
+    """A chain whose layers are built by the unchecked builder."""
+    return NonCrossingChain(k, tuple(NonCrossingPartition._caller_checked(x.n, x.blocks)
+                                     for x in layers))
+
+
+# a partition, a matching and a chain, each built unchecked (a chain from
+# unchecked layers) and by its constructor: the hash cached on first use
+HASHED = [
+    (NonCrossingPartition._caller_checked, NonCrossingPartition, (3, ((1, 2), (3,)))),
+    (PerfectMatching._caller_checked, PerfectMatching, (4, ((1, 4), (2, 3)))),
+    (unchecked_chain, NonCrossingChain, (2, (A, NonCrossingPartition(3, ((1,), (2,), (3,)))))),
+]
+
+
+@pytest.mark.parametrize("build,cls,values", HASHED, ids=[c[1].__name__ for c in HASHED])
+def test_cached_hashes_match_fresh_values_and_stay_out_of_pickles(build, cls, values):
+    x = build(*values)
+    unhashed = pickle.dumps(x)
+    assert x._hash is None
+    assert hash(x) == x._hash == hash(cls(*values)) == hash(values)
+    assert pickle.dumps(x) == unhashed  # the cached hash stays out of pickles
+    back = pickle.loads(unhashed)
+    assert type(back) is cls and back == x and back._hash is None
+    assert hash(back) == hash(x)
