@@ -10,7 +10,9 @@ those of slopes with at most 200,000, and the (bn+1)(an+1) lattice points
 of its DP count.  Chain maps applied to a chain are not limited.
 
 Exit codes: 0 all good, 1 verification failure, 2 bad input or a refused
-domain, 3 a broken internal invariant (a library defect).
+domain, 3 a broken internal invariant (a library defect), 141 standard
+output closed by its reader (128 + SIGPIPE, as a shell reports a writer
+killed by that signal).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import noncrossing as nc
@@ -318,7 +321,16 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "max_domain", 0) < 0:
             raise ValueError(f"--max-domain must be at least 0, got {args.max_domain}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: point standard output at the null device so
+        # that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -20,15 +20,30 @@ a subclass), built by the constructor, ``canonical``, parsing or unpickling
 is validated in full, by one linear pass (``broken_block_rule``): it checks
 that the blocks partition [1, n], are sorted and ordered by minimum, and do
 not cross, and reports the first rule broken.  So are the images of the
-permutation products (``_partition``) and of the chain enumeration.  Only
-the builders valid by a lemma in their docstring skip it, through
-``_caller_checked``: the rotation ``_rotated`` and the reflection
-``_reflected``, and the matching scans ``matchings.pm`` and
-``matchings.dpm``.  The lemma of the two dihedral relabels: a rotation or
-reflection of the n-gon keeps every block sorted once it is renamed (the
-reflection reading it backwards, the rotation except in the one block
-that wraps), keeps the chords non-crossing, and puts the blocks in order
-by minimum after one insertion (rotation) or one sort (reflection).
+permutation products (``_partition``).  A chain built by its constructor,
+parsing or unpickling, or by a chain map, is checked for its layer count,
+one ground set and refinement.  Only the builders valid by a lemma in
+their docstring skip these checks, through ``_caller_checked``:
+
+- the rotation ``_rotated`` and the reflection ``_reflected``: a rotation
+  or reflection of the n-gon keeps every block sorted once it is renamed
+  (the reflection reading it backwards, the rotation except in the one
+  block that wraps), keeps the chords non-crossing, and puts the blocks in
+  order by minimum after one insertion (rotation) or one sort
+  (reflection);
+- the matching scans ``matchings.pm`` and ``matchings.dpm``;
+- ``enumerate_ncps``: its walk places 1..n once each, in increasing
+  order, opens blocks in order of their minima, and lets x join only the
+  blocks on its stack of open blocks, exactly those that no other block
+  encloses, so every partition is non-crossing and canonical;
+- ``enumerate_chains`` (``NonCrossingChain._caller_checked``): each
+  refinement splits every block of the coarser layer by a relabelled
+  non-crossing partition found in the enumeration, so a chain has k layers
+  on [1, n], each refining the one before it;
+- ``ncp_to_dyck``: the word starts as (U R^k)^n, with each up step at its
+  bound, and a pass moves no up step later, so every up step stays within
+  its bound.
+
 Partitions and chains cache their hash, as paths do.  The chain maps act
 layer by layer and share images inside an image scope; ``kre_inverse`` is
 ``kre`` after ``rot_inverse``, since kre² = rot.
@@ -251,6 +266,17 @@ class NonCrossingChain(Value):
             if not finer.refines(coarser):
                 raise ValueError(f"layer {finer} does not refine {coarser}")
 
+    @classmethod
+    def _caller_checked(cls, k: int, layers: tuple[NonCrossingPartition, ...]):
+        """The chain with these layers, which the caller has proven valid:
+        k of them, all on one ground set [1, n], each refining the one
+        before it."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "k", k)
+        object.__setattr__(x, "layers", layers)
+        object.__setattr__(x, "_hash", None)
+        return x
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.k, self.layers) == (other.k, other.layers)
@@ -286,37 +312,61 @@ def parse_chain(text: str, n: int | None = None) -> NonCrossingChain:
 @lru_cache(maxsize=128)
 def enumerate_ncps(n: int) -> tuple[NonCrossingPartition, ...]:
     """The non-crossing partitions of [1, n], in the order of the set
-    partition walk that puts x into each open block, then into a new one."""
+    partition walk that puts x into each open block, in order of minima,
+    then into a new one; built unchecked.
+
+    The walk keeps a stack of the open blocks: those that no later chord
+    encloses.  When x joins the block at stack position i, the blocks above
+    it leave the stack, since the chord from that block's last element to x
+    encloses them; a new block {x} is pushed.
+
+    Lemma: x joins a block b without a crossing iff no other block c has
+    c[0] < b[-1] < c[-1], that is iff b is on the stack: a block leaves it
+    exactly when a block opened before it (below it) receives an element
+    past its last one, and in a non-crossing partial no block opened after
+    b can enclose b's last element.  So every leaf is non-crossing, and the
+    stack, a subsequence of the blocks in order of minima, visits them in
+    the walk's order.  Each x from 1 to n is placed once, so the blocks
+    partition [1, n]; elements are appended in increasing x, so each block
+    is sorted; and blocks open in order of their minima, so they are
+    ordered by minimum."""
     out: list[NonCrossingPartition] = []
+    build = NonCrossingPartition._caller_checked
+    blocks: list[list[int]] = []
+    stack: list[list[int]] = []
 
-    def rec(partial: list[list[int]], x: int) -> None:
+    def rec(x: int) -> None:
         if x > n:
-            # the walk keeps each block sorted and the blocks ordered by
-            # their minimum, so they are already in canonical form
-            out.append(NonCrossingPartition(n, tuple(map(tuple, partial))))
+            out.append(build(n, tuple(map(tuple, blocks))))
             return
-        for b in partial:
-            # x joins b without a crossing iff no other block has elements
-            # on both sides of b's last one; a crossing partial has only
-            # crossing leaves, so pruning it here drops no output
-            if any(c[0] < b[-1] < c[-1] for c in partial):
-                continue
+        for i in range(len(stack)):
+            b = stack[i]
+            closed = stack[i + 1:]
+            del stack[i + 1:]
             b.append(x)
-            rec(partial, x + 1)
+            rec(x + 1)
             b.pop()
-        partial.append([x])
-        rec(partial, x + 1)
-        partial.pop()
+            stack.extend(closed)
+        b = [x]
+        blocks.append(b)
+        stack.append(b)
+        rec(x + 1)
+        stack.pop()
+        blocks.pop()
 
-    rec([], 1)
+    rec(1)
     return tuple(out)
 
 
 @lru_cache(maxsize=128)
 def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
     """The k-chains of [1, n], each layer's refinements in ``enumerate_ncps``
-    order.  A refinement splits every block by a relabelled non-crossing
-    partition of its size."""
+    order, built unchecked.  A refinement splits every block by a
+    relabelled non-crossing partition of its size.
+
+    Lemma: every layer is a partition of ``enumerate_ncps(n)``, found in
+    ``index``, so all k layers lie on [1, n]; each refinement's blocks are
+    the parts of the coarser layer's blocks, so it refines that layer."""
     parts = enumerate_ncps(n)
     index = {p.blocks: (i, p) for i, p in enumerate(parts)}
     finer: dict[NonCrossingPartition, list[NonCrossingPartition]] = {}
@@ -335,7 +385,8 @@ def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
     chains = [(p,) for p in parts]
     for _ in range(k - 1):
         chains = [c + (q,) for c in chains for q in refinements(c[-1])]
-    return tuple(NonCrossingChain(k, c) for c in chains)
+    build = NonCrossingChain._caller_checked
+    return tuple(build(k, c) for c in chains)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +396,18 @@ def enumerate_chains(n: int, k: int) -> tuple[NonCrossingChain, ...]:
 @memo_image
 def ncp_to_dyck(chain: NonCrossingChain) -> RationalDyckPath:
     """The (1,k) path of a k-chain: one chunk pass per layer, finest first,
-    as the module docstring describes; the path reads the chunks of 1..n."""
+    as the module docstring describes; the path reads the chunks of 1..n.
+    Built unchecked.
+
+    Lemma: the word starts as (U R^k)^n, whose j-th up step sits at
+    (j-1)(k+1) + 1, which is ``step_bound(j)``.  A pass rewrites the chunks
+    of a block's members, which lie in increasing order in the word, so a
+    letter moved earlier in the block's word moves earlier in the whole
+    word: every up step but the first moves one place earlier, and the one
+    letter moved later is the R that the ``UR`` check found second.  So the
+    word keeps its n up steps among (k+1)n letters, each one at or before
+    where it started, and the j-th up step stays at or before the j-th
+    starting place, within its bound."""
     k, n = chain.k, chain.n
     width = k + 1
     chunks = ["U" + "R" * k] * (n + 1)  # chunks[x] is element x's; 0 unused
@@ -356,11 +418,24 @@ def ncp_to_dyck(chain: NonCrossingChain) -> RationalDyckPath:
                 if word[:2] != "UR":
                     raise InvariantError(f"cannot shift up steps of {word}")
                 word = "U" + word[2:] + "R"
-                for i, x in enumerate(b):
-                    chunks[x] = word[i * width:(i + 1) * width]
+                i = 0
+                for x in b:
+                    chunks[x] = word[i:i + width]
+                    i += width
     word = "".join(chunks[1:])
-    steps = tuple(i for i, c in enumerate(word, 1) if c == "U")
-    return RationalDyckPath(Slope(1, k, n), steps)
+    steps = []
+    i = word.find("U")
+    while i >= 0:
+        steps.append(i + 1)
+        i = word.find("U", i + 1)
+    return RationalDyckPath._caller_checked(_chain_slope(k, n), tuple(steps))
+
+
+@lru_cache(maxsize=128)
+def _chain_slope(k: int, n: int) -> Slope:
+    """The slope (1, k) at size n, one per size, so that the paths of a chain
+    table share it and its cached hash."""
+    return Slope(1, k, n)
 
 
 @lru_cache(maxsize=128)
@@ -368,9 +443,8 @@ def _chain_table(n: int, k: int) -> dict[RationalDyckPath, NonCrossingChain]:
     table: dict[RationalDyckPath, NonCrossingChain] = {}
     for chain in enumerate_chains(n, k):
         path = ncp_to_dyck(chain)
-        if path in table:
+        if table.setdefault(path, chain) is not chain:
             raise InvariantError(f"chain map is not injective at {path}")
-        table[path] = chain
     return table
 
 

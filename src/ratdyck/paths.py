@@ -12,19 +12,19 @@ cross-multiplication, and counting is exact integer arithmetic.
 
 A path is built either by its constructor, which validates the steps, or
 by ``RationalDyckPath._caller_checked``, which does not; partitions and
-matchings likewise have ``NonCrossingPartition._caller_checked``.  Both
-builders of each class set its slots through bound slot descriptors, and
-no other code may call those setters.  Parsing,
-the public constructors, unpickling and every other map validate.  Only a
-kernel whose output is valid by how it is built, stated as a lemma in its
-docstring, may build it unchecked: ``enumerate_paths``, the toggle kernels
-of ``promotion`` and the row sweep of ``rowmotion`` for paths, and
-``matchings.pm``, ``matchings.dpm`` and the dihedral relabels
+matchings likewise have ``NonCrossingPartition._caller_checked``, and
+chains ``NonCrossingChain._caller_checked``.  Both builders of paths and
+of partitions set their slots through bound slot descriptors, and no other
+code may call those setters.  Parsing, the public constructors, unpickling
+and every other map validate.  Only a kernel whose output is valid by how
+it is built, stated as a lemma in its docstring, may build it unchecked:
+``enumerate_paths``, the toggle kernels of ``promotion``, the row sweep of
+``rowmotion`` and the chain encoder ``noncrossing.ncp_to_dyck`` for paths;
+``matchings.pm``, ``matchings.dpm``, the dihedral relabels
 ``NonCrossingPartition._rotated`` and ``NonCrossingPartition._reflected``
-for matchings and partitions, whose lemma is that a rotation or reflection
-of the polygon keeps each block sorted, the chords non-crossing and the
-blocks in order by minimum once the one wrapped block is placed (rotation)
-or the blocks are sorted once (reflection).
+and the stack walk ``noncrossing.enumerate_ncps`` for matchings and
+partitions; and ``noncrossing.enumerate_chains`` for chains.  The
+``noncrossing`` module docstring states the lemma of each of its builders.
 
 ``image_scope`` shares map images across a run: while one is open, every
 map decorated with ``memo_image`` computes its image of each argument once
@@ -166,7 +166,8 @@ class RationalDyckPath(Value):
     the length a*n, strictly increasing steps in [1, (a+b)n], and each
     u_j <= step_bound(j).  A caller is added only with that implication
     written as a lemma in its docstring, and the same rule holds for
-    ``NonCrossingPartition._caller_checked``; the allowed callers of both
+    ``NonCrossingPartition._caller_checked`` and
+    ``NonCrossingChain._caller_checked``; the allowed callers of all three
     are listed in the tests, and the values they build are checked against
     the constructors there."""
 

@@ -12,7 +12,8 @@ matching map's candidates one element at a time with a fresh admissibility
 parse per size that searches every sub-window in full, put the whole pool
 in cyclic order by one sort, search every assignment of valley values for
 the inverse, test every pair of blocks for a crossing, walk every set
-partition and keep the non-crossing ones, build chains from the all-pairs
+partition and keep the non-crossing ones, count partitions and chains by
+the Catalan and Fuss-Catalan numbers, build chains from the all-pairs
 refinement table, splice chain paths at slot boundaries one block at a
 time, invert the Kreweras complement by applying it 2n - 1 times, validate
 blocks by four separate checks, tabulate orbits with every path keyed by
@@ -35,6 +36,7 @@ import pytest
 
 from ratdyck import matching_map, registry
 from ratdyck import matchings as matchings_module
+from ratdyck import noncrossing as noncrossing_module
 from ratdyck import paths as paths_module
 from ratdyck import rowmotion as rowmotion_module
 from ratdyck.cli import main
@@ -247,15 +249,31 @@ def unchecked_images(p, chains=True):
     return images
 
 
+# the chain kernels' caches, which would hand a routed run values built
+# before it, and a later unrouted run values built by routing
+CHAIN_CACHES = ("enumerate_ncps", "enumerate_chains", "_chain_table")
+
+
+def clear_chain_caches():
+    for name in CHAIN_CACHES:
+        getattr(noncrossing_module, name).cache_clear()
+
+
 def routed(monkeypatch, fn, *args):
-    """``fn(*args)`` with every path, partition and matching that a kernel
-    builds unchecked routed through its validating constructor, which raises
-    on an invalid one."""
+    """``fn(*args)`` with every path, partition, matching and chain that a
+    kernel builds unchecked routed through its validating constructor, which
+    raises on an invalid one."""
     with monkeypatch.context() as patched:
         patched.setattr(RationalDyckPath, "_caller_checked", RationalDyckPath)
         patched.setattr(NonCrossingPartition, "_caller_checked",
                         classmethod(lambda cls, n, blocks: cls(n, blocks)))
-        return fn(*args)
+        patched.setattr(NonCrossingChain, "_caller_checked",
+                        classmethod(lambda cls, k, layers: cls(k, layers)))
+        clear_chain_caches()
+        try:
+            return fn(*args)
+        finally:
+            clear_chain_caches()
 
 
 def routed_images(paths, monkeypatch, chains=True):
@@ -369,6 +387,73 @@ def test_routed_enumeration_catches_a_loose_enumerator_bound(a, b, n, monkeypatc
     enumerated(slope)
     with pytest.raises((ValueError, InvariantError)):
         routed(monkeypatch, enumerated, slope)
+
+
+def ncps_keeping_enclosed_blocks(n):
+    """``enumerate_ncps`` with no block ever leaving the stack: x may join
+    a block that a later chord encloses, so crossing partitions come out,
+    built unchecked."""
+    out, blocks = [], []
+
+    def rec(x):
+        if x > n:
+            out.append(NonCrossingPartition._caller_checked(n, tuple(map(tuple, blocks))))
+            return
+        for b in blocks:
+            b.append(x)
+            rec(x + 1)
+            b.pop()
+        blocks.append([x])
+        rec(x + 1)
+        blocks.pop()
+
+    rec(1)
+    return tuple(out)
+
+
+def ncp_to_dyck_shifting_back(chain):
+    """``ncp_to_dyck`` with each pass turning ``U w R`` into ``U R w``, the
+    shift run backwards, so that up steps move later, past their bounds."""
+    k, n = chain.k, chain.n
+    width = k + 1
+    chunks = ["U" + "R" * k] * (n + 1)
+    for layer in reversed(chain.layers):
+        for b in layer.blocks:
+            if len(b) > 1:
+                word = "".join([chunks[x] for x in b])
+                word = "UR" + word[1:-1]
+                for i, x in enumerate(b):
+                    chunks[x] = word[i * width:(i + 1) * width]
+    steps = tuple(i for i, c in enumerate("".join(chunks[1:]), 1) if c == "U")
+    return RationalDyckPath._caller_checked(Slope(1, k, n), steps)
+
+
+def chain_kernel_images(n, k):
+    """What the chain kernels build unchecked on [1, n]: the partitions, the
+    k-chains and the path of each chain."""
+    chains = noncrossing_module.enumerate_chains(n, k)
+    return [noncrossing_module.enumerate_ncps(n), chains,
+            [noncrossing_module.ncp_to_dyck(c) for c in chains]]
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("enumerate_ncps", ncps_keeping_enclosed_blocks),
+    ("ncp_to_dyck", ncp_to_dyck_shifting_back),
+])
+@pytest.mark.parametrize("n,k", [(5, 1), (5, 2)])
+def test_routed_chain_kernels_catch_a_broken_lemma(name, broken, n, k, monkeypatch):
+    # fresh caches, dropped with the patch, so that nothing the broken
+    # kernel built outlives the test; the broken walk builds crossing
+    # partitions and the backward shift paths past their bounds, which
+    # only the routed run refuses
+    for cache in CHAIN_CACHES:
+        fn = broken if cache == name else getattr(noncrossing_module, cache).__wrapped__
+        monkeypatch.setattr(noncrossing_module, cache, functools.lru_cache(fn))
+    if name not in CHAIN_CACHES:
+        monkeypatch.setattr(noncrossing_module, name, broken)
+    chain_kernel_images(n, k)
+    with pytest.raises(ValueError):
+        routed(monkeypatch, chain_kernel_images, n, k)
 
 
 def step_sequences_reference(slope):
@@ -1286,9 +1371,21 @@ def enumerate_ncps_reference(n):
     return tuple(ncp(n, b) for b in set_partitions(n) if noncrossing_reference(b))
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, 10))
 def test_enumerate_ncps_matches_set_partition_walk(n):
     assert enumerate_ncps(n) == enumerate_ncps_reference(n)
+
+
+@pytest.mark.parametrize("n", range(0, 12))
+def test_enumerate_ncps_counts_catalan(n):
+    # uncached, so the largest tables do not outlive the test
+    assert len(enumerate_ncps.__wrapped__(n)) == math.comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.parametrize("n,k", [*((n, 2) for n in range(1, 8)), *((n, 3) for n in range(1, 7))])
+def test_enumerate_chains_counts_fuss_catalan(n, k):
+    # the k-chains of [1, n] number C((k+1)n, n)/(kn+1): 7,752 at (7,2)
+    assert len(enumerate_chains.__wrapped__(n, k)) == math.comb((k + 1) * n, n) // (k * n + 1)
 
 
 def enumerate_chains_reference(n, k):

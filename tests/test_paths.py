@@ -217,12 +217,14 @@ def test_cached_hash_changes_no_value_repr_or_pickle():
 
 
 # the kernels whose docstrings prove their images valid: each may build them
-# unchecked, through either _caller_checked (of paths, or of partitions and
-# matchings), and nothing else may
+# unchecked, through any _caller_checked (of paths, of partitions and
+# matchings, or of chains), and nothing else may
 CALLER_CHECKED = {("promotion.py", "toggle"), ("promotion.py", "_toggle_runs"),
                   ("rowmotion.py", "_sweep"), ("paths.py", "enumerate_paths"),
                   ("matchings.py", "pm"), ("matchings.py", "dpm"),
-                  ("noncrossing.py", "_rotated"), ("noncrossing.py", "_reflected")}
+                  ("noncrossing.py", "_rotated"), ("noncrossing.py", "_reflected"),
+                  ("noncrossing.py", "enumerate_ncps"), ("noncrossing.py", "enumerate_chains"),
+                  ("noncrossing.py", "ncp_to_dyck")}
 
 
 def unchecked_uses(tree):

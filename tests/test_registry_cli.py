@@ -551,3 +551,22 @@ def test_cli_starts_without_fractions():
 def test_cli_starts_without_the_profiler():
     # cProfile and pstats are imported by verify --profile alone
     assert modules_loaded_by_cli_import({"cProfile", "pstats"}) == "[]"
+
+
+def test_cli_exits_141_when_its_reader_goes_away():
+    # the 16,796 paths of (1,1) n=10 are about 350 KB, far past a pipe's
+    # buffer: the reader takes one line and closes the pipe, and the CLI
+    # exits as a writer killed by SIGPIPE would, without a traceback
+    src = os.path.dirname(os.path.dirname(ratdyck.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratdyck.cli", "enum", "--a", "1", "--b", "1", "--n", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

@@ -83,12 +83,14 @@ def test_hot_classes_hash_as_their_field_tuples():
     assert hash(Permutation321((2, 1, 3))) == hash(((2, 1, 3),))
 
 
-# a path, a partition and a matching, each built by its constructor and by
-# the unchecked builder, which sets the same slots through bound descriptors
+# a path, a partition, a matching and a chain, each built by its constructor
+# and by the unchecked builder, which sets the same slots (through bound
+# descriptors, except for chains)
 BUILDS = [
     (RationalDyckPath, (S, (1, 2, 5, 7))),
     (NonCrossingPartition, (3, ((1, 2), (3,)))),
     (PerfectMatching, (4, ((1, 4), (2, 3)))),
+    (NonCrossingChain, (2, (A, NonCrossingPartition(3, ((1,), (2,), (3,)))))),
 ]
 
 
@@ -112,12 +114,12 @@ def test_unchecked_builds_keep_the_value_contract(cls, values):
 
 
 def unchecked_chain(k, layers):
-    """A chain whose layers are built by the unchecked builder."""
-    return NonCrossingChain(k, tuple(NonCrossingPartition._caller_checked(x.n, x.blocks)
-                                     for x in layers))
+    """A chain built unchecked, and its layers too."""
+    return NonCrossingChain._caller_checked(
+        k, tuple(NonCrossingPartition._caller_checked(x.n, x.blocks) for x in layers))
 
 
-# a partition, a matching and a chain, each built unchecked (a chain from
+# a partition, a matching and a chain, each built unchecked (a chain with
 # unchecked layers) and by its constructor: the hash cached on first use
 HASHED = [
     (NonCrossingPartition._caller_checked, NonCrossingPartition, (3, ((1, 2), (3,)))),
