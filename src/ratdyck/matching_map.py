@@ -21,8 +21,10 @@ passes that test, so the first size it accepts, from the representing
 length down, is at least the largest admissible one, and the final round
 trip through ``pm`` shows that every block kept was admissible (the lemma
 is in ``mat``'s docstring).  So no layout of the built blocks is kept:
-``mat`` holds only their up steps, sorted, and tries only the first b + 1
-positions of each entry's cyclic order of unused positions.
+``mat`` holds only their up steps, sorted, and the unused positions as a
+ring linked both ways.  Each entry walks that ring from its start, upward
+when barred and downward when not, over at most b + 1 positions, and
+taking a block unlinks its positions in O(1) each.
 ``mat_inverse`` rebuilds the path greedily from the bottom row up: the
 valley values can only go in descending order, so there is no search.
 """
@@ -195,35 +197,37 @@ def admissible(slope: Slope, candidate, minima=()) -> bool:
     return shape is not None and shape[0] == c
 
 
-def _cyclic_prefix(free: list[int], i: int, size: int, increasing: bool) -> list[int]:
-    """The first ``size`` (at most ``len(free)``) positions of the sorted
-    list ``free`` in cyclic order from ``free[i]``, ascending or
-    descending."""
-    if increasing:
-        seq = free[i : i + size]
-        return seq + free[: size - len(seq)]
-    seq = free[max(i + 1 - size, 0) : i + 1][::-1]
-    return seq + free[len(free) - (size - len(seq)) :][::-1]
-
-
-def _representing_length(keys: tuple[int, ...], seq: list[int]) -> int:
-    """Length of the longest prefix of ``seq`` whose first element stays the
-    height-maximal element of it (bars winning ties, as ``keys`` orders
-    positions), or the inverse map could not select it back."""
-    start_key = keys[seq[0]]
-    for size in range(1, len(seq)):
-        if keys[seq[size]] >= start_key:
-            return size
-    return len(seq)
+def _walk(link: list[int], keys: tuple[int, ...], start: int, width: int) -> list[int]:
+    """The positions of the ring ``link`` from ``start`` on, at most
+    ``width`` of them, up to the first whose key is at least the start's:
+    the longest prefix whose start stays its height-maximal element (bars
+    winning ties, as ``keys`` orders positions), or the inverse map could
+    not select it back.  A walk never comes back to ``start``, whose key
+    stops it."""
+    seq = [start]
+    start_key = keys[start]
+    x = start
+    for _ in range(width - 1):
+        x = link[x]
+        if keys[x] >= start_key:
+            break
+        seq.append(x)
+    return seq
 
 
 @memo_image
 def mat(p: RationalDyckPath) -> RationalDyckPath:
     """The matching map.
 
-    Each entry takes the largest size, from its representing length down to
-    min(floor(b/a) + 1, the prefix length), whose prefix ``admissible``
-    accepts (at a = 1 every block has b + 1 positions, the one size tried).
+    The unused positions form a ring: ``after`` and ``before`` link each to
+    the next unused position above and below it, cyclically, ``taken``
+    marks the used ones and ``left`` counts the rest.  Each entry walks the
+    ring from its start (``_walk``), along ``after`` when barred and along
+    ``before`` when not, over at most min(b + 1, ``left``) positions, and
+    stops at its representing length.  It takes the largest size, from that
+    length down to min(floor(b/a) + 1, ``left``), whose prefix
+    ``admissible`` accepts (at a = 1 every block has b + 1 positions, the
+    one size tried), and unlinks the block's positions from the ring.
     ``admissible`` is the window arithmetic alone, which every admissible
     block passes, so the size taken is at least the largest admissible one.
     The window nesting and the stretch fill are settled by the final round
@@ -252,21 +256,24 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     s = p.slope
     total, b = s.total_steps, s.b
     smallest = b // s.a + 1
-    free = list(range(1, total + 1))  # the unused positions, sorted
+    after = [*range(1, total + 1), 1]
+    before = [0, total, *range(1, total)]
+    taken = bytearray(total + 1)
+    left = total
     keys = _slope_tables(s)[1]
     blocks: list[tuple[int, ...]] = []
     minima: list[int] = []  # the built up steps, sorted
     for value, barred in _valley_entries(p):
         start = total + 1 - value if barred else value
-        i = bisect_left(free, start)
-        if i == len(free) or free[i] != start:
+        if taken[start]:
             raise InvariantError(
                 f"matching map start {start} already consumed on {p} "
                 "(admissibility interpretation bug)"
             )
         # no prefix longer than b + 1 (see admissible) or the representing length closes
-        seq = _cyclic_prefix(free, i, min(b + 1, len(free)), barred)
-        for size in range(_representing_length(keys, seq), min(smallest, len(seq)) - 1, -1):
+        width = min(b + 1, left)
+        seq = _walk(after if barred else before, keys, start, width)
+        for size in range(len(seq), min(smallest, width) - 1, -1):
             if admissible(s, seq[:size], minima):
                 break
         else:
@@ -278,8 +285,12 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         blocks.append(block)
         insort(minima, block[0])
         for x in block:
-            del free[bisect_left(free, x)]
-    if free:
+            above, below = after[x], before[x]
+            after[below] = above
+            before[above] = below
+            taken[x] = 1
+        left -= size
+    if left:
         raise InvariantError(f"matching map left positions unused on {p}")
     # the path whose up steps are the block minima, if its matching is the
     # built one; a mismatch is a defect here, not bad input
@@ -295,8 +306,10 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
 @memo_image
 def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
     """Pick the height-maximal representative of every matching block (bars
-    win ties), then rebuild the unique path with that valley set.  Raises
-    ``ValueError`` when the selections fit no path."""
+    win ties), then rebuild the unique path with that valley set.  ``q`` is
+    a validated path and ``mat`` is onto (``mat-roundtrip`` checks it
+    inverts ``mat`` on every desk path), so selections that fit no path are
+    a defect here, not bad input: they raise ``InvariantError``."""
     s = q.slope
     total, bn, an = s.total_steps, s.right_count, s.up_count
     keys = _slope_tables(s)[1]
@@ -312,7 +325,7 @@ def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
 
     barred_rows = set(bars)
     if len(barred_rows) != len(bars):
-        raise ValueError(f"selected bars collide for {q}")
+        raise InvariantError(f"selected bars collide for {q}")
     # Valley rows from the bottom up need strictly increasing u - m, that is
     # strictly decreasing values, so the values can only go in descending
     # order: the greedy rebuild is the one candidate.
@@ -324,12 +337,15 @@ def mat_inverse(q: RationalDyckPath) -> RationalDyckPath:
             u = prev + 1
         elif m == 1 or used == len(values) or bn - values[used] + 1 + m <= prev + 1:
             # the bottom row never holds a valley, and a valley needs a value
-            raise ValueError(f"selections of {q} do not form a valid valley sequence")
+            raise InvariantError(f"selections of {q} do not form a valid valley sequence")
         else:
             u = bn - values[used] + 1 + m
             used += 1
         steps.append(u)
         prev = u
     if used != len(values):
-        raise ValueError(f"selections of {q} leave valley values unused")
-    return RationalDyckPath(s, tuple(steps))
+        raise InvariantError(f"selections of {q} leave valley values unused")
+    try:
+        return RationalDyckPath(s, tuple(steps))
+    except ValueError as exc:
+        raise InvariantError(f"selections of {q} rebuild no path: {exc}") from exc

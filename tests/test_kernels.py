@@ -9,7 +9,8 @@ intersect the slope line with the path in rationals, walk forward from
 each up step to its line's first return, read the dual matching off the
 transposed path, sum Bizley's formula over partitions, grow and scan the
 matching map's candidates one element at a time with a fresh admissibility
-parse per size that searches every sub-window in full, put the whole pool
+parse per size that searches every sub-window in full, slice each entry's
+candidates out of a sorted list of unused positions, put the whole pool
 in cyclic order by one sort, search every assignment of valley values for
 the inverse, test every pair of blocks for a crossing, walk every set
 partition and keep the non-crossing ones, count partitions and chains by
@@ -30,6 +31,7 @@ import itertools
 import math
 import random
 import types
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -41,10 +43,9 @@ from ratdyck import paths as paths_module
 from ratdyck import rowmotion as rowmotion_module
 from ratdyck.cli import main
 from ratdyck.matching_map import (
-    _cyclic_prefix,
     _height,
-    _representing_length,
     _slope_tables,
+    _walk,
     admissible,
     k_sequence,
     mat,
@@ -705,6 +706,37 @@ def _grow_sequence(start, pool, increasing):
     return ordered[i::-1] + ordered[:i:-1]
 
 
+def cyclic_prefix_reference(free, i, size, increasing):
+    """The first ``size`` (at most ``len(free)``) positions of the sorted
+    list ``free`` in cyclic order from ``free[i]``, ascending or
+    descending, sliced out of the list."""
+    if increasing:
+        seq = free[i : i + size]
+        return seq + free[: size - len(seq)]
+    seq = free[max(i + 1 - size, 0) : i + 1][::-1]
+    return seq + free[len(free) - (size - len(seq)) :][::-1]
+
+
+def representing_length_reference(keys, seq):
+    """Length of the longest prefix of ``seq`` whose first element stays the
+    height-maximal element of it, as ``keys`` orders positions, by a scan
+    of ``seq``."""
+    start_key = keys[seq[0]]
+    for size in range(1, len(seq)):
+        if keys[seq[size]] >= start_key:
+            return size
+    return len(seq)
+
+
+def ring(order):
+    """The ring ``_walk`` reads: ``link[x]`` is the member of ``order``
+    after x, cyclically."""
+    link = [0] * (max(order) + 1)
+    for x, y in zip(order, order[1:] + order[:1]):
+        link[x] = y
+    return link
+
+
 def represents_reference(slope, start, candidate):
     bn = slope.right_count
     start_key = (_height(slope, start), start > bn)
@@ -1212,21 +1244,80 @@ def test_admissible_is_exact_on_every_call_mat_makes(a, b, n, uniform, monkeypat
             assert verdict == reference_verdict(slope, cand, tuple(built[:k])), (p, cand, k)
 
 
+def admissible_calls_reference(p):
+    """The ``admissible`` calls of the list-based walk, each as (candidate,
+    blocks built, verdict): the unused positions in a sorted list, each
+    entry's cyclic prefix sliced out of it and scanned for its representing
+    length, and each position taken deleted from the list."""
+    s = p.slope
+    free = list(range(1, s.total_steps + 1))
+    keys = _slope_tables(s)[1]
+    minima, calls = [], []
+    for entry in k_sequence(p).entries:
+        seq = cyclic_prefix_reference(
+            free, free.index(entry.numeric(s)), min(s.b + 1, len(free)), entry.barred
+        )
+        longest = representing_length_reference(keys, seq)
+        for size in range(longest, min(s.b // s.a + 1, len(seq)) - 1, -1):
+            calls.append((tuple(seq[:size]), len(minima), admissible(s, seq[:size], minima)))
+            if calls[-1][2]:
+                break
+        block = sorted(seq[:size])
+        insort(minima, block[0])
+        for x in block:
+            free.remove(x)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a,b,n,uniform",
+    [(*slope, 0) for slope in MAT_DESK_SLOPES]
+    + [(*slope, 3) for slope in MEMO_SLOPES + [(1, 1, 40)]],
+)
+def test_mat_makes_the_admissible_calls_of_the_list_walk(a, b, n, uniform, monkeypatch):
+    # the ring walk asks admissible about the same candidates, in the same
+    # order and with the same blocks built, as the sorted list it replaced,
+    # so the traced call count and accept ratio stay put
+    slope = Slope(a, b, n)
+    if uniform:
+        rng = random.Random(a * 1000 + b * 100 + n + 4)
+        paths = [uniform_path(slope, rng) for _ in range(uniform)]
+    else:
+        paths = enumerate_paths(slope)
+    check = matching_map.admissible
+    for p in paths:
+        expected = admissible_calls_reference(p)
+        calls = []
+
+        def recorded(slope, cand, minima):
+            calls.append((tuple(cand), len(minima), check(slope, cand, minima)))
+            return calls[-1][2]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(matching_map, "admissible", recorded)
+            mat(p)
+        assert calls == expected, p
+
+
 @pytest.mark.parametrize("a,b,n", [(1, 1, 6), (1, 2, 4), (2, 3, 3), (3, 5, 2)])
 def test_a_wrong_block_choice_is_an_invariant_error(a, b, n, monkeypatch, capsys):
     # with the nearest free position skipped wherever the pool is large
     # enough, mat builds blocks the valley sequence does not ask for: the
     # forced-size arithmetic or the final round trip must report a broken
     # invariant, never crash on a block that cannot close
-    prefix = matching_map._cyclic_prefix
+    walk = matching_map._walk
 
-    def skipping(free, i, size, increasing):
-        if len(free) <= size + 1:
-            return prefix(free, i, size, increasing)
-        seq = prefix(free, i, size + 1, increasing)
-        return [seq[0], *seq[2:]]
+    def skipping(link, keys, start, width):
+        pool, x = 1, link[start]
+        while x != start:
+            pool, x = pool + 1, link[x]
+        if pool <= width + 1:
+            return walk(link, keys, start, width)
+        skipped = list(link)
+        skipped[start] = link[link[start]]
+        return walk(skipped, keys, start, width)
 
-    monkeypatch.setattr(matching_map, "_cyclic_prefix", skipping)
+    monkeypatch.setattr(matching_map, "_walk", skipping)
     slope = Slope(a, b, n)
     broken = []
     for p in enumerate_paths(slope):
@@ -1238,6 +1329,31 @@ def test_a_wrong_block_choice_is_an_invariant_error(a, b, n, monkeypatch, capsys
             assert mat_inverse(q) == p, p
     assert broken
     code = main(["apply", "--map", "mat", "--a", str(a), "--b", str(b), "--n", str(n),
+                 "--path", broken[0].steps_str()])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("internal error: ") and len(out.err.splitlines()) == 1
+
+
+def test_a_wrong_selection_in_mat_inverse_is_an_invariant_error(monkeypatch, capsys):
+    # every argument of mat_inverse is a validated path and mat is onto, so
+    # selections that fit no path are a defect: with the keys reversed each
+    # block selects its lowest position, and the CLI must exit 3, not 2
+    tables = matching_map._slope_tables
+
+    def reversed_keys(slope):
+        ups, keys = tables(slope)
+        return ups, tuple(-k for k in keys)
+
+    monkeypatch.setattr(matching_map, "_slope_tables", reversed_keys)
+    broken = []
+    for p in enumerate_paths(Slope(1, 2, 4)):
+        try:
+            mat_inverse(p)
+        except InvariantError:
+            broken.append(p)
+    assert broken
+    code = main(["apply", "--map", "mat-inverse", "--a", "1", "--b", "2", "--n", "4",
                  "--path", broken[0].steps_str()])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
@@ -1270,18 +1386,23 @@ def test_grow_sequence_matches_linear_loop():
 
 
 def test_cyclic_prefix_matches_whole_sequence():
-    # mat builds only the first min(b + 1, len) positions of the cyclic
-    # order; pools shorter than b + 1 and starts near either end wrap
+    # mat walks only the first min(b + 1, len) positions of the cyclic
+    # order; pools shorter than b + 1 and starts near either end wrap.  Keys
+    # that put every start on top let the walk run its full width
     rng = random.Random(20261019)
     for _ in range(400):
         pool = sorted(rng.sample(range(1, 41), rng.randint(1, 12)))
         b = rng.randint(1, 8)
         size = min(b + 1, len(pool))
+        after, before = ring(pool), ring(pool[::-1])
         for i, start in enumerate(pool):
+            keys = [0] * 41
+            keys[start] = 1
             for increasing in (True, False):
-                assert _cyclic_prefix(pool, i, size, increasing) == _grow_sequence(
-                    start, set(pool), increasing
-                )[:size], (pool, start, b, increasing)
+                whole = _grow_sequence(start, set(pool), increasing)[:size]
+                link = after if increasing else before
+                assert _walk(link, keys, start, size) == whole, (pool, start, b, increasing)
+                assert cyclic_prefix_reference(pool, i, size, increasing) == whole
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)
@@ -1326,7 +1447,8 @@ def test_representing_length_matches_prefix_scan():
                 size for size in range(1, len(seq) + 1)
                 if represents_reference(slope, seq[0], seq[:size])
             )
-            assert _representing_length(keys, seq) == longest
+            assert _walk(ring(seq), keys, seq[0], len(seq)) == seq[:longest]
+            assert representing_length_reference(keys, seq) == longest
 
 
 # -- partitions and chains --------------------------------------------------

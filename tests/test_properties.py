@@ -3,8 +3,8 @@ reaches.
 
 A random path draws each up step u_j uniformly from [u_{j-1} + 1,
 step_bound(j)]; every draw is a valid path, though not a uniform one.  The
-matching map runs at about 40-60 steps on five slopes and at 160 steps on
-(1,1) and (2,3), the rank sweeps at about 80 steps on six slopes; every
+matching map runs at about 40-60 steps on five slopes, at 160 steps on
+(1,1) and (2,3) and at 2,000-4,000 steps on four slopes, the rank sweeps at about 80 steps on six slopes; every
 other property runs at size 20-40.
 """
 
@@ -20,7 +20,8 @@ from ratdyck.rowmotion import dual_rowvacuation, rowmotion, rowmotion_structural
 from test_rowmotion import check_sweeps_against_reference
 
 MAP_SLOPES = [(1, 1, 40), (1, 2, 20), (2, 3, 20), (3, 5, 20), (3, 2, 20)]
-MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 12), (3, 5, 8), (3, 2, 12), (1, 1, 80), (2, 3, 32)]
+MAT_SLOPES = [(1, 1, 20), (1, 2, 20), (2, 3, 12), (3, 5, 8), (3, 2, 12), (1, 1, 80), (2, 3, 32),
+              (1, 1, 2000), (2, 3, 400), (3, 5, 250), (1, 3, 500)]
 SWEEP_SLOPES = [(1, 1, 40), (1, 2, 27), (2, 3, 16), (3, 2, 16), (3, 5, 10), (5, 3, 10)]
 
 
