@@ -60,7 +60,7 @@ canonical_matching = PerfectMatching.canonical
 
 def parse_matching(text: str, ground: int) -> PerfectMatching:
     text = text.replace(" ", "")
-    if not re.fullmatch(r"\{[\d,]*\}(,\{[\d,]*\})*", text):
+    if not re.fullmatch(r"\{([0-9]+(,[0-9]+)*)?\}(,\{([0-9]+(,[0-9]+)*)?\})*", text):
         raise ValueError(f"bad matching literal: {text!r}")
     blocks = [tuple(int(x) for x in part.split(",") if x) for part in text[1:-1].split("},{")]
     return canonical_matching(ground, blocks)

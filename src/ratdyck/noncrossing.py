@@ -242,7 +242,7 @@ ncp = NonCrossingPartition.canonical
 
 
 def parse_ncp(text: str, n: int | None = None) -> NonCrossingPartition:
-    if not re.fullmatch(r"\d+(\.\d+)*(/\d+(\.\d+)*)*", text.strip()):
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)*(/[0-9]+(\.[0-9]+)*)*", text.strip()):
         raise ValueError(f"bad partition literal: {text!r}")
     blocks = [tuple(int(x) for x in part.split(".")) for part in text.strip().split("/")]
     size = n if n is not None else max(x for b in blocks for x in b)

@@ -37,6 +37,7 @@ a scope nothing is cached: a decorated map calls straight through.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import lru_cache, wraps
@@ -367,7 +368,10 @@ def path_from_word(slope: Slope, word: str) -> RationalDyckPath:
 
 
 def parse_steps(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+    text = text.replace(" ", "")
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+        raise ValueError(f"bad step literal: {text!r}")
+    return tuple(int(part) for part in text.split(","))
 
 
 def top_path(slope: Slope) -> RationalDyckPath:

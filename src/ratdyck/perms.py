@@ -14,6 +14,7 @@ reflected paths are built from the swapped corners of their marks.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from functools import cmp_to_key
 from itertools import pairwise
@@ -74,6 +75,8 @@ def _is_321_avoiding(values: tuple[int, ...]) -> bool:
 
 def parse_permutation(text: str) -> Permutation321:
     text = text.strip()
+    if not re.fullmatch(r"[0-9]+( *, *[0-9]+)*", text):
+        raise ValueError(f"bad permutation literal: {text!r}")
     if "," in text:
         vals = tuple(int(x) for x in text.split(","))
     else:

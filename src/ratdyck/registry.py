@@ -636,20 +636,28 @@ def orbit_table(map_name: str, slope: Slope) -> list[list[str]]:
     at its first path in enumeration order, sorted by that path's name.
 
     The map becomes a permutation of path ranks (positions in
-    ``enumerate_paths`` order), and the cycles are read off that array."""
+    ``enumerate_paths`` order), and the cycles are read off that array.
+    Every enumerated path is on this slope, so its step tuple alone keys
+    its rank; an image is looked up by its steps only once it is checked to
+    be a path on this slope.  Names are joined from one digit string per
+    position, as ``str`` writes them."""
     m = resolve_path_map(map_name, slope)
     paths = pa.enumerate_paths(slope)
-    rank = {p: i for i, p in enumerate(paths)}
+    rank = {p.steps: i for i, p in enumerate(paths)}
+    path_class = pa.RationalDyckPath
     images: list[int] = []
     for p in paths:
         q = m.fn(p)
-        try:
-            images.append(rank[q])
-        except KeyError:
-            raise pa.InvariantError(
-                f"map {map_name!r} sends {p} to {q}, which is not a path of {slope}"
-            ) from None
-    names = [str(p) for p in paths]
+        if q.__class__ is path_class and (q.slope is slope or q.slope == slope):
+            j = rank.get(q.steps)
+            if j is not None:
+                images.append(j)
+                continue
+        raise pa.InvariantError(
+            f"map {map_name!r} sends {p} to {q}, which is not a path of {slope}"
+        )
+    digits = [str(x) for x in range(slope.total_steps + 1)]
+    names = [",".join([digits[u] for u in p.steps]) for p in paths]
     source = [-1] * len(paths)
     for i, j in enumerate(images):
         if source[j] >= 0:

@@ -1794,13 +1794,23 @@ def _outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
-@pytest.mark.parametrize("a,b,n", [(1, 1, 5), (1, 2, 3), (2, 3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("a,b,n", [
+    (1, 1, 5), (1, 2, 3), (2, 3, 2), (3, 2, 2), (1, 1, 7), (1, 3, 3), (2, 5, 2),
+])
 def test_orbit_table_matches_name_keyed_walk(a, b, n):
+    # (1,1,7) and (2,5,2) have up steps at positions 10 and up, so names
+    # built from the digit table and their sort ("1,10,..." before
+    # "1,2,...") are checked against str(p); (1,3,3) tops out at 9.  The
+    # indexed toggles are built by resolve_path_map, not listed in
+    # PATH_MAPS, and their indices run one past each end
     slope = Slope(a, b, n)
-    for name, m in registry.PATH_MAPS.items():
-        if m.applies(slope):
-            got = _outcome(registry.orbit_table, name, slope)
-            assert got == _outcome(orbit_table_reference, name, slope), name
+    region = rowmotion_module.box_region(slope)
+    names = [name for name, m in registry.PATH_MAPS.items() if m.applies(slope)]
+    names += [f"toggle:{i}" for i in range(slope.total_steps + 1)]
+    names += [f"rank-toggle:{r}" for r in range(region.min_rank - 1, region.max_rank + 2)]
+    for name in names:
+        got = _outcome(registry.orbit_table, name, slope)
+        assert got == _outcome(orbit_table_reference, name, slope), name
 
 
 def test_orbit_table_names_the_first_collision(monkeypatch):

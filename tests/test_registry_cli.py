@@ -230,16 +230,24 @@ def test_cli_orbit_and_verify(capsys):
 
 
 def test_orbit_image_outside_the_slope_is_an_invariant_error(capsys, monkeypatch):
-    # a registered map must stay on its slope; leaving it is a library defect
-    leave = lambda p: top_path(Slope(p.slope.a, p.slope.b, p.slope.n + 1))
-    monkeypatch.setitem(registry.PATH_MAPS, "promotion", registry.PathMap("promotion", leave))
-    with pytest.raises(InvariantError):
-        orbit_table("promotion", Slope(1, 2, 2))
-    code, out, err = run(capsys, "orbit", "--map", "promotion", "--a", "1", "--b", "2",
-                         "--n", "2")
-    assert code == 3 and out == ""
-    assert err == ("internal error: map 'promotion' sends 1,2 to 1,2,3, "
-                   "which is not a path of (1,2) n=2")
+    # a registered map must stay on its slope; leaving it is a library
+    # defect.  The orbit table ranks paths by their steps alone, so an image
+    # with the steps of a path but on another slope, or no path at all, must
+    # be refused as well
+    cases = [
+        (lambda p: top_path(Slope(p.slope.a, p.slope.b, p.slope.n + 1)), "1,2,3"),
+        (lambda p: path_from_steps(Slope(1, 1, 2), (1, 2)), "1,2"),
+        (pm, "{1,5,6},{2,3,4}"),
+    ]
+    for leave, image in cases:
+        monkeypatch.setitem(registry.PATH_MAPS, "promotion", registry.PathMap("promotion", leave))
+        with pytest.raises(InvariantError):
+            orbit_table("promotion", Slope(1, 2, 2))
+        code, out, err = run(capsys, "orbit", "--map", "promotion", "--a", "1", "--b", "2",
+                             "--n", "2")
+        assert code == 3 and out == ""
+        assert err == (f"internal error: map 'promotion' sends 1,2 to {image}, "
+                       "which is not a path of (1,2) n=2")
 
 
 @pytest.mark.parametrize("argv", [
@@ -500,10 +508,24 @@ def test_cli_input_must_match_the_slope(capsys, argv, message):
 @pytest.mark.parametrize("option,literal,kind", [
     ("--ncp", "1./2/3", "partition"),
     ("--ncp", "x", "partition"),
+    ("--ncp", "\u0661.2/3", "partition"),
     ("--matching", "{1,x},{3,4}", "matching"),
+    ("--matching", "{1,,2},{3,4}", "matching"),
+    ("--matching", "{,1,2},{3,4,}", "matching"),
+    ("--matching", "{1,2},{3,\u0664}", "matching"),
+    ("--path", "1,x", "step"),
+    ("--path", "1,,2", "step"),
+    ("--path", ",1,2,", "step"),
+    ("--path", "1,2,\u0664", "step"),
+    ("--perm", "2,x,1", "permutation"),
+    ("--perm", "2,,1,3", "permutation"),
+    ("--perm", "2,1,3,", "permutation"),
+    ("--perm", "\u0662,1,3", "permutation"),
 ])
 def test_cli_bad_literal_names_itself(capsys, option, literal, kind):
-    # an element that is no integer used to print int()'s own message
+    # an element that is no integer used to print int()'s own message, and
+    # empty step, permutation and matching entries were dropped; a digit
+    # outside ASCII 0-9, which int() reads, is refused too
     code, out, err = run(capsys, "convert", "--a", "1", "--b", "1", "--n", "3",
                          option, literal, "--to", "path")
     assert code == 2 and out == ""
