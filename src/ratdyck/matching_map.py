@@ -13,25 +13,24 @@ alternate with complete nested windows, each rooted at a built block's up
 step or at a free position holding a later block (possibly wrapping around
 built material), with every interior prefix strictly above the slope line
 and a mid-step return never followed directly by another up step.
-``mat`` decides it by window arithmetic alone (``admissible``): the span
-has the length of a complete window, the closure count holds against the
-built up steps inside it, and the own rights keep the window above the
-line until it closes (``window_arithmetic``).  Every admissible block
-passes that test, so the first size it accepts, from the representing
-length down, is at least the largest admissible one, and the final round
-trip through ``pm`` shows that every block kept was admissible (the lemma
-is in ``mat``'s docstring).  So no layout of the built blocks is kept:
-``mat`` holds only their up steps, sorted, and the unused positions as a
-ring linked both ways.  Each entry walks that ring from its start, upward
-when barred and downward when not, over at most b + 1 positions, and
-taking a block unlinks its positions in O(1) each.
+``mat`` decides it by window arithmetic on the candidate alone
+(``admissible``): the span has the length of a complete window, and the own
+rights keep the window above the line until it closes with that window's
+up count (``window_arithmetic``).  Every admissible block passes that test,
+so the first size it accepts, from the representing length down, is at
+least the largest admissible one, and the final round trip through ``pm``
+shows that every block kept was admissible (the lemma is in ``mat``'s
+docstring).  So nothing of the built blocks is read while ``mat`` builds:
+it keeps the blocks for the round trip and the unused positions as a ring
+linked both ways.  Each entry walks that ring from its start, upward when
+barred and downward when not, over at most b + 1 positions, and taking a
+block unlinks its positions in O(1) each.
 ``mat_inverse`` rebuilds the path greedily from the bottom row up: the
 valley values can only go in descending order, so there is no search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 
 from .matchings import pm
@@ -63,14 +62,6 @@ class BarSequence(Value):
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
-
-
-def parse_bar_sequence(text: str) -> BarSequence:
-    entries = []
-    for part in text.replace(" ", "").split(","):
-        barred = part.startswith("~")
-        entries.append(BarInt(int(part[barred:]), barred))
-    return BarSequence(tuple(entries))
 
 
 def _valley_entries(p: RationalDyckPath) -> list[tuple[int, bool]]:
@@ -114,12 +105,12 @@ def _slope_tables(slope: Slope) -> tuple[tuple, tuple[int, ...]]:
     return tuple(ups), keys
 
 
-def window_arithmetic(a: int, b: int, ups: tuple, root: int, rights) -> tuple[int, int] | None:
+def window_arithmetic(a: int, b: int, ups: tuple, root: int, rights) -> int | None:
     """The up count of a window rooted at ``root`` up to the last of its own
-    ``rights`` (sorted ascending), and its slack after it, for slope a/b
-    and the slope's ``ups`` (``_slope_tables``); None when a stretch before
-    that right cannot fill or an own right before it is not strictly above
-    the line.  It reads no layout (``admissible`` gives the proof)."""
+    ``rights`` (sorted ascending), for slope a/b and the slope's ``ups``
+    (``_slope_tables``); None when a stretch before that right cannot fill
+    or an own right before it is not strictly above the line.  It reads no
+    layout (``admissible`` gives the proof)."""
     count, slack, prev = 1, b, root
     for x in rights:
         u = ups[x - prev - 1]
@@ -128,25 +119,42 @@ def window_arithmetic(a: int, b: int, ups: tuple, root: int, rights) -> tuple[in
         count += u
         slack += (a + b) * u - a * (x - prev)
         prev = x
-    return count, slack
+    return count
 
 
-def admissible(slope: Slope, candidate, minima=()) -> bool:
+def admissible(slope: Slope, candidate) -> bool:
     """Whether ``candidate``, positions of [1, (a+b)n], passes the window
-    arithmetic of a matching block given ``minima``, the sorted up steps of
-    the blocks built so far: its span [lo, hi] has the length of a
-    complete window of some c up steps, the c - 1 up steps after lo in the
-    span less the built ones there number at least 0 and fewer than the
-    blocks not yet built, and its own rights (its positions after lo) keep
-    the window strictly above the line until it closes with count c
-    (``window_arithmetic``).
+    arithmetic of a matching block: its span [lo, hi] has the length of a
+    complete window of some c up steps, and its own rights (its positions
+    after lo) keep the window strictly above the line until it closes with
+    count c (``window_arithmetic``).
 
-    The test is necessary for admissibility and reads no layout: a built
-    block with a position in the span but not inside it, or a stretch that
-    a built block keeps from filling, goes unseen.  It is exact on a span
-    with no built position (below), and on every block ``mat`` keeps (the
-    lemma in ``mat``'s docstring), so on every call ``mat`` makes on a path
-    it maps: the calls before the block kept reject, as the parse does.
+    The test is necessary for admissibility and reads only the candidate:
+    a built block with a position in the span, a stretch that a built block
+    keeps from filling, or a span asking for more up steps after lo than
+    the built blocks inside it and the blocks still to come can give, goes
+    unseen.  On a span with no built position it is exact when at least c
+    blocks, this one included, are still to come (below).  It is exact on
+    every block ``mat`` keeps (the lemma in ``mat``'s docstring), so on
+    every call ``mat`` makes on a path it maps: the calls before the block
+    kept reject, as the parse does.
+
+    The closure count.  The parse also asks that the built up steps inside
+    the span number at most c - 1, and that the rest of those c - 1 up
+    steps number at most the blocks still to come after this one.
+    Dropping that count from a necessary test leaves it necessary, so by
+    the lemma ``mat`` returns the same path as with it or raises
+    ``InvariantError``, and it returns exactly when the count holds on
+    every call it makes that the arithmetic accepts.  At a = 1 ``mat``
+    tries one size per entry, so the count could only refuse, and on every
+    path that ``mat`` maps with it that call accepts: there it is implied.
+    At a >= 2 no proof is known.  It held on each of the more than 55
+    million calls ``mat`` made over every path of 17 slope families with
+    a >= 2, among them (2,3) and (3,2) up to n = 5, (3,5) and (5,3) up to
+    n = 3 and (2,1) up to n = 7, and on 1,026 seeded random paths of up to
+    12,000 steps, the calls the arithmetic rejects included.
+    ``tests/test_kernels.py`` keeps a copy of the count and checks it on
+    four of those paths and on 80 sampled ones.
 
     Stretches.  Cut a window rooted at i at its own rights: each stretch
     (between the root and the first own right, between two own rights, or
@@ -165,7 +173,8 @@ def admissible(slope: Slope, candidate, minima=()) -> bool:
     window rooted at a free position: the u - 1 up steps after its root form
     one such window (by induction; none for u = 1), which is followed only
     by rights, and every interior prefix after them has r < b*u/a rights,
-    strictly above the line.
+    strictly above the line.  The span's stretches then ask for c - 1 up
+    steps of blocks still to come, which is all the parse adds.
 
     The arithmetic.  The slack from the root is b after it; a stretch of n
     positions and u up steps raises it by (a+b)*u - a*n >= 0, and an own
@@ -175,8 +184,8 @@ def admissible(slope: Slope, candidate, minima=()) -> bool:
     with slack 0.  So the line tests inside a stretch hold once the tests
     at the own rights hold: positive slack after each own right that is not
     the window's end.  With the up counts read off the lengths, those tests
-    and the closure count (1 plus the up counts of the stretches is the
-    window's c) are plain arithmetic.  A complete window ends with slack
+    and the window's own count (1 plus the up counts of the stretches is
+    its c) are plain arithmetic.  A complete window ends with slack
     (b*c) mod a >= 0, and each of its m own rights lowers the slack by a
     while each stretch raises it by less than a, so b + (a-1)*m - a*m >= 0:
     a candidate of more than b + 1 positions never closes, and ``mat`` tries
@@ -185,16 +194,9 @@ def admissible(slope: Slope, candidate, minima=()) -> bool:
     cand = sorted(candidate)
     if not cand:
         return False
-    lo, hi = cand[0], cand[-1]
-    ups = _slope_tables(slope)[0]
-    c = ups[hi - lo + 1]
-    if c is None:
-        return False
-    inside = bisect_right(minima, hi) - bisect_left(minima, lo)
-    if not 0 <= c - 1 - inside < slope.up_count - len(minima):
-        return False
-    shape = window_arithmetic(slope.a, slope.b, ups, lo, cand[1:])
-    return shape is not None and shape[0] == c
+    lo, ups = cand[0], _slope_tables(slope)[0]
+    c = ups[cand[-1] - lo + 1]
+    return c is not None and window_arithmetic(slope.a, slope.b, ups, lo, cand[1:]) == c
 
 
 def _walk(link: list[int], keys: tuple[int, ...], start: int, width: int) -> list[int]:
@@ -228,13 +230,15 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     length down to min(floor(b/a) + 1, ``left``), whose prefix
     ``admissible`` accepts (at a = 1 every block has b + 1 positions, the
     one size tried), and unlinks the block's positions from the ring.
-    ``admissible`` is the window arithmetic alone, which every admissible
-    block passes, so the size taken is at least the largest admissible one.
-    The window nesting and the stretch fill are settled by the final round
-    trip instead: by the lemma below, on every path on which ``mat``
-    returns, each block taken was admissible given the blocks before it, so
-    its size is the largest admissible one, and by induction over the
-    entries the blocks are the ones the full parse gives.
+    ``admissible`` is the window arithmetic of the candidate alone, which
+    every admissible block passes, so the size taken is at least the
+    largest admissible one.  The window nesting, the stretch fill and the
+    closure count are settled by the final round trip instead, on the
+    blocks sorted once by their minima: by the lemma below, on every path
+    on which ``mat`` returns, each block taken was admissible given the
+    blocks before it, so its size is the largest admissible one, and by
+    induction over the entries the blocks are the ones the full parse
+    gives.
 
     Lemma: if ``pm(q)`` equals the built blocks, where q is the path whose
     up steps are the block minima, each block was admissible given the
@@ -249,9 +253,9 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     when lo's block was built and gets q's step.  That is a parse of the
     span as admissibility asks for, with the nesting, the stretch fill and
     the closure count (the up steps inside are its c - 1) all holding.
-    Hence a block that passes the arithmetic but fails the nesting or a
-    stretch makes the round trip fail (or an earlier check raise), and
-    ``mat`` raises ``InvariantError``.
+    Hence a block that passes the arithmetic but fails the nesting, a
+    stretch or the closure count makes the round trip fail (or an earlier
+    check raise), and ``mat`` raises ``InvariantError``.
     """
     s = p.slope
     total, b = s.total_steps, s.b
@@ -262,7 +266,6 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
     left = total
     keys = _slope_tables(s)[1]
     blocks: list[tuple[int, ...]] = []
-    minima: list[int] = []  # the built up steps, sorted
     for value, barred in _valley_entries(p):
         start = total + 1 - value if barred else value
         if taken[start]:
@@ -274,7 +277,7 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         width = min(b + 1, left)
         seq = _walk(after if barred else before, keys, start, width)
         for size in range(len(seq), min(smallest, width) - 1, -1):
-            if admissible(s, seq[:size], minima):
+            if admissible(s, seq[:size]):
                 break
         else:
             raise InvariantError(
@@ -283,7 +286,6 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
             )
         block = tuple(sorted(seq[:size]))
         blocks.append(block)
-        insort(minima, block[0])
         for x in block:
             above, below = after[x], before[x]
             after[below] = above
@@ -294,9 +296,10 @@ def mat(p: RationalDyckPath) -> RationalDyckPath:
         raise InvariantError(f"matching map left positions unused on {p}")
     # the path whose up steps are the block minima, if its matching is the
     # built one; a mismatch is a defect here, not bad input
+    blocks.sort()
     try:
-        q = RationalDyckPath(s, tuple(minima))
-        if pm(q).blocks == tuple(sorted(blocks)):
+        q = RationalDyckPath(s, tuple(block[0] for block in blocks))
+        if pm(q).blocks == tuple(blocks):
             return q
     except ValueError:
         pass

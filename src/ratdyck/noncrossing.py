@@ -551,7 +551,6 @@ def rot(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, rot_partition, reverse=False)
 
 
-@memo_image
 def rot_inverse(chain: NonCrossingChain) -> NonCrossingChain:
     return _layerwise(chain, lambda p: p._rotated(1), reverse=False)
 

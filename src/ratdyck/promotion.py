@@ -123,7 +123,6 @@ def dual_evacuation_fast(p: RationalDyckPath) -> RationalDyckPath:
     return RationalDyckPath(p.slope, steps)
 
 
-@memo_image
 def dual_evacuation_by_star(p: RationalDyckPath) -> RationalDyckPath:
     """ev* as star-conjugated ev; used as a cross-check."""
     return star_path(evacuation(star_path(p)))

@@ -208,8 +208,8 @@ def _count_check(s: Slope) -> tuple[int, list[str]]:
     bad = []
     if formula != dp:
         bad.append(f"formula={formula} dp={dp}")
-    if dp <= _ENUMERATED and len(pa.enumerate_paths(s)) != dp:
-        bad.append(f"enumeration!={dp}")
+    if dp <= _ENUMERATED and (enumerated := len(pa.enumerate_paths(s))) != dp:
+        bad.append(f"enumeration={enumerated} dp={dp}")
     return dp, bad
 
 
@@ -243,8 +243,8 @@ def _bound_check(s: Slope) -> tuple[int, list[str]]:
             accepted = True
         except ValueError:
             accepted = False
-        if accepted != pa.word_above_line(s, word):
-            bad.append(str(word))
+        if accepted != (above := pa.word_above_line(s, word)):
+            bad.append(f"{','.join(map(str, word))}: lhs={accepted} rhs={above}")
             if len(bad) >= 10:
                 break
     return _word_count(s), bad

@@ -194,7 +194,6 @@ def rowmotion_inverse(p: RationalDyckPath) -> RationalDyckPath:
     return _sweep(p, region, [(region.min_rank, region.max_rank)], False)
 
 
-@memo_image
 def rowmotion_structural(p: RationalDyckPath) -> RationalDyckPath:
     """Independent oracle: complement of the down-set of the filter minima."""
     region = box_region(p.slope)
@@ -231,7 +230,6 @@ def dual_rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     return _sweep(p, region, [(lo, top) for top in range(hi, lo - 1, -1)], False)
 
 
-@memo_image
 def partial_rowvacuation(p: RationalDyckPath) -> RationalDyckPath:
     """Rowvacuation without its initial full sweep (so rvac = this o rowmotion)."""
     region = box_region(p.slope)

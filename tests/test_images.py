@@ -24,7 +24,6 @@ from ratdyck.noncrossing import (
     ref,
     ref_partition,
     rot,
-    rot_inverse,
     rot_partition,
     su,
     su_partition,
@@ -33,7 +32,6 @@ from ratdyck.paths import InvariantError, Slope, enumerate_paths, image_scope, p
 from ratdyck.perms import dyck1, dyck2, dyck3, rsk_path
 from ratdyck.promotion import (
     dual_evacuation,
-    dual_evacuation_by_star,
     dual_evacuation_fast,
     dual_promotion,
     evacuation,
@@ -43,10 +41,8 @@ from ratdyck.promotion import (
 from ratdyck.registry import IDENTITIES, default_suite, verify
 from ratdyck.rowmotion import (
     dual_rowvacuation,
-    partial_rowvacuation,
     rowmotion,
     rowmotion_inverse,
-    rowmotion_structural,
     rowvacuation,
 )
 from ratdyck.tilings import dt_map, kappa, max_tiling, rsk_hat_inverse, rsk_hat_path
@@ -55,14 +51,13 @@ from ratdyck.tilings import dt_map, kappa, max_tiling, rsk_hat_inverse, rsk_hat_
 PATH_MAPS = [
     pm, dpm,
     promotion, dual_promotion, evacuation, dual_evacuation, evacuation_fast,
-    dual_evacuation_fast, dual_evacuation_by_star,
+    dual_evacuation_fast,
     rowmotion, rowmotion_inverse, rowvacuation, dual_rowvacuation,
-    rowmotion_structural, partial_rowvacuation,
     mat, mat_inverse, dyck_to_ncp,
     rsk_path, dyck1, dyck2, dyck3,
     rsk_hat_path, rsk_hat_inverse, max_tiling, dt_map, kappa,
 ]
-CHAIN_MAPS = [ncp_to_dyck, rot, rot_inverse, ref, kre, kre_inverse, su, lk]
+CHAIN_MAPS = [ncp_to_dyck, rot, ref, kre, kre_inverse, su, lk]
 PARTITION_MAPS = [rot_partition, ref_partition, kre_partition, su_partition, lk_partition]
 
 

@@ -31,7 +31,7 @@ import itertools
 import math
 import random
 import types
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 import pytest
@@ -821,15 +821,10 @@ def admissible_reference(slope, candidate, built=()):
     return window_reference(slope, tags, lo, hi, c_top, ("C", -1), {})
 
 
-def minima_of(built):
-    """The sorted up steps of the blocks ``built``, as ``admissible`` takes them."""
-    return sorted(min(block) for block in built)
-
-
 def assert_necessary(slope, cand, built):
     """``admissible`` accepts ``cand`` whenever the full parse does, and
     agrees with it when no built position lies in the span."""
-    verdict = admissible(slope, cand, minima_of(built))
+    verdict = admissible(slope, cand)
     lo, hi = min(cand), max(cand)
     if any(lo <= x <= hi for block in built for x in block):
         assert verdict or not reference_verdict(slope, cand, built), (cand, built)
@@ -1227,21 +1222,33 @@ def test_admissible_is_exact_on_every_call_mat_makes(a, b, n, uniform, monkeypat
         paths = [uniform_path(slope, rng) for _ in range(uniform)]
     else:
         paths = enumerate_paths(slope)
-    check = matching_map.admissible
     for p in paths:
-        calls = []
-
-        def recorded(slope, cand, minima):
-            calls.append((tuple(cand), len(minima), check(slope, cand, minima)))
-            return calls[-1][2]
-
-        with monkeypatch.context() as patched:
-            patched.setattr(matching_map, "admissible", recorded)
-            mat(p)
+        calls = recorded_calls(p, monkeypatch)
         built = [block for _, block in mat_entries(p)]
         assert len({k for _, k, _ in calls}) == slope.up_count
         for cand, k, verdict in calls:
             assert verdict == reference_verdict(slope, cand, tuple(built[:k])), (p, cand, k)
+
+
+def recorded_calls(p, monkeypatch):
+    """The ``admissible`` calls ``mat(p)`` makes, each as (candidate, blocks
+    built before it, verdict).  An entry's calls end at the one call that
+    accepts, so the blocks built are the calls accepted before."""
+    check = matching_map.admissible
+    calls = []
+    built = 0
+
+    def recorded(slope, cand):
+        nonlocal built
+        verdict = check(slope, cand)
+        calls.append((tuple(cand), built, verdict))
+        built += verdict
+        return verdict
+
+    with monkeypatch.context() as patched:
+        patched.setattr(matching_map, "admissible", recorded)
+        mat(p)
+    return calls
 
 
 def admissible_calls_reference(p):
@@ -1252,19 +1259,17 @@ def admissible_calls_reference(p):
     s = p.slope
     free = list(range(1, s.total_steps + 1))
     keys = _slope_tables(s)[1]
-    minima, calls = [], []
-    for entry in k_sequence(p).entries:
+    calls = []
+    for built, entry in enumerate(k_sequence(p).entries):
         seq = cyclic_prefix_reference(
             free, free.index(entry.numeric(s)), min(s.b + 1, len(free)), entry.barred
         )
         longest = representing_length_reference(keys, seq)
         for size in range(longest, min(s.b // s.a + 1, len(seq)) - 1, -1):
-            calls.append((tuple(seq[:size]), len(minima), admissible(s, seq[:size], minima)))
+            calls.append((tuple(seq[:size]), built, admissible(s, seq[:size])))
             if calls[-1][2]:
                 break
-        block = sorted(seq[:size])
-        insort(minima, block[0])
-        for x in block:
+        for x in seq[:size]:
             free.remove(x)
     return calls
 
@@ -1284,19 +1289,58 @@ def test_mat_makes_the_admissible_calls_of_the_list_walk(a, b, n, uniform, monke
         paths = [uniform_path(slope, rng) for _ in range(uniform)]
     else:
         paths = enumerate_paths(slope)
-    check = matching_map.admissible
     for p in paths:
-        expected = admissible_calls_reference(p)
-        calls = []
+        assert recorded_calls(p, monkeypatch) == admissible_calls_reference(p), p
 
-        def recorded(slope, cand, minima):
-            calls.append((tuple(cand), len(minima), check(slope, cand, minima)))
-            return calls[-1][2]
 
-        with monkeypatch.context() as patched:
-            patched.setattr(matching_map, "admissible", recorded)
-            mat(p)
-        assert calls == expected, p
+def closure_count(slope, cand, minima):
+    """The closure count ``admissible`` once tested beside the arithmetic,
+    given ``minima``, the sorted up steps of the blocks built: on a span of
+    the length of a complete window of c up steps, the c - 1 up steps after
+    its root less the built ones inside it number at least 0 and fewer
+    than the blocks not yet built."""
+    lo, hi = min(cand), max(cand)
+    c = _slope_tables(slope)[0][hi - lo + 1]
+    inside = bisect_right(minima, hi) - bisect_left(minima, lo)
+    return c is None or 0 <= c - 1 - inside < slope.up_count - len(minima)
+
+
+def step_bound_path(slope, seed):
+    """A seeded random path: each up step drawn uniformly between the one
+    before it and its step bound, as the matching map scale smoke tests
+    draw theirs."""
+    rng = random.Random(seed)
+    steps = [0]
+    for j in range(1, slope.up_count + 1):
+        steps.append(rng.randint(steps[-1] + 1, slope.step_bound(j)))
+    return RationalDyckPath(slope, tuple(steps[1:]))
+
+
+@pytest.mark.parametrize(
+    "a,b,n,uniform",
+    [(2, 3, 2000, 0), (3, 5, 1000, 0), (3, 2, 2000, 0), (5, 3, 800, 0),
+     (2, 3, 60, 40), (3, 5, 30, 40)],
+)
+def test_closure_count_holds_on_every_call_mat_makes(a, b, n, uniform, monkeypatch):
+    # the closure count, which admissible leaves out, holds on every call
+    # mat makes on these paths, so it decides none of them (at a = 1 it is
+    # implied: mat makes one call per entry, and that call accepts)
+    slope = Slope(a, b, n)
+    if uniform:
+        rng = random.Random(a * 1000 + b * 100 + n + 6)
+        paths = [uniform_path(slope, rng) for _ in range(uniform)]
+    else:
+        paths = [step_bound_path(slope, 1)]
+    for p in paths:
+        minima = []
+        calls = recorded_calls(p, monkeypatch)
+        for cand, built, verdict in calls:
+            assert built == len(minima)
+            assert closure_count(slope, cand, minima), (p, cand)
+            if verdict:
+                insort(minima, min(cand))
+        assert len(minima) == slope.up_count
+        assert any(not verdict for *_, verdict in calls)
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 1, 6), (1, 2, 4), (2, 3, 3), (3, 5, 2)])
@@ -1429,7 +1473,7 @@ def test_single_window_candidates(a, b, n):
             for k in range(len(inner) + 1):
                 for middle in itertools.combinations(inner, k):
                     cand = [lo, *middle, hi] if hi > lo else [lo]
-                    assert admissible(slope, cand, minima_of(built)) == admissible_reference(
+                    assert admissible(slope, cand) == admissible_reference(
                         slope, cand, built
                     ), (cand, built)
 

@@ -1,13 +1,6 @@
 import pytest
 
-from ratdyck.matching_map import (
-    BarInt,
-    admissible,
-    k_sequence,
-    mat,
-    mat_inverse,
-    parse_bar_sequence,
-)
+from ratdyck.matching_map import admissible, k_sequence, mat, mat_inverse
 from ratdyck.matchings import pm
 from ratdyck.paths import Slope, enumerate_paths, path_from_steps, path_from_word
 from ratdyck.promotion import dual_promotion
@@ -23,9 +16,6 @@ def test_k_sequence_worked_examples():
     assert str(k_sequence(p)) == "2,4,~3,5,~5"
     assert str(k_sequence(path_from_steps(Slope(1, 2, 3), [1, 4, 7]))) == "3,5,~3"
     assert str(k_sequence(path_from_steps(Slope(2, 3, 2), [1, 3, 5, 6]))) == "~1,5,6,~4"
-    assert parse_bar_sequence("3,5,~3").entries == (
-        BarInt(3, False), BarInt(5, False), BarInt(3, True),
-    )
 
 
 def test_mat_worked_examples():
@@ -67,24 +57,12 @@ def test_admissible_worked_examples():
     assert not admissible(slope, [10, 1])
     assert admissible(slope, [10, 1, 2])
     assert not admissible(slope, [10, 1, 2, 3])
-    # the up steps of the blocks built: (1, 2, 10), then (4, 5)
-    assert admissible(slope, [5, 4], [1])
-    assert not admissible(slope, [5, 4, 3], [1])
-    assert not admissible(slope, [6, 3], [1, 4])
-    assert admissible(slope, [6, 3, 9], [1, 4])
-    assert not admissible(slope, [6, 3, 9, 8], [1, 4])
-
-
-def test_admissible_closure_count():
-    # [1, 4] spans a complete (1,1) window of two up steps, rooted at 1, so
-    # it needs exactly one more up step inside: a built one, or a later
-    # block's while one is left to come
-    slope = Slope(1, 1, 3)
-    assert admissible(slope, [1, 4])
-    assert admissible(slope, [1, 4], [2])
-    assert not admissible(slope, [1, 4], [2, 3])  # two built up steps inside
-    assert admissible(slope, [1, 4], [5])
-    assert not admissible(slope, [1, 4], [5, 6])  # no later block left
+    # the blocks built before: (1, 2, 10), then (4, 5)
+    assert admissible(slope, [5, 4])
+    assert not admissible(slope, [5, 4, 3])
+    assert not admissible(slope, [6, 3])
+    assert admissible(slope, [6, 3, 9])
+    assert not admissible(slope, [6, 3, 9, 8])
 
 
 def test_admissible_single_up_run():

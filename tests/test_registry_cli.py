@@ -322,6 +322,18 @@ def test_failing_word_check_reports_every_word(monkeypatch):
     report = verify("step-bound-geometry", Slope(1, 1, 3))
     assert report.status == "fail" and len(report.counterexamples) == 10
     assert report.domain_size == 20
+    # each bad word shows both sides: the constructor's verdict, then the
+    # (inverted) geometric one
+    assert report.counterexamples[:2] == ["1,2,3: lhs=True rhs=False", "1,2,4: lhs=True rhs=False"]
+    for x in report.counterexamples:
+        lhs, rhs = re.fullmatch(r"[\d,]+: lhs=(True|False) rhs=(True|False)", x).groups()
+        assert lhs != rhs
+
+
+def test_failing_count_check_reports_both_counts(monkeypatch):
+    monkeypatch.setattr(paths, "enumerate_paths", lambda s: [])
+    report = verify("count-enumeration", Slope(1, 1, 3))
+    assert report.status == "fail" and report.counterexamples == ["enumeration=0 dp=5"]
 
 
 def test_cli_domain_guard_counts_enumerated_paths(capsys):
