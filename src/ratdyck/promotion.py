@@ -5,13 +5,15 @@ still a valid path.  In every toggle product the rightmost factor acts
 first; this convention is pinned by the worked promotion of the (2,3)-path
 1257 to 1346.
 
-``toggle`` is the single-toggle API, and promotion and dual promotion are its
-products; evacuation and dual evacuation run on one up-step mask instead.
-Both toggle kernels build their images unchecked
-(``RationalDyckPath._caller_checked``): the swap test each makes is the
-constructor's bound for the one step it moves, and the rest of the path is
-the argument's, validated when that was built.  The matching formulas
-build validated paths.
+``toggle`` is the toggle API: one index applies one toggle, and a run of
+indices (a range of step 1 or -1) applies their product on one up-step mask
+through ``_toggle_runs``.  Promotion and dual promotion are each one
+``toggle`` call over a run; evacuation and dual evacuation call
+``_toggle_runs`` on their triangles of runs directly.  Both toggle kernels
+build their images unchecked (``RationalDyckPath._caller_checked``): the
+swap test each makes is the constructor's bound for the one step it moves,
+and the rest of the path is the argument's, validated when that was built.
+The matching formulas build validated paths.
 """
 
 from __future__ import annotations
@@ -22,20 +24,32 @@ from .matchings import dpm, pm
 from .paths import RationalDyckPath, memo_image, star_path
 
 
-def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
+def toggle(i: int | range, p: RationalDyckPath) -> RationalDyckPath:
     """Swap the letters at positions i and i+1 if the result is a path.
 
     Moving an up step earlier always keeps a path; moving one later keeps a
     path iff it stays within its step bound.  Returns ``p`` itself when
     nothing swaps.
 
-    Lemma: the image passes the constructor.  One up step moves, between
-    positions i and i+1 of [1, (a+b)n], and the other letter there is a
-    right step, so the steps keep their number and strict order.  An up
-    step moved left only lowers its position; the (j+1)-th moved right to
-    i+1 is tested against step_bound(j+1) here.
+    A run ``i`` (a nonempty range of step 1 or -1 inside [1, (a+b)n - 1])
+    gives the product of its toggles, applied in the range's order, as one
+    ``_toggle_runs`` pass with one build; ``_toggle_runs``' lemma covers its
+    image.  It too returns ``p`` itself when nothing swaps.
+
+    Lemma: the image of one index passes the constructor.  One up step
+    moves, between positions i and i+1 of [1, (a+b)n], and the other letter
+    there is a right step, so the steps keep their number and strict order.
+    An up step moved left only lowers its position; the (j+1)-th moved right
+    to i+1 is tested against step_bound(j+1) here.
     """
     s = p.slope
+    if isinstance(i, range):
+        inside = range(1, s.total_steps)
+        if not (i and i.step in (1, -1) and i[0] in inside and i[-1] in inside):
+            raise ValueError(f"toggle run {i} is not a nonempty range of step 1 or -1 "
+                             f"in [1,{s.total_steps - 1}]")
+        q = _toggle_runs(p, [i])
+        return p if q.steps == p.steps else q
     if not 0 < i < (s.a + s.b) * s.n:
         raise ValueError(f"toggle index {i} outside [1,{s.total_steps - 1}]")
     steps = p.steps
@@ -56,16 +70,14 @@ def toggle(i: int, p: RationalDyckPath) -> RationalDyckPath:
 
 @memo_image
 def promotion(p: RationalDyckPath) -> RationalDyckPath:
-    for i in range(1, p.slope.total_steps):
-        p = toggle(i, p)
-    return p
+    """The toggle product t_{N-1} ... t_1 (t_1 acts first), N = (a+b)n."""
+    return toggle(range(1, p.slope.total_steps), p)
 
 
 @memo_image
 def dual_promotion(p: RationalDyckPath) -> RationalDyckPath:
-    for i in range(p.slope.total_steps - 1, 0, -1):
-        p = toggle(i, p)
-    return p
+    """The toggle product t_1 ... t_{N-1} (t_{N-1} acts first)."""
+    return toggle(range(p.slope.total_steps - 1, 0, -1), p)
 
 
 def _toggle_runs(p: RationalDyckPath, runs) -> RationalDyckPath:

@@ -17,6 +17,7 @@ reaches the identities too.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -94,10 +95,11 @@ _register_path_maps()
 def resolve_path_map(name: str, slope: Slope) -> PathMap:
     kind, colon, index = name.partition(":")
     if colon and kind in ("toggle", "rank-toggle"):
-        try:
-            i = int(index)
-        except ValueError:
-            raise ValueError(f"map {name!r} needs an integer index, got {index!r}") from None
+        # ASCII digits only, as in every literal: int() also reads "1_0",
+        # "+2", " 2" and non-ASCII digits; rank indices go below 0 when a > b
+        if not re.fullmatch(r"-?[0-9]+", index):
+            raise ValueError(f"map {name!r} needs an integer index, got {index!r}")
+        i = int(index)
         kernel = pr.toggle if kind == "toggle" else rw.rank_toggle
         fn = lambda p: kernel(i, p)
         return PathMap(name, fn, fn)

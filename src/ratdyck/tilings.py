@@ -298,7 +298,13 @@ def rsk_hat_inverse(p: RationalDyckPath) -> RationalDyckPath:
 
 @memo_image
 def rsk_hat_path(p: RationalDyckPath) -> RationalDyckPath:
-    """The RSK-type correspondence as a path map, via the matching map."""
+    """The RSK-type correspondence as a path map, via the matching map: the
+    (n-1)-th dual promotion of ``mat(p)``.
+
+    Each dual promotion is one ``toggle`` call over the run N-1, ..., 1 on
+    one up-step mask, Theta(N) for N = (1+b)n steps, so the map costs
+    Theta(n*N) after ``mat``.  Reading the power off ``pm(mat(p))`` as one
+    rotation would make it O(N); that is still open (ROADMAP item 1)."""
     _require_unit_a(p)
     return iterate(promotion, dual_promotion, mat(p), -(p.slope.n - 1))
 

@@ -1,10 +1,10 @@
 """The kernels against small reference implementations.
 
 Each reference is the direct form of the kernel's definition: build the
-swapped path and see whether it is valid, evacuate by one toggle call (and
-one validated path) per factor, route unchecked paths, partitions and
-matchings through the validating constructors, search window lengths one
-by one,
+swapped path and see whether it is valid, promote and evacuate by one
+toggle call (and one validated path) per factor, route unchecked paths,
+partitions and matchings through the validating constructors, search
+window lengths one by one,
 intersect the slope line with the path in rationals, walk forward from
 each up step to its line's first return, read the dual matching off the
 transposed path, sum Bizley's formula over partitions, grow and scan the
@@ -136,6 +136,18 @@ def toggle_reference(i, p):
         return p
 
 
+def promotion_reference(p):
+    for i in range(1, p.slope.total_steps):
+        p = toggle(i, p)
+    return p
+
+
+def dual_promotion_reference(p):
+    for i in range(p.slope.total_steps - 1, 0, -1):
+        p = toggle(i, p)
+    return p
+
+
 def evacuation_reference(p):
     for top in range(p.slope.total_steps - 1, 0, -1):
         for i in range(1, top + 1):
@@ -205,8 +217,8 @@ def assert_mask_kernel(p):
         # one toggle, met ascending and descending
         assert _toggle_runs(p, [range(i, i + 1)]) == toggle(i, p)
         assert _toggle_runs(p, [range(i, i - 1, -1)]) == toggle(i, p)
-    assert _toggle_runs(p, [range(1, total)]) == promotion(p)
-    assert _toggle_runs(p, [range(total - 1, 0, -1)]) == dual_promotion(p)
+    assert promotion(p) == promotion_reference(p)
+    assert dual_promotion(p) == dual_promotion_reference(p)
 
 
 @pytest.mark.parametrize("a,b,n", SLOPES)
@@ -215,6 +227,27 @@ def test_toggle_evacuations_match_per_toggle_loops(a, b, n):
         assert evacuation(p) == evacuation_reference(p)
         assert dual_evacuation(p) == dual_evacuation_reference(p)
         assert_mask_kernel(p)
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 1, 5), (2, 3, 2), (3, 2, 2)])
+def test_toggle_runs_match_per_index_products(a, b, n):
+    slope = Slope(a, b, n)
+    total = slope.total_steps
+    for p in enumerate_paths(slope):
+        for lo, hi in itertools.combinations_with_replacement(range(1, total), 2):
+            for run in (range(lo, hi + 1), range(hi, lo - 1, -1)):
+                got = toggle(run, p)
+                want = p
+                for i in run:
+                    want = toggle(i, want)
+                assert got == want, (p, run)
+                # no swap returns the very same object
+                assert (got is p) == (got == p)
+    p = enumerate_paths(slope)[0]
+    for run in (range(2, 2), range(3, 2), range(1, total, 2), range(total - 1, 0, -2),
+                range(0, 2), range(total - 1, total + 1), range(total, 0, -1), range(2, -1, -1)):
+        with pytest.raises(ValueError):
+            toggle(run, p)
 
 
 # the (a, b) of test_properties.MAP_SLOPES at 80 to 100 steps

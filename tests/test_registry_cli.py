@@ -507,11 +507,17 @@ def test_cli_empty_block_in_matching(capsys, literal, message):
      "map 'toggle:abc' needs an integer index, got 'abc'"),
     (("orbit", "--map", "rank-toggle:x", "--a", "1", "--b", "1", "--n", "3"),
      "map 'rank-toggle:x' needs an integer index, got 'x'"),
+    *((("apply", "--map", f"{kind}:{index}", "--a", "1", "--b", "1", "--n", "6",
+        "--path", "1,2,3,4,5,10"), f"map '{kind}:{index}' needs an integer index, got {index!r}")
+      for kind in ("toggle", "rank-toggle")
+      for index in ("1_0", "+2", " 2", "2 ", "\u0662", "--1", "-", "0x2")),
 ])
 def test_cli_input_must_match_the_slope(capsys, argv, message):
     # a chain or permutation read against other slope flags used to convert
     # to the path of its own slope and exit 0; a toggle index that is no
-    # integer used to print int()'s own message
+    # integer used to print int()'s own message, and one that int() reads
+    # though it is no run of ASCII digits after an optional minus ("1_0" as
+    # 10, "+2", " 2" and an Arabic-Indic two as 2) used to apply that toggle
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}"
